@@ -7,7 +7,6 @@ evaluation (only with --fail-on-degenerate).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,8 +15,8 @@ from pathlib import Path
 from . import io as fileio
 from .mask import MaskError, mask_from_cuts, union_merge
 from .metrics import (MetricReport, Region, average_precision, binarize_detections,
-                      boundary_f, combine_tallies, davis_j, delta_obj,
-                      sequence_tally)
+                      boundary_f, combine_tallies, davis_j,
+                      default_boundary_tolerance, delta_obj, sequence_tally)
 from .synth import NoiseConfig, OcclusionEvent, SynthConfig, corrupt, generate
 from .tracker import (Detection, TrackerConfig, bidirectional_track, gate,
                       merge_moving_static, track_sequence)
@@ -265,7 +264,7 @@ def _evaluate_pairs(args, pairs) -> MetricReport:
                     det_frames[d.frame].append(d)
         prb = binarize_detections(det_frames, args.binarize_threshold,
                                   width=gt.width, height=gt.height)
-        tol = math.ceil(args.boundary_tolerance / 100.0 * math.hypot(gt.width, gt.height))
+        tol = default_boundary_tolerance(gt.width, gt.height, args.boundary_tolerance)
         j_mean, j_recall, j_decay = davis_j(gtb, prb)
         fb = boundary_f(gtb, prb, tolerance_px=tol)
         return name, ("davis", j_mean, j_recall, j_decay, fb)

@@ -2,10 +2,21 @@
 
 A mask is stored as alternating run counts over the row-major pixel order,
 starting with a (possibly zero) count of background pixels.  The encoding is
-canonical: a given pixel set has exactly one valid ``runs`` tuple.  All
-per-pair operations (intersection, IoU) work directly on run boundaries and
-never touch a dense pixel grid; this is what keeps evaluation over long
-high-resolution sequences cheap.
+canonical: a given pixel set has exactly one valid ``runs`` tuple.
+
+Every operation past encoding and decoding works on the sorted foreground
+interval boundaries (``foreground_cuts``) and never touches a dense pixel grid,
+as pycocotools' ``maskApi.c`` does; this is what keeps evaluation over long
+high-resolution sequences cheap.  Two prefix sums carry all of it:
+
+- Overlap counts (``intersect_cuts``, batched as ``intersect_cuts_many``) take
+  the cumulative interval lengths of B, find A's boundaries in B by binary
+  search, and sum the differences of the covered lengths there.
+- New interval sets (``union_merge``, the interior behind
+  ``boundary_pixels``) come from a running sum of +1 at every interval start
+  and -1 at every end over the sorted boundaries of all operands.
+
+Translation and boundary extraction first split runs at row ends.
 """
 
 from __future__ import annotations
@@ -42,16 +53,17 @@ class Mask:
     runs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(int(r) for r in self.runs))
+        runs = tuple(map(int, self.runs))
+        object.__setattr__(self, "runs", runs)
         if self.width <= 0 or self.height <= 0:
             raise MalformedMaskError(f"non-positive dimensions {self.width}x{self.height}")
-        if not self.runs:
+        if not runs:
             raise MalformedMaskError("empty runs list")
-        if any(r < 0 for r in self.runs):
+        if min(runs) < 0:
             raise MalformedMaskError("negative run length")
-        if any(r == 0 for r in self.runs[1:]):
+        if min(runs[1:], default=1) == 0:
             raise MalformedMaskError("zero-length interior run")
-        total = sum(self.runs)
+        total = sum(runs)
         if total != self.width * self.height:
             raise MalformedMaskError(
                 f"runs sum {total} != width*height {self.width * self.height}"
@@ -69,6 +81,19 @@ class Mask:
     def is_empty(self) -> bool:
         return len(self.runs) == 1
 
+    @cached_property
+    def _bbox(self) -> tuple[int, int, int, int] | None:
+        cuts = self.foreground_cuts
+        if not len(cuts):
+            return None
+        w = self.width
+        starts, ends = cuts[0::2], cuts[1::2] - 1   # ends inclusive
+        row_s, row_e = starts // w, ends // w
+        y0, y1 = int(row_s.min()), int(row_e.max())
+        if (row_e > row_s).any():   # a run wrapping rows spans the full width
+            return 0, y0, w - 1, y1
+        return int((starts % w).min()), y0, int((ends % w).max()), y1
+
 
 def rle_encode(dense, width: int, height: int) -> Mask:
     """Encode a row-major 0/1 grid into its canonical Mask."""
@@ -81,7 +106,11 @@ def rle_encode(dense, width: int, height: int) -> Mask:
             f"grid has {flat.size} entries, expected {width * height}"
         )
     if flat.dtype != bool:
-        if not np.isin(flat, (0, 1)).all():
+        if np.issubdtype(flat.dtype, np.integer):
+            binary = flat.min() >= 0 and flat.max() <= 1
+        else:
+            binary = ((flat == 0) | (flat == 1)).all()
+        if not binary:
             raise MalformedMaskError("grid entries must be 0 or 1")
         flat = flat.astype(bool)
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
@@ -111,16 +140,65 @@ def _require_same_dims(a: Mask, b: Mask) -> None:
         )
 
 
+def _interleave(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    cuts = np.empty(2 * len(starts), dtype=np.int64)
+    cuts[0::2], cuts[1::2] = starts, ends
+    return cuts
+
+
+def _covered(cuts: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Pixels of the non-empty interval set ``cuts`` lying below each of ``points``."""
+    lengths = np.zeros(len(cuts) // 2 + 1, dtype=np.int64)
+    np.cumsum(cuts[1::2] - cuts[0::2], out=lengths[1:])
+    k = np.searchsorted(cuts, points, side="right")
+    # k odd: the point lies inside the interval starting at cuts[k - 1]
+    return lengths[k >> 1] + (k & 1) * (points - cuts[k - 1])
+
+
 def intersect_cuts(a: np.ndarray, b: np.ndarray) -> int:
-    """Overlap, in pixels, of two foreground interval sets (run-merge, no decode)."""
+    """Overlap, in pixels, of two foreground interval sets (prefix sums, no decode)."""
     if len(a) == 0 or len(b) == 0:
         return 0
     if a[-1] <= b[0] or b[-1] <= a[0]:
         return 0
-    points = np.unique(np.concatenate((a, b)))
-    inside_a = np.searchsorted(a, points[:-1], side="right") % 2 == 1
-    inside_b = np.searchsorted(b, points[:-1], side="right") % 2 == 1
-    return int(np.sum(np.diff(points) * (inside_a & inside_b)))
+    covered = _covered(b, a)
+    return int(np.sum(covered[1::2] - covered[0::2]))
+
+
+def intersect_cuts_many(a: np.ndarray, bs) -> np.ndarray:
+    """Overlap of one interval set with each of several, from one binary search.
+
+    Operand k of ``bs`` is moved up by k times a stride longer than any
+    operand, so all of them share one sorted array and ``a``, repeated at each
+    stride, is located in it at once.
+    """
+    out = np.zeros(len(bs), dtype=np.int64)
+    if len(a) == 0 or not any(len(b) for b in bs):
+        return out
+    stride = max([int(a[-1])] + [int(b[-1]) for b in bs if len(b)]) + 1
+    offsets = np.arange(len(bs), dtype=np.int64) * stride
+    stacked = np.concatenate([b + off for b, off in zip(bs, offsets)])
+    covered = _covered(stacked, (a + offsets[:, None]).ravel()).reshape(len(bs), len(a))
+    return np.sum(covered[:, 1::2] - covered[:, 0::2], axis=1)
+
+
+def _sweep(cut_arrays, depth: int) -> np.ndarray:
+    """Boundaries of the pixels lying in at least ``depth`` of the interval sets.
+
+    Each set's intervals must be disjoint and non-empty.  Starts sort before
+    ends at one position, so touching intervals join in a union; the empty
+    intervals this leaves where sets only touch are dropped.
+    """
+    cuts = np.concatenate(cut_arrays)
+    if not len(cuts):
+        return cuts
+    keys = np.sort(cuts * 2 + (np.arange(len(cuts)) & 1))   # every set has even length
+    level = np.cumsum(1 - 2 * (keys & 1))
+    enter = np.flatnonzero((level == depth) & ((keys & 1) == 0))
+    leave = np.flatnonzero((level == depth - 1) & ((keys & 1) == 1))
+    starts, ends = keys[enter] >> 1, keys[leave] >> 1
+    keep = starts < ends
+    return _interleave(starts[keep], ends[keep])
 
 
 def intersection_area(a: Mask, b: Mask) -> int:
@@ -154,35 +232,79 @@ def union_merge(masks, *, width: int | None = None, height: int | None = None) -
         raise DimensionMismatchError("stated dimensions disagree with masks")
     for m in masks[1:]:
         _require_same_dims(first, m)
-    total = first.width * first.height
-    cut_arrays = [m.foreground_cuts for m in masks if not m.is_empty]
-    if not cut_arrays:
-        return Mask(first.width, first.height, (total,))
-    points = np.unique(np.concatenate([np.array([0, total], dtype=np.int64)] + cut_arrays))
-    inside = np.zeros(len(points) - 1, dtype=bool)
-    for cuts in cut_arrays:
-        inside |= np.searchsorted(cuts, points[:-1], side="right") % 2 == 1
-    keep = np.concatenate(([True], inside[1:] != inside[:-1]))
-    starts = points[:-1][keep]
-    bounds = np.append(starts, total)
-    runs = np.diff(bounds)
-    if inside[0]:
-        runs = np.concatenate(([0], runs))
-    return Mask(first.width, first.height, tuple(int(r) for r in runs))
+    cuts = _sweep([m.foreground_cuts for m in masks], 1)
+    return mask_from_cuts(cuts, first.width, first.height)
 
 
 def bbox(mask: Mask) -> tuple[int, int, int, int] | None:
     """Tight (x0, y0, x1, y1) inclusive bounds of the foreground, None if empty."""
+    return mask._bbox
+
+
+def boxes_meet(a, b) -> np.ndarray:
+    """len(a) x len(b) matrix: whether the bounding boxes of a[i] and b[j] share a pixel.
+
+    Masks whose boxes are disjoint (or either empty) have an IoU of exactly 0.
+    """
+    def boxes(masks):
+        # an empty mask gets a box that meets nothing
+        return np.array([m._bbox or (0, 0, -1, -1) for m in masks],
+                        dtype=np.int64).reshape(-1, 4)
+
+    ba, bb = boxes(a)[:, None, :], boxes(b)[None, :, :]
+    return ((ba[..., 0] <= bb[..., 2]) & (bb[..., 0] <= ba[..., 2])
+            & (ba[..., 1] <= bb[..., 3]) & (bb[..., 1] <= ba[..., 3]))
+
+
+def _row_runs(cuts: np.ndarray, width: int):
+    """Foreground intervals split at row ends, as (row, x_start, x_end) arrays; x_end exclusive."""
+    starts, ends = cuts[0::2], cuts[1::2]
+    first = starts // width
+    n = (ends - 1) // width - first + 1
+    piece = np.repeat(np.arange(len(starts)), n)
+    rows = first[piece] + np.arange(len(piece)) - np.repeat(np.cumsum(n) - n, n)
+    row_start = rows * width
+    x0 = np.maximum(starts[piece], row_start) - row_start
+    x1 = np.minimum(ends[piece], row_start + width) - row_start
+    return rows, x0, x1
+
+
+def translate(mask: Mask, dx: int, dy: int) -> Mask:
+    """Shift a mask by (dx, dy) pixels; what leaves the frame is cut off."""
+    if dx == 0 and dy == 0:
+        return mask
+    w, h = mask.width, mask.height
+    rows, x0, x1 = _row_runs(mask.foreground_cuts, w)
+    rows = rows + dy
+    x0, x1 = np.clip(x0 + dx, 0, w), np.clip(x1 + dx, 0, w)
+    keep = (rows >= 0) & (rows < h) & (x0 < x1)
+    row_start = rows[keep] * w
+    return mask_from_cuts(_interleave(row_start + x0[keep], row_start + x1[keep]), w, h)
+
+
+def boundary_pixels(mask: Mask) -> np.ndarray:
+    """Sorted flat offsets of the 4-connected boundary.
+
+    A boundary pixel is a foreground pixel with a background or out-of-image
+    neighbor.  The rest, the interior, is the foreground shrunk by one pixel
+    within each row, intersected with the foreground moved one row down and
+    one row up.
+    """
     cuts = mask.foreground_cuts
     if not len(cuts):
-        return None
+        return cuts
     w = mask.width
-    starts, ends = cuts[0::2], cuts[1::2] - 1   # ends inclusive
-    row_s, row_e = starts // w, ends // w
-    y0, y1 = int(row_s.min()), int(row_e.max())
-    if (row_e > row_s).any():   # a run wrapping rows spans the full width
-        return 0, y0, w - 1, y1
-    return int((starts % w).min()), y0, int((ends % w).max()), y1
+    rows, x0, x1 = _row_runs(cuts, w)
+    wide = x1 - x0 > 2
+    row_start = rows[wide] * w
+    shrunk = _interleave(row_start + x0[wide] + 1, row_start + x1[wide] - 1)
+    interior = _sweep([shrunk, cuts + w, cuts - w], 3)
+    # the interior lies strictly inside the foreground intervals, so merging the
+    # two boundary lists gives the foreground minus the interior
+    edges = np.sort(np.concatenate((cuts, interior)))
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
 def mask_from_cuts(cuts: np.ndarray, width: int, height: int) -> Mask:
@@ -204,7 +326,7 @@ def mask_from_cuts(cuts: np.ndarray, width: int, height: int) -> Mask:
     if len(cuts) == 0:
         return Mask(width, height, (total,))
     runs = [int(cuts[0])]
-    runs.extend(int(d) for d in np.diff(cuts))
+    runs.extend(np.diff(cuts).tolist())
     tail = total - int(cuts[-1])
     if tail > 0:
         runs.append(tail)

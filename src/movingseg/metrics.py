@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
+from scipy.spatial import cKDTree
 
 from .assign import solve_max_assignment
-from .mask import (Mask, bbox as _mask_bbox, intersect_cuts, iou as mask_iou,
-                   mask_from_cuts, rle_decode, union_merge)
+from .mask import (Mask, bbox as _mask_bbox, boundary_pixels, boxes_meet,
+                   intersect_cuts, intersect_cuts_many, iou as mask_iou,
+                   mask_from_cuts, union_merge)
 
 REPORT_FIELDS = (
     "precision",
@@ -260,16 +261,17 @@ def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
 
     pred_cuts = [_pool_region_cuts(p, slots, frame_px, gt.width, gt.height) for p in preds]
     pred_areas = [_cuts_area(c) for c in pred_cuts]
-    if official and len(ignore_cuts):
-        pred_areas = [
-            a - intersect_cuts(c, ignore_cuts) for a, c in zip(pred_areas, pred_cuts)
-        ]
+    # one kernel call per prediction scores it against every region and the ignore label
+    targets = gt_cuts + [ignore_cuts] if official and len(ignore_cuts) else gt_cuts
 
     inter = np.zeros((len(preds), len(gt_ids)), dtype=np.int64)
     f_matrix = np.zeros((len(preds), len(gt_ids)))
     for i, c in enumerate(pred_cuts):
-        for j, g in enumerate(gt_cuts):
-            inter[i, j] = intersect_cuts(c, g)
+        overlaps = intersect_cuts_many(c, targets)
+        inter[i] = overlaps[:len(gt_ids)]
+        if len(targets) > len(gt_ids):
+            pred_areas[i] -= int(overlaps[-1])
+        for j in range(len(gt_ids)):
             f_matrix[i, j] = _prf(inter[i, j], pred_areas[i], gt_areas[j])[2]
 
     matched = [
@@ -413,7 +415,10 @@ def average_precision(gt_by_frame, dets_by_frame, iou_threshold: float = 0.5,
             box = _mask_bbox(mask)
             overlaps = [_box_iou(box, gb) for gb in gt_boxes[f]]
         else:
-            overlaps = [mask_iou(mask, gm) for gm in gt_items[f]]
+            # disjoint bounding boxes mean an IoU of exactly 0
+            meet = boxes_meet([mask], gt_items[f])[0]
+            overlaps = [mask_iou(mask, gm) if meet[j] else 0.0
+                        for j, gm in enumerate(gt_items[f])]
         for j, ov in enumerate(overlaps):
             if taken.get((f, j)):
                 continue
@@ -452,13 +457,22 @@ def davis_j(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask]):
     return mean, recall, decay
 
 
-def _boundary_map(mask: Mask) -> np.ndarray:
-    grid = rle_decode(mask).astype(bool)
-    padded = np.pad(grid, 1, constant_values=False)
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    return grid & ~interior
+def _boundary_points(mask: Mask) -> np.ndarray:
+    return np.column_stack(np.divmod(boundary_pixels(mask), mask.width))
+
+
+def _within(points: np.ndarray, targets: np.ndarray, tolerance_px: float) -> int:
+    """How many points have a target within ``tolerance_px`` (Euclidean).
+
+    The nearest target is exact, and its distance is the float64 square root
+    of an integer squared distance, the value a distance transform gives.
+    """
+    _, nearest = cKDTree(targets).query(
+        points, distance_upper_bound=max(tolerance_px, 0.0) + 1.0)
+    found = nearest < len(targets)   # the rest have no target within the bound
+    offsets = points[found] - targets[nearest[found]]
+    dist = np.sqrt(np.sum(offsets * offsets, axis=1).astype(np.float64))
+    return int(np.count_nonzero(dist <= tolerance_px))
 
 
 def default_boundary_tolerance(width: int, height: int, pct: float = 0.8) -> int:
@@ -472,7 +486,9 @@ def boundary_f(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask],
 
     Boundaries are 4-connected: foreground pixels with a background (or
     out-of-image) neighbor.  A boundary pixel matches when the opposite
-    boundary passes within ``tolerance_px`` (Euclidean).
+    boundary passes within ``tolerance_px`` (Euclidean).  Each boundary
+    pixel's nearest opposite boundary pixel is found exactly, among boundary
+    pixels only, so no full-frame distance transform is computed.
     """
     frames = sorted(gt_binary)
     if not frames:
@@ -484,19 +500,17 @@ def boundary_f(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask],
         tolerance_px = default_boundary_tolerance(sample.width, sample.height)
     scores = []
     for f in frames:
-        gt_b = _boundary_map(gt_binary[f])
-        pr_b = _boundary_map(pred_binary[f])
-        n_gt, n_pr = int(gt_b.sum()), int(pr_b.sum())
+        gt_b = _boundary_points(gt_binary[f])
+        pr_b = _boundary_points(pred_binary[f])
+        n_gt, n_pr = len(gt_b), len(pr_b)
         if n_gt == 0 and n_pr == 0:
             scores.append(1.0)
             continue
         if n_gt == 0 or n_pr == 0:
             scores.append(0.0)
             continue
-        dist_to_gt = distance_transform_edt(~gt_b)
-        dist_to_pr = distance_transform_edt(~pr_b)
-        precision = float((pr_b & (dist_to_gt <= tolerance_px)).sum()) / n_pr
-        recall = float((gt_b & (dist_to_pr <= tolerance_px)).sum()) / n_gt
+        precision = float(_within(pr_b, gt_b, tolerance_px)) / n_pr
+        recall = float(_within(gt_b, pr_b, tolerance_px)) / n_gt
         scores.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
     return float(np.mean(scores))
 

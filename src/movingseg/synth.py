@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mask import Mask, bbox, mask_from_cuts, rle_decode, rle_encode
+from .mask import Mask, bbox, mask_from_cuts, translate
 from .metrics import GroundTruthSequence, _labelmap_value_cuts
 from .tracker import Detection, Track
 
@@ -169,17 +169,12 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
     return gt, tracks
 
 
-def _translate(mask: Mask, dx: int, dy: int) -> Mask | None:
-    if dx == 0 and dy == 0:
-        return mask
-    grid = rle_decode(mask)
-    h, w = grid.shape
-    out = np.zeros_like(grid)
-    if abs(dy) < h and abs(dx) < w:
-        out[max(0, dy):h + min(0, dy), max(0, dx):w + min(0, dx)] = \
-            grid[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)]
-    shifted = rle_encode(out, w, h)
-    return None if shifted.is_empty else shifted
+def _box_mask(box: tuple[int, int, int, int], width: int, height: int) -> Mask:
+    x0, y0, x1, y1 = box
+    row_start = np.arange(y0, y1 + 1, dtype=np.int64) * width
+    cuts = np.empty(2 * len(row_start), dtype=np.int64)
+    cuts[0::2], cuts[1::2] = row_start + x0, row_start + x1 + 1
+    return mask_from_cuts(cuts, width, height)
 
 
 def _boxes_overlap(a, b) -> bool:
@@ -242,20 +237,17 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int
             dropped = noise.fn_rate > 0 and rng_obj.random() < noise.fn_rate
             if dropped:
                 continue
-            shifted = _translate(mask, dx, dy)
-            if shifted is not None:
+            shifted = translate(mask, dx, dy)
+            if not shifted.is_empty:
                 dets.append(Detection(f, score, shifted))
         if noise.fp_rate > 0 and rng_fp.random() < noise.fp_rate:
             rng_place = _rng(seed, 3, f)
             box = _place_spurious(rng_place, gt.width, gt.height, true_boxes)
             if box is not None:
-                x0, y0, x1, y1 = box
-                grid = np.zeros((gt.height, gt.width), dtype=np.uint8)
-                grid[y0:y1 + 1, x0:x1 + 1] = 1
                 score = noise.score_mean
                 if noise.score_spread > 0:
                     score += float(rng_place.uniform(-noise.score_spread, noise.score_spread))
                 dets.append(Detection(f, min(1.0, max(0.0, score)),
-                                      rle_encode(grid, gt.width, gt.height)))
+                                      _box_mask(box, gt.width, gt.height)))
         out[f] = dets
     return out

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .assign import solve_max_assignment
-from .mask import Mask, area, iou
+from .mask import Mask, area, boxes_meet, iou
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,16 @@ def gate(dets: Sequence[Detection], cfg: TrackerConfig) -> list[Detection]:
     return [d for d in dets if d.score >= cfg.alpha_low]
 
 
+def _iou_matrix(a: Sequence[Mask], b: Sequence[Mask]) -> np.ndarray:
+    """IoU of every pair; pairs whose bounding boxes are disjoint are 0 untested."""
+    out = np.zeros((len(a), len(b)))
+    if not out.size:
+        return out
+    for i, j in zip(*np.nonzero(boxes_meet(a, b))):
+        out[i, j] = iou(a[i], b[j])
+    return out
+
+
 def _eligible(track: Track, frame: int, cfg: TrackerConfig) -> bool:
     # idle frames are the fully missed ones between the last entry and `frame`
     return track.state == "active" and (frame - track.last_active_frame - 1) <= cfg.t_inactive
@@ -126,10 +136,7 @@ def step(tracks: Sequence[Track], frame_dets: Sequence[Detection],
         else:
             updated[t.id] = t if t.state == "inactive" else replace(t, state="inactive")
 
-    benefit = np.zeros((len(candidates), len(frame_dets)))
-    for i, t in enumerate(candidates):
-        for j, d in enumerate(frame_dets):
-            benefit[i, j] = iou(t.last_mask, d.mask)
+    benefit = _iou_matrix([t.last_mask for t in candidates], [d.mask for d in frame_dets])
     matched_dets: set[int] = set()
     for i, j in solve_max_assignment(benefit).pairs:
         if benefit[i, j] > cfg.min_match_iou:
@@ -172,10 +179,10 @@ def merge_moving_static(moving: Mapping[int, Sequence[Detection]],
     merged: dict[int, list[Detection]] = {}
     for frame in sorted(set(moving) | set(static)):
         movers = list(moving.get(frame, ()))
-        keep = [
-            s for s in static.get(frame, ())
-            if all(iou(s.mask, m.mask) <= cfg.static_overlap_iou for m in movers)
-        ]
+        statics = list(static.get(frame, ()))
+        overlap = _iou_matrix([s.mask for s in statics], [m.mask for m in movers])
+        keep = [s for s, row in zip(statics, overlap)
+                if (row <= cfg.static_overlap_iou).all()]
         merged[frame] = movers + keep
     return merged
 
@@ -214,10 +221,8 @@ def bidirectional_track(moving: Mapping[int, Sequence[Detection]],
             if earliest - frame - 1 <= cfg.t_inactive
         )
         if cands and eligible:
-            benefit = np.zeros((len(eligible), len(cands)))
-            for i, tid in enumerate(eligible):
-                for j, d in enumerate(cands):
-                    benefit[i, j] = iou(live[tid][1], d.mask)
+            benefit = _iou_matrix([live[tid][1] for tid in eligible],
+                                  [d.mask for d in cands])
             for i, j in solve_max_assignment(benefit).pairs:
                 if benefit[i, j] > cfg.min_match_iou:
                     tid, det = eligible[i], cands[j]

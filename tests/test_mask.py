@@ -38,8 +38,11 @@ def test_encode_rejects_bad_sizes():
 
 
 def test_encode_rejects_non_binary():
-    with pytest.raises(MalformedMaskError):
-        rle_encode(grid([[0, 2]]), 2, 1)
+    # integer grids take the range check, other grids the equality check
+    for bad in (np.array([[0, 2]]), np.array([[-1, 0]]), np.array([[0.5, 1.0]]),
+                np.array([[0.0, 2.0]]), np.array([[-1.0, 1.0]])):
+        with pytest.raises(MalformedMaskError):
+            rle_encode(bad, 2, 1)
 
 
 @pytest.mark.parametrize("runs", [(), (1, 0, 2), (-1, 4), (3,), (2, 1)])
