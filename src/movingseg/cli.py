@@ -10,15 +10,16 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import io as fileio
-from .mask import MaskError, mask_from_cuts, union_merge
-from .metrics import (MetricReport, Region, average_precision, binarize_detections,
-                      boundary_f, combine_tallies, davis_j,
+from .mask import MaskError, union_merge
+from .metrics import (MetricReport, Region, aggregate, average_precision,
+                      binarize_detections, boundary_f, combine_tallies, davis_j,
                       default_boundary_tolerance, delta_obj, sequence_tally)
 from .synth import NoiseConfig, OcclusionEvent, SynthConfig, corrupt, generate
-from .tracker import (Detection, TrackerConfig, bidirectional_track, gate,
+from .tracker import (Detection, TrackerConfig, bidirectional_track,
                       merge_moving_static, track_sequence)
 
 EXIT_OK = 0
@@ -189,9 +190,7 @@ def cmd_track(args) -> int:
     if cfg.bidirectional:
         tracks = bidirectional_track(moving, static, cfg)
     else:
-        gated_moving = {f: gate(ds, cfg) for f, ds in moving.items()}
-        gated_static = {f: gate(ds, cfg) for f, ds in static.items()}
-        tracks = track_sequence(merge_moving_static(gated_moving, gated_static, cfg), cfg)
+        tracks = track_sequence(merge_moving_static(moving, static, cfg), cfg)
     fileio.write_tracks(args.out, width, height, tracks)
     print(f"wrote {len(tracks)} tracks -> {args.out}")
     return EXIT_OK
@@ -206,123 +205,94 @@ def _parallel(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _load_pair(pair):
-    gt_path, pred_path = pair
-    name, gt = fileio.load_sequence(gt_path)
-    width, height, tracks = fileio.read_tracks(pred_path)
-    if (width, height) != (gt.width, gt.height):
-        raise fileio.SchemaError(
-            f"{pred_path}: dimensions {width}x{height} do not match manifest "
-            f"{gt_path} ({gt.width}x{gt.height})"
-        )
+# Each metric is a per-sequence score, (gt, tracks, args) -> payload, run in the
+# --jobs pool, and a combine, ([(name, payload)], args) -> MetricReport.  The
+# aggregate combines every sequence and each sequence's report combines it alone.
+
+def _tally(gt, tracks, args, official):
     preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
-    return name, gt, tracks, preds
+    return sequence_tally(gt, preds, official=official)
 
 
-def _gt_binary_frames(gt):
-    out = {}
-    for f in gt.eval_frames():
-        cuts = gt.frame_value_cuts(f)
-        masks = [mask_from_cuts(c, gt.width, gt.height)
-                 for v, c in sorted(cuts.items())
-                 if v != 0 and v != gt.ignore_value]
-        out[f] = union_merge(masks, width=gt.width, height=gt.height)
-    return out
+def _pool_tallies(items, args, official):
+    return combine_tallies([tally for _, tally in items], official=official)
+
+
+def _object_counts(gt, tracks, args):
+    return len(gt.region_ids()), len(tracks)
+
+
+def _count_error(items, args):
+    return MetricReport(delta_obj=delta_obj({name: n_gt for name, (n_gt, _) in items},
+                                            {name: n_pred for name, (_, n_pred) in items}))
+
+
+def _detections_by_frame(gt, tracks):
+    """Track entries on evaluated frames, keyed by frame in track order."""
+    by_frame = {f: [] for f in gt.eval_frames()}
+    for t in tracks:
+        for d in t.entries:
+            if d.frame in by_frame:
+                by_frame[d.frame].append(d)
+    return by_frame
+
+
+def _ap_frames(gt, tracks, args):
+    return ({f: gt.instance_masks(f) for f in gt.eval_frames()},
+            _detections_by_frame(gt, tracks))
+
+
+def _pooled_ap(items, args):
+    # (name, frame) keys sort like frame keys within one sequence
+    pooled_gt = {(name, f): ms for name, (gt_frames, _) in items for f, ms in gt_frames.items()}
+    pooled_det = {(name, f): ds for name, (_, det_frames) in items
+                  for f, ds in det_frames.items()}
+    ap = average_precision(pooled_gt, pooled_det, mode=args.map_mode)
+    return MetricReport(**{"ap_" + args.map_mode: ap},
+                        flags=() if ap is not None else ("degenerate",))
+
+
+_DAVIS_FIELDS = ("j_mean", "j_recall", "j_decay", "f_boundary")
+
+
+def _davis_scores(gt, tracks, args):
+    gtb = {f: union_merge(gt.instance_masks(f), width=gt.width, height=gt.height)
+           for f in gt.eval_frames()}
+    prb = binarize_detections(_detections_by_frame(gt, tracks), args.binarize_threshold,
+                              width=gt.width, height=gt.height)
+    tol = default_boundary_tolerance(gt.width, gt.height, args.boundary_tolerance)
+    return (*davis_j(gtb, prb), boundary_f(gtb, prb, tolerance_px=tol))
+
+
+def _mean_davis(items, args):
+    return MetricReport(**{field: sum(p[k] for _, p in items) / len(items)
+                           for k, field in enumerate(_DAVIS_FIELDS)})
+
+
+_METRICS = {
+    "proposed": (partial(_tally, official=False), partial(_pool_tallies, official=False)),
+    "official": (partial(_tally, official=True), partial(_pool_tallies, official=True)),
+    "delta-obj": (_object_counts, _count_error),
+    "map": (_ap_frames, _pooled_ap),
+    "davis": (_davis_scores, _mean_davis),
+}
 
 
 def _evaluate_pairs(args, pairs) -> MetricReport:
-    metric = args.metric
+    score, combine = _METRICS[args.metric]
 
     def run(pair):
-        name, gt, tracks, preds = _load_pair(pair)
-        if metric in ("proposed", "official"):
-            official = metric == "official"
-            tally = sequence_tally(gt, preds, official=official)
-            return name, ("tally", tally)
-        if metric == "delta-obj":
-            return name, ("counts", len(gt.region_ids()), len(tracks))
-        if metric == "map":
-            gt_frames = {}
-            for f in gt.eval_frames():
-                cuts = gt.frame_value_cuts(f)
-                gt_frames[f] = [mask_from_cuts(c, gt.width, gt.height)
-                                for v, c in sorted(cuts.items())
-                                if v != 0 and v != gt.ignore_value]
-            eval_frames = set(gt.eval_frames())
-            det_frames: dict[int, list[Detection]] = {}
-            for t in tracks:
-                for d in t.entries:
-                    if d.frame in eval_frames:
-                        det_frames.setdefault(d.frame, []).append(d)
-            return name, ("map", gt_frames, det_frames)
-        # davis
-        gtb = _gt_binary_frames(gt)
-        det_frames = {f: [] for f in gt.eval_frames()}
-        for t in tracks:
-            for d in t.entries:
-                if d.frame in det_frames:
-                    det_frames[d.frame].append(d)
-        prb = binarize_detections(det_frames, args.binarize_threshold,
-                                  width=gt.width, height=gt.height)
-        tol = default_boundary_tolerance(gt.width, gt.height, args.boundary_tolerance)
-        j_mean, j_recall, j_decay = davis_j(gtb, prb)
-        fb = boundary_f(gtb, prb, tolerance_px=tol)
-        return name, ("davis", j_mean, j_recall, j_decay, fb)
+        gt_path, pred_path = pair
+        name, gt = fileio.load_sequence(gt_path)
+        width, height, tracks = fileio.read_tracks(pred_path)
+        if (width, height) != (gt.width, gt.height):
+            raise fileio.SchemaError(
+                f"{pred_path}: dimensions {width}x{height} do not match manifest "
+                f"{gt_path} ({gt.width}x{gt.height})"
+            )
+        return name, score(gt, tracks, args)
 
-    results = _parallel(run, pairs, args.jobs)
-    names = [name for name, _ in results]
-    if len(set(names)) != len(names):
-        raise fileio.SchemaError(f"duplicate sequence names: {sorted(names)}")
-
-    if metric in ("proposed", "official"):
-        official = metric == "official"
-        report = combine_tallies([payload[1] for _, payload in results], official=official)
-        report.per_sequence = {
-            name: combine_tallies([payload[1]], official=official)
-            for name, payload in results
-        }
-        return report
-    if metric == "delta-obj":
-        gt_counts = {name: payload[1] for name, payload in results}
-        pred_counts = {name: payload[2] for name, payload in results}
-        report = MetricReport(delta_obj=delta_obj(gt_counts, pred_counts))
-        report.per_sequence = {
-            name: MetricReport(delta_obj=float(abs(payload[2] - payload[1])))
-            for name, payload in results
-        }
-        return report
-    if metric == "map":
-        field = "ap_box" if args.map_mode == "box" else "ap_mask"
-        pooled_gt, pooled_det = {}, {}
-        per_seq = {}
-        for name, payload in results:
-            _, gt_frames, det_frames = payload
-            for f, masks in gt_frames.items():
-                pooled_gt[(name, f)] = masks
-            for f, ds in det_frames.items():
-                pooled_det[(name, f)] = ds
-            ap = average_precision(gt_frames, det_frames, mode=args.map_mode)
-            per_seq[name] = MetricReport(
-                **{field: ap}, flags=() if ap is not None else ("degenerate",))
-        ap = average_precision(pooled_gt, pooled_det, mode=args.map_mode)
-        report = MetricReport(**{field: ap},
-                              flags=() if ap is not None else ("degenerate",))
-        report.per_sequence = per_seq
-        return report
-
-    per_seq = {
-        name: MetricReport(j_mean=p[1], j_recall=p[2], j_decay=p[3], f_boundary=p[4])
-        for name, p in results
-    }
-    n = len(results)
-    report = MetricReport(
-        j_mean=sum(p[1] for _, p in results) / n,
-        j_recall=sum(p[2] for _, p in results) / n,
-        j_decay=sum(p[3] for _, p in results) / n,
-        f_boundary=sum(p[4] for _, p in results) / n,
-    )
-    report.per_sequence = per_seq
-    return report
+    return aggregate(_parallel(run, pairs, args.jobs), lambda items: combine(items, args))
 
 
 def _format_line(name: str, report: MetricReport) -> str:

@@ -43,7 +43,11 @@ class Manifest:
 # ---------------------------------------------------------------- PGM label maps
 
 def read_labelmap(path) -> np.ndarray:
-    """Parse a binary PGM (P5) file into an int32 label map."""
+    """Parse a binary PGM (P5) file into a read-only label map.
+
+    The array keeps the file's own sample type: ``uint8`` for maxval 255 and
+    big-endian ``>u2`` for maxval 65535.
+    """
     data = Path(path).read_bytes()
     tokens: list[bytes] = []
     i, n = 0, len(data)
@@ -82,7 +86,7 @@ def read_labelmap(path) -> np.ndarray:
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     dtype = ">u1" if maxval == 255 else ">u2"
-    return np.frombuffer(payload, dtype=dtype).reshape(height, width).astype(np.int32)
+    return np.frombuffer(payload, dtype=dtype).reshape(height, width)
 
 
 def write_labelmap(arr: np.ndarray, path) -> None:
@@ -133,9 +137,8 @@ def _check_version(doc, path) -> None:
 
 
 def _mask_from_field(rle, width, height, where) -> Mask:
-    if not isinstance(rle, list) or not all(
-        isinstance(r, int) and not isinstance(r, bool) and r >= 0 for r in rle
-    ):
+    # Mask checks the values; its int() would quietly accept 1.5 or true
+    if not isinstance(rle, list) or not set(map(type, rle)) <= {int}:
         raise SchemaError(f"{where}: rle must be a list of non-negative integers")
     try:
         return Mask(width, height, tuple(rle))

@@ -109,15 +109,16 @@ class GroundTruthSequence:
     def regions(self) -> list[Region]:
         return [self.region(rid) for rid in self.region_ids()]
 
+    def instance_masks(self, frame: int) -> list[Mask]:
+        """One frame's masks in label order, without background or the ignore label."""
+        return [mask_from_cuts(cuts, self.width, self.height)
+                for value, cuts in sorted(self.frame_value_cuts(frame).items())
+                if value != 0 and value != self.ignore_value]
+
     def ignore_masks(self) -> dict[int, Mask]:
-        out = {}
         if self.ignore_value is None:
-            return out
-        for frame in self.eval_frames():
-            cuts = self.frame_value_cuts(frame).get(self.ignore_value)
-            if cuts is not None:
-                out[frame] = mask_from_cuts(cuts, self.width, self.height)
-        return out
+            return {}
+        return dict(self.region(self.ignore_value).frames)
 
 
 @dataclass
@@ -238,26 +239,15 @@ def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
     slots = {f: k for k, f in enumerate(frames)}
     frame_px = gt.width * gt.height
 
-    gt_ids = gt.region_ids()
-    gt_cuts = []
-    for rid in gt_ids:
-        chunks = [
-            gt.frame_value_cuts(f)[rid] + slots[f] * frame_px
-            for f in frames
-            if rid in gt.frame_value_cuts(f)
-        ]
-        gt_cuts.append(np.concatenate(chunks) if chunks else np.empty(0, np.int64))
-    gt_areas = [_cuts_area(c) for c in gt_cuts]
+    def pooled(value):
+        chunks = [cuts[value] + slots[f] * frame_px for f in frames
+                  if value in (cuts := gt.frame_value_cuts(f))]
+        return np.concatenate(chunks) if chunks else np.empty(0, np.int64)
 
-    ignore_cuts = np.empty(0, np.int64)
-    if official and gt.ignore_value is not None:
-        chunks = [
-            gt.frame_value_cuts(f)[gt.ignore_value] + slots[f] * frame_px
-            for f in frames
-            if gt.ignore_value in gt.frame_value_cuts(f)
-        ]
-        if chunks:
-            ignore_cuts = np.concatenate(chunks)
+    gt_ids = gt.region_ids()
+    gt_cuts = [pooled(rid) for rid in gt_ids]
+    gt_areas = [_cuts_area(c) for c in gt_cuts]
+    ignore_cuts = pooled(gt.ignore_value) if official else np.empty(0, np.int64)
 
     pred_cuts = [_pool_region_cuts(p, slots, frame_px, gt.width, gt.height) for p in preds]
     pred_areas = [_cuts_area(c) for c in pred_cuts]
@@ -309,9 +299,7 @@ def combine_tallies(tallies: Sequence[SequenceTally], official: bool) -> MetricR
                             flags=("no_predictions",))
     if n_preds == 0:
         flags.append("no_predictions")
-    precision = inter / c_pool if c_pool else 0.0
-    recall = inter / g_pool if g_pool else 0.0
-    f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    precision, recall, f = _prf(inter, c_pool, g_pool)
     return MetricReport(
         precision=precision,
         recall=recall,
@@ -340,21 +328,30 @@ def proposed_measure(gt: GroundTruthSequence, preds: Sequence[Region]) -> Metric
     return combine_tallies([sequence_tally(gt, preds, official=False)], official=False)
 
 
+def aggregate(scored, combine) -> MetricReport:
+    """Report over named per-sequence payloads, with each sequence's own report.
+
+    ``scored`` lists (name, payload) pairs and ``combine`` turns such a list
+    into a MetricReport; a sequence's own report is ``combine`` of it alone.
+    """
+    names = [name for name, _ in scored]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate sequence names: {sorted(names)}")
+    report = combine(scored)
+    report.per_sequence = {name: combine([(name, payload)]) for name, payload in scored}
+    return report
+
+
 def evaluate_dataset(named_inputs, official: bool) -> MetricReport:
     """Micro-averaged report over (name, gt, predictions) triples.
 
     Matching runs per sequence; the aggregate pools raw pixel counts across
-    sequences before forming ratios.
+    sequences before forming ratios.  Sequence names must be unique.
     """
-    per_seq: dict[str, MetricReport] = {}
-    tallies = []
-    for name, gt, preds in named_inputs:
-        tally = sequence_tally(gt, preds, official=official)
-        tallies.append(tally)
-        per_seq[name] = combine_tallies([tally], official=official)
-    report = combine_tallies(tallies, official=official)
-    report.per_sequence = per_seq
-    return report
+    scored = [(name, sequence_tally(gt, preds, official=official))
+              for name, gt, preds in named_inputs]
+    return aggregate(scored, lambda items: combine_tallies(
+        [tally for _, tally in items], official=official))
 
 
 def delta_obj(gt_counts: Mapping[str, int], pred_counts: Mapping[str, int]) -> float:

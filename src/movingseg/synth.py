@@ -2,8 +2,8 @@
 
 Objects follow linear trajectories with boundary reflection; later-indexed
 objects occlude earlier ones where they overlap, and occlusion events blank an
-object entirely for a frame span.  Label maps and ground-truth tracks are
-extracted from the same painted frame, so they are consistent by construction.
+object entirely for a frame span.  Ground-truth tracks are read back from the
+painted label maps, so the two are consistent by construction.
 
 All randomness comes from numpy PCG64 generators keyed on the config seed; the
 exact stream layout is documented in the README so identical seeds reproduce
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mask import Mask, bbox, mask_from_cuts, translate
-from .metrics import GroundTruthSequence, _labelmap_value_cuts
+from .metrics import GroundTruthSequence
 from .tracker import Detection, Track
 
 
@@ -138,7 +138,6 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
         )
 
     labels: dict[int, np.ndarray] = {}
-    entries: dict[int, list[Detection]] = {i: [] for i in range(cfg.objects)}
     for f in range(cfg.frames):
         label = np.zeros((cfg.height, cfg.width), dtype=np.int32)
         for i in range(cfg.objects):
@@ -149,12 +148,6 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
             y0 = int(positions[i][1] + 0.5)
             _paint(label, x0, y0, w, h, i + 1, cfg.shape)
         labels[f] = label
-        cuts = _labelmap_value_cuts(label)
-        for i in range(cfg.objects):
-            c = cuts.get(i + 1)
-            if c is not None:
-                mask = mask_from_cuts(c, cfg.width, cfg.height)
-                entries[i].append(Detection(f, 1.0, mask))
         for i in range(cfg.objects):
             w, h = sizes[i]
             positions[i][0], velocities[i][0] = _advance(
@@ -163,9 +156,8 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
                 positions[i][1], velocities[i][1], cfg.height - h)
 
     gt = GroundTruthSequence(cfg.width, cfg.height, labels)
-    tracks = [
-        Track(i + 1, tuple(entries[i])) for i in range(cfg.objects) if entries[i]
-    ]
+    tracks = [Track(r.id, tuple(Detection(f, 1.0, m) for f, m in r.frames.items()))
+              for r in gt.regions()]
     return gt, tracks
 
 
@@ -216,14 +208,10 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int
     rng_obj = _rng(seed, 1)
     rng_fp = _rng(seed, 2)
     out: dict[int, list[Detection]] = {}
-    ignore = gt.ignore_value
     for f in gt.eval_frames():
         dets: list[Detection] = []
         true_boxes = []
-        cuts_by_val = gt.frame_value_cuts(f)
-        ids = sorted(v for v in cuts_by_val if v != 0 and v != ignore)
-        for rid in ids:
-            mask = mask_from_cuts(cuts_by_val[rid], gt.width, gt.height)
+        for mask in gt.instance_masks(f):
             true_boxes.append(bbox(mask))
             if noise.jitter_px > 0:
                 dx = int(rng_obj.integers(-noise.jitter_px, noise.jitter_px + 1))

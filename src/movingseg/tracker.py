@@ -170,16 +170,17 @@ def track_sequence(dets_by_frame: Mapping[int, Sequence[Detection]],
 def merge_moving_static(moving: Mapping[int, Sequence[Detection]],
                         static: Mapping[int, Sequence[Detection]],
                         cfg: TrackerConfig | None = None) -> dict[int, list[Detection]]:
-    """Drop static detections overlapping a moving one; keep the rest as static.
+    """Gate both streams, then drop static detections overlapping a moving one.
 
+    Only moving detections that pass the gate can suppress a static one.
     Downstream, surviving static detections may extend tracks but never open
     them.
     """
     cfg = cfg or TrackerConfig()
     merged: dict[int, list[Detection]] = {}
     for frame in sorted(set(moving) | set(static)):
-        movers = list(moving.get(frame, ()))
-        statics = list(static.get(frame, ()))
+        movers = gate(moving.get(frame, ()), cfg)
+        statics = gate(static.get(frame, ()), cfg)
         overlap = _iou_matrix([s.mask for s in statics], [m.mask for m in movers])
         keep = [s for s, row in zip(statics, overlap)
                 if (row <= cfg.static_overlap_iou).all()]
@@ -199,9 +200,7 @@ def bidirectional_track(moving: Mapping[int, Sequence[Detection]],
     """
     if not cfg.bidirectional:
         raise ValueError("bidirectional_track requires cfg.bidirectional")
-    gated_moving = {f: gate(ds, cfg) for f, ds in moving.items()}
-    gated_static = {f: gate(ds, cfg) for f, ds in static.items()}
-    merged = merge_moving_static(gated_moving, gated_static, cfg)
+    merged = merge_moving_static(moving, static, cfg)
     forward = track_sequence(merged, cfg)
     if not forward:
         return forward

@@ -64,6 +64,17 @@ class TestExitCodes:
                    "--metric", "proposed", "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
+    def test_duplicate_sequence_names(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(synth_args(out)) == 0
+        assert main(["track", "--detections", str(out / "detections.json"),
+                     "--out", str(out / "t.json")]) == 0
+        pair = ["--gt", str(out / "manifest.json"), "--pred", str(out / "t.json")]
+        rc = main(["evaluate", *pair, *pair, "--metric", "proposed",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "duplicate sequence names" in capsys.readouterr().err
+
     def test_degenerate_opt_in(self, tmp_path):
         # all-background ground truth: no regions to evaluate
         gt = GroundTruthSequence(16, 8, {0: np.zeros((8, 16), dtype=np.int32)})
@@ -226,3 +237,40 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert out.count("precision=") == 2     # sequence line + aggregate line
         assert "aggregate:" in out
+
+
+class TestPerSequenceRule:
+    """A sequence's per_sequence entry is what evaluating it alone reports."""
+
+    @pytest.fixture(scope="class")
+    def two_sequences(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pair")
+        pairs = {}
+        for seed in (4, 7):
+            out = root / f"s{seed}"
+            noise = ["--jitter", "2", "--fp-rate", "0.5", "--fn-rate", "0.1",
+                     "--score-mean", "0.85", "--score-spread", "0.15",
+                     "--name", f"seq{seed}"]
+            assert main(synth_args(out, seed=seed, frames=10, objects=3, extra=noise)) == 0
+            assert main(["track", "--detections", str(out / "detections.json"),
+                         "--out", str(out / "t.json")]) == 0
+            pairs[f"seq{seed}"] = ["--gt", str(out / "manifest.json"),
+                                   "--pred", str(out / "t.json")]
+        return root, pairs
+
+    @pytest.mark.parametrize("metric", [
+        ["proposed"], ["official"], ["delta-obj"], ["map", "--map-mode", "box"],
+        ["map", "--map-mode", "mask"], ["davis"]])
+    def test_entry_equals_lone_aggregate(self, two_sequences, metric):
+        root, pairs = two_sequences
+
+        def evaluate(name, *pair_args):
+            report = root / f"{name}-{'-'.join(metric)}.json"
+            assert main(["evaluate", *pair_args, "--metric", *metric,
+                         "--out", str(report)]) == 0
+            return json.loads(report.read_text())
+
+        both = evaluate("both", *pairs["seq4"], *pairs["seq7"])
+        assert sorted(both["per_sequence"]) == ["seq4", "seq7"]
+        for name, pair in pairs.items():
+            assert both["per_sequence"][name] == evaluate(name, *pair)["aggregate"]

@@ -57,6 +57,15 @@ class TestLabelmapPgm:
         with pytest.raises(fileio.SchemaError):
             fileio.read_labelmap(path)
 
+    @pytest.mark.parametrize("value,dtype", [(200, np.uint8), (60000, ">u2")])
+    def test_keeps_file_sample_type(self, tmp_path, value, dtype):
+        path = tmp_path / "a.pgm"
+        fileio.write_labelmap(np.full((H, W), value, dtype=np.int32), path)
+        arr = fileio.read_labelmap(path)
+        assert arr.dtype == np.dtype(dtype)
+        assert not arr.flags.writeable
+        assert (arr == value).all()
+
     def test_unsupported_maxval_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 0, 0, 0]))
@@ -131,6 +140,29 @@ class TestDetectionsFile:
                                     "frames": []}))
         with pytest.raises(fileio.SchemaError, match="version"):
             fileio.read_detections(path)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "4", -1])
+class TestRleElements:
+    """Every run must be a JSON integer; Mask's int() would accept 1.5, true or "4"."""
+
+    def test_detections_reject(self, tmp_path, bad):
+        path = tmp_path / "d.json"
+        doc = {"format_version": 1, "width": W, "height": H,
+               "frames": [{"index": 0, "detections": [
+                   {"score": 0.9, "kind": "moving", "rle": [bad, W * H - 1]}]}]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.SchemaError, match=r"frames\[0\]\.detections\[0\]\.rle"):
+            fileio.read_detections(path)
+
+    def test_tracks_reject(self, tmp_path, bad):
+        path = tmp_path / "t.json"
+        doc = {"format_version": 1, "width": W, "height": H,
+               "tracks": [{"id": 1, "frames": [
+                   {"index": 0, "score": 0.9, "rle": [bad, W * H - 1]}]}]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.SchemaError, match=r"tracks\[0\]\.frames\[0\]\.rle"):
+            fileio.read_tracks(path)
 
 
 class TestTracksFile:

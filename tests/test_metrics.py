@@ -14,6 +14,13 @@ from movingseg.metrics import (GroundTruthSequence, Region, average_precision,
 W, H = 40, 20
 
 
+def test_instance_masks_skip_background_and_ignore():
+    gt = single_frame_gt(W, H, [(9, 0, 0, W, 2), (2, 0, 4, 3, 3), (1, 8, 4, 2, 2)],
+                         ignore_value=9)
+    assert gt.instance_masks(0) == [rect_mask(W, H, 8, 4, 2, 2), rect_mask(W, H, 0, 4, 3, 3)]
+    assert single_frame_gt(W, H, []).instance_masks(0) == []
+
+
 class TestPairwisePrf:
     def test_identity(self):
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
@@ -210,6 +217,13 @@ class TestDatasetAggregation:
         assert rep.recall == pytest.approx(150 / 200)
         assert set(rep.per_sequence) == {"a", "b"}
         assert rep.per_sequence["b"].recall == 0.5
+
+    def test_duplicate_names_rejected(self):
+        gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
+        exact = [region(1, W, H, {0: (0, 0, 10, 10)})]
+        half = [region(1, W, H, {0: (0, 0, 10, 5)})]
+        with pytest.raises(ValueError, match="duplicate sequence names"):
+            evaluate_dataset([("a", gt, exact), ("a", gt, half)], official=False)
 
 
 def test_delta_obj():

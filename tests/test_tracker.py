@@ -166,6 +166,12 @@ class TestMergeMovingStatic:
         lax = TrackerConfig(static_overlap_iou=0.9)
         assert len(merge_moving_static(moving, static, lax)[0]) == 2
 
+    def test_gated_moving_does_not_suppress_static(self):
+        # the moving detection scores below alpha_low, so the gate drops it first
+        moving = {0: [det(0, 0.5, W, H, 4, 4, 8, 8)]}
+        static = {0: [det(0, 0.8, W, H, 4, 4, 8, 8, kind="static")]}
+        assert [d.kind for d in merge_moving_static(moving, static, CFG)[0]] == ["static"]
+
 
 class TestBidirectional:
     @staticmethod
