@@ -1,11 +1,23 @@
 """Optimal bipartite assignment over rectangular benefit matrices.
 
 `solve_max_assignment` maximizes the summed benefit of a one-to-one matching
-between rows and columns.  Ties between equally scoring matchings are broken
-deterministically: pairs are pinned in ascending (row, col) order, so repeated
-runs over identical inputs always produce the identical matching.  Negative
-entries are never matched; zero-benefit pairs may appear in the result and
-callers treat them the same as unmatched items.
+between rows and columns.  Among the optimal matchings it returns the one with
+the smallest sorted (row, col) pair list, so repeated runs over identical
+inputs always produce the identical matching.  Negative entries are never
+matched; zero-benefit pairs may appear in the result and callers treat them
+the same as unmatched items.
+
+The solver runs one Hungarian routine twice.  Pass 1, on float costs, gives
+dual potentials; by complementary slackness the optimal matchings are exactly
+those that use only tight edges and cover every larger-side vertex with a
+positive dual.  A smaller-side vertex left with one tight edge is pinned to
+it.  Pass 2 solves the rest over exact Python integers, on the R rows and C
+columns left, indexed from 0, with W = C + 1.  Reading each row as one base-W
+digit, its column or C when unmatched, a tight pair (r, c) costs
+-(C - c) * W**(R - 1 - r), less a bonus above all digit terms if it covers a
+required vertex; a non-tight pair costs more than any tight matching.  The
+minimum is the smallest digit string among the optimal matchings, which is
+the smallest sorted pair list.
 
 `brute_force_assignment` is the independent exhaustive oracle used by the test
 suite; it shares nothing with the solver beyond the input contract.
@@ -28,9 +40,6 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
     total_score: float
 
-    def pair_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 def _validated(scores) -> np.ndarray:
     b = np.asarray(scores, dtype=float)
@@ -41,8 +50,12 @@ def _validated(scores) -> np.ndarray:
     return b
 
 
-def _hungarian_min(cost: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
+def _hungarian_min(cost: list[list[int]] | list[list[float]]
+                   ) -> tuple[list[int], list[int | float], list[int | float]]:
     """Min-cost perfect-on-rows assignment for an n x m cost table, n <= m.
+
+    Costs may be floats or Python ints.  The potentials start at int 0, so int
+    costs stay exact at any size and float costs give what float zeros would.
 
     Returns (col_to_row, u, v), 1-based with index 0 unused; col_to_row[j] == 0
     means column j is unmatched.  The potentials satisfy u[i] + v[j] <= cost
@@ -50,8 +63,8 @@ def _hungarian_min(cost: list[list[float]]) -> tuple[list[int], list[float], lis
     """
     n = len(cost)
     m = len(cost[0]) if n else 0
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
+    u = [0] * (n + 1)
+    v = [0] * (m + 1)
     col_to_row = [0] * (m + 1)
     way = [0] * (m + 1)
     for i in range(1, n + 1):
@@ -91,127 +104,6 @@ def _hungarian_min(cost: list[list[float]]) -> tuple[list[int], list[float], lis
     return col_to_row, u, v
 
 
-class _LexRefiner:
-    """Pin matched pairs in (row, col) order without leaving the optimum.
-
-    Works on the tight-edge graph certified by the dual potentials: a matching
-    is optimal exactly when it uses tight edges only, matches every vertex of
-    the smaller side, and covers every vertex whose dual value is positive.
-    """
-
-    def __init__(self, tight_rows, tight_cols, required_left, required_right,
-                 left_match, right_match):
-        self.tight_rows = tight_rows          # row -> ascending tight cols
-        self.tight_cols = tight_cols          # col -> ascending tight rows
-        self.required_left = required_left
-        self.required_right = required_right
-        self.left = left_match                # row -> col
-        self.right = right_match              # col -> row
-        self.pinned_rows: set[int] = set()
-        self.pinned_cols: set[int] = set()
-
-    def run(self) -> list[tuple[int, int]]:
-        for r in range(len(self.tight_rows)):
-            current = self.left.get(r)
-            for c in self.tight_rows[r]:
-                if c in self.pinned_cols:
-                    continue
-                if c == current or self._try_repin(r, c):
-                    self.pinned_rows.add(r)
-                    self.pinned_cols.add(c)
-                    break
-        return sorted(self.left.items())
-
-    def _try_repin(self, r: int, c: int) -> bool:
-        saved = (dict(self.left), dict(self.right))
-        displaced = self.right.get(c)
-        freed = self.left.get(r)
-        if freed is not None:
-            del self.right[freed]
-        if displaced is not None:
-            del self.left[displaced]
-        self.left[r] = c
-        self.right[c] = r
-        self.pinned_rows.add(r)
-        self.pinned_cols.add(c)
-        need_row = displaced if displaced in self.required_left else None
-        need_col = freed if freed in self.required_right else None
-        ok = self._restore(need_row, need_col)
-        if not ok:
-            # the two augmentations can interfere; retry in the other order
-            self.left, self.right = dict(saved[0]), dict(saved[1])
-            if freed is not None:
-                del self.right[freed]
-            if displaced is not None:
-                del self.left[displaced]
-            self.left[r] = c
-            self.right[c] = r
-            ok = self._restore(need_row, need_col, col_first=True)
-        self.pinned_rows.discard(r)
-        self.pinned_cols.discard(c)
-        if not ok:
-            self.left, self.right = saved
-        return ok
-
-    def _restore(self, need_row, need_col, col_first: bool = False) -> bool:
-        steps = [("col", need_col), ("row", need_row)] if col_first else \
-                [("row", need_row), ("col", need_col)]
-        for kind, vertex in steps:
-            if vertex is None:
-                continue
-            if kind == "row":
-                if self.left.get(vertex) is None and not self._augment_row(vertex, set()):
-                    return False
-            else:
-                if self.right.get(vertex) is None and not self._augment_col(vertex, set()):
-                    return False
-        return True
-
-    def _augment_row(self, row: int, seen: set[int]) -> bool:
-        for c in self.tight_rows[row]:
-            if c in self.pinned_cols or c in seen:
-                continue
-            seen.add(c)
-            owner = self.right.get(c)
-            if owner is None:
-                self.left[row] = c
-                self.right[c] = row
-                return True
-            if owner in self.pinned_rows:
-                continue
-            if owner in self.required_left:
-                if not self._augment_row(owner, seen):
-                    continue
-            else:
-                del self.left[owner]
-            self.left[row] = c
-            self.right[c] = row
-            return True
-        return False
-
-    def _augment_col(self, col: int, seen: set[int]) -> bool:
-        for r in self.tight_cols[col]:
-            if r in self.pinned_rows or r in seen:
-                continue
-            seen.add(r)
-            cur = self.left.get(r)
-            if cur is None:
-                self.left[r] = col
-                self.right[col] = r
-                return True
-            if cur in self.pinned_cols:
-                continue
-            if cur in self.required_right:
-                if not self._augment_col(cur, seen):
-                    continue
-            else:
-                del self.right[cur]
-            self.left[r] = col
-            self.right[col] = r
-            return True
-        return False
-
-
 def solve_max_assignment(scores) -> Matching:
     """Maximum-benefit one-to-one matching of a (possibly rectangular) matrix.
 
@@ -226,46 +118,46 @@ def solve_max_assignment(scores) -> Matching:
     scale = float(bc.max())
     eps = 1e-12 * max(1.0, scale)
 
+    # pass 1 on the smaller side as rows; "small"/"large" name the two sides
     transposed = n_rows > n_cols
     solved = bc.T if transposed else bc
-    cost = (scale - solved).tolist()
-    col_to_row, u, v = _hungarian_min(cost)
+    _, u, v = _hungarian_min((scale - solved).tolist())
+    small_dual = scale - np.array(u[1:], dtype=float)   # benefit-form duals
+    large_dual = -np.array(v[1:], dtype=float)
+    tight = small_dual[:, None] + large_dual[None, :] - solved <= eps
+    required = large_dual > eps
 
-    # duals in benefit form: a_i for solved rows, b_j for solved cols
-    a_dual = [scale - u[i + 1] for i in range(solved.shape[0])]
-    b_dual = [-v[j + 1] for j in range(solved.shape[1])]
+    # forced pairs lie in every optimal matching (np.unique guards against rounding)
+    small_to_large = np.full(len(small_dual), -1)
+    large_open = np.ones(len(large_dual), dtype=bool)
+    live = tight.copy()
+    while len(forced := np.flatnonzero(live.sum(axis=1) == 1)):
+        ends, first = np.unique(live[forced].argmax(axis=1), return_index=True)
+        small_to_large[forced[first]] = ends
+        large_open[ends] = False
+        live[:, ends] = False               # which also empties the forced rows
 
-    left_match: dict[int, int] = {}
-    right_match: dict[int, int] = {}
-    for j in range(1, solved.shape[1] + 1):
-        if col_to_row[j]:
-            si, sj = col_to_row[j] - 1, j - 1
-            r, c = (sj, si) if transposed else (si, sj)
-            left_match[r] = c
-            right_match[c] = r
+    # pass 2 in local indices, which keep the order of rows and columns
+    small = np.flatnonzero(small_to_large < 0)
+    large = np.flatnonzero(large_open)
+    if len(small):
+        n_digits, n_values = (len(large), len(small)) if transposed else (len(small), len(large))
+        w = n_values + 1
+        big = w ** (n_digits + 1)
+        place = [w ** p for p in range(n_digits - 1, -1, -1)]
+        gain = [[(n_values - x) * pd for x in range(n_values)] for pd in place]
+        if transposed:
+            gain = list(zip(*gain))         # indexed [small][large] like `tight`
+        bonus = [big * r for r in required[large].tolist()]
+        miss = big * (n_digits + n_values + 2)
+        table = [[-g - bb if is_tight else miss for is_tight, g, bb in zip(row, gains, bonus)]
+                 for row, gains in zip(tight[np.ix_(small, large)].tolist(), gain)]
+        col_to_row = np.array(_hungarian_min(table)[0][1:])
+        hit = col_to_row > 0
+        small_to_large[small[col_to_row[hit] - 1]] = large[hit]
 
-    if transposed:
-        row_dual = {r: b_dual[r] for r in range(n_rows)}
-        col_dual = {c: a_dual[c] for c in range(n_cols)}
-        required_left = {r for r in range(n_rows) if row_dual[r] > eps}
-        required_right = set(range(n_cols))
-    else:
-        row_dual = {r: a_dual[r] for r in range(n_rows)}
-        col_dual = {c: b_dual[c] for c in range(n_cols)}
-        required_left = set(range(n_rows))
-        required_right = {c for c in range(n_cols) if col_dual[c] > eps}
-
-    tight_rows: list[list[int]] = []
-    tight_cols: list[list[int]] = [[] for _ in range(n_cols)]
-    for r in range(n_rows):
-        rd = row_dual[r]
-        cols = [c for c in range(n_cols) if rd + col_dual[c] - bc[r, c] <= eps]
-        tight_rows.append(cols)
-        for c in cols:
-            tight_cols[c].append(r)
-
-    pairs = _LexRefiner(tight_rows, tight_cols, required_left, required_right,
-                        left_match, right_match).run()
+    pairs = sorted((end, i) if transposed else (i, end)
+                   for i, end in enumerate(small_to_large.tolist()))
     kept = tuple((r, c) for r, c in pairs if b[r, c] >= 0.0)
     total = float(sum(b[r, c] for r, c in kept))
     return Matching(kept, total)

@@ -14,7 +14,7 @@ from functools import partial
 from pathlib import Path
 
 from . import io as fileio
-from .mask import MaskError, union_merge
+from .mask import MaskError
 from .metrics import (MetricReport, Region, aggregate, average_precision,
                       binarize_detections, boundary_f, combine_tallies, davis_j,
                       default_boundary_tolerance, delta_obj, sequence_tally)
@@ -256,8 +256,7 @@ _DAVIS_FIELDS = ("j_mean", "j_recall", "j_decay", "f_boundary")
 
 
 def _davis_scores(gt, tracks, args):
-    gtb = {f: union_merge(gt.instance_masks(f), width=gt.width, height=gt.height)
-           for f in gt.eval_frames()}
+    gtb = {f: gt.foreground(f) for f in gt.eval_frames()}
     prb = binarize_detections(_detections_by_frame(gt, tracks), args.binarize_threshold,
                               width=gt.width, height=gt.height)
     tol = default_boundary_tolerance(gt.width, gt.height, args.boundary_tolerance)

@@ -109,11 +109,20 @@ class GroundTruthSequence:
     def regions(self) -> list[Region]:
         return [self.region(rid) for rid in self.region_ids()]
 
+    def _instance_cuts(self, frame: int) -> list[np.ndarray]:
+        return [cuts for value, cuts in sorted(self.frame_value_cuts(frame).items())
+                if value != 0 and value != self.ignore_value]
+
     def instance_masks(self, frame: int) -> list[Mask]:
         """One frame's masks in label order, without background or the ignore label."""
         return [mask_from_cuts(cuts, self.width, self.height)
-                for value, cuts in sorted(self.frame_value_cuts(frame).items())
-                if value != 0 and value != self.ignore_value]
+                for cuts in self._instance_cuts(frame)]
+
+    def foreground(self, frame: int) -> Mask:
+        """The union of one frame's instance masks."""
+        # labels cover disjoint intervals; mask_from_cuts drops their shared seams
+        cuts = np.concatenate([np.empty(0, dtype=np.int64), *self._instance_cuts(frame)])
+        return mask_from_cuts(np.sort(cuts), self.width, self.height)
 
     def ignore_masks(self) -> dict[int, Mask]:
         if self.ignore_value is None:

@@ -114,12 +114,13 @@ def _lex_oracle(mat):
     return tuple((r, c) for r, c in pick if b[r, c] >= 0)
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
        st.sampled_from([2, 3, 5]))
 @settings(max_examples=300, deadline=None)
 def test_lexicographic_tie_break(rows, cols, seed, levels):
+    # one level below zero: those entries are never matched
     rng = np.random.default_rng(seed)
-    mat = rng.integers(0, levels, size=(rows, cols)) / (levels - 1 if levels > 1 else 1)
+    mat = rng.integers(-1, levels, size=(rows, cols)) / (levels - 1)
     assert solve_max_assignment(mat).pairs == _lex_oracle(mat)
 
 
@@ -143,6 +144,17 @@ def test_zero_matrix_pins_diagonal():
     m = solve_max_assignment(np.zeros((2, 3)))
     assert m.pairs == ((0, 0), (1, 1))
     assert m.total_score == 0.0
+    # every pair ties; at 150 x 150 the tie-break's integer costs exceed any float
+    for shape in ((40, 50), (50, 40), (150, 150)):
+        m = solve_max_assignment(np.zeros(shape))
+        assert m.pairs == tuple((i, i) for i in range(min(shape)))
+        assert m.total_score == 0.0
+
+
+def test_block_ties_pick_diagonal():
+    m = solve_max_assignment(np.kron(np.eye(10), np.ones((4, 4))))
+    assert m.pairs == tuple((i, i) for i in range(40))
+    assert m.total_score == 40.0
 
 
 def test_negative_entries_never_matched():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import det, rect_labels, rect_mask, region, single_frame_gt
 from movingseg.assign import brute_force_assignment
-from movingseg.mask import Mask, rle_encode
+from movingseg.mask import Mask, rle_encode, union_merge
 from movingseg.metrics import (GroundTruthSequence, Region, average_precision,
                                binarize_detections, boundary_f, davis_j, delta_obj,
                                evaluate_dataset, official_measure, pairwise_prf,
@@ -19,6 +19,24 @@ def test_instance_masks_skip_background_and_ignore():
                          ignore_value=9)
     assert gt.instance_masks(0) == [rect_mask(W, H, 8, 4, 2, 2), rect_mask(W, H, 0, 4, 3, 3)]
     assert single_frame_gt(W, H, []).instance_masks(0) == []
+
+
+def test_foreground_is_union_of_instance_masks():
+    # label 1 ends where label 2 starts, at a row end; ignored 9 sits between two parts of 2
+    gt = single_frame_gt(W, H, [(1, 0, 0, W, 2), (2, 0, 2, 5, 3), (9, 5, 2, 4, 3),
+                                (2, 9, 2, 3, 3)], ignore_value=9)
+    fg = gt.foreground(0)
+    assert fg == union_merge(gt.instance_masks(0))
+    assert fg == rle_encode((gt.labeled_frames[0] != 0) & (gt.labeled_frames[0] != 9), W, H)
+    assert single_frame_gt(W, H, []).foreground(0) == Mask(W, H, (W * H,))
+
+
+@given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_foreground_matches_union_merge(width, height, seed):
+    labels = np.random.default_rng(seed).integers(0, 5, size=(height, width))
+    gt = GroundTruthSequence(width, height, {0: labels}, ignore_value=3)
+    assert gt.foreground(0) == union_merge(gt.instance_masks(0), width=width, height=height)
 
 
 class TestPairwisePrf:
