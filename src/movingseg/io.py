@@ -3,7 +3,9 @@
 Label maps travel as binary PGM (P5) with maxval 255 or 65535.  Everything
 else is JSON with a top-level ``format_version`` of 1, written canonically
 (sorted keys, two-space indent, trailing newline) so identical data always
-produces identical bytes.  Scores are serialized with Python's shortest
+produces identical bytes: exactly the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True)`` plus the newline, with every flat list (every RLE) encoded
+by the stdlib's C encoder.  Scores are serialized with Python's shortest
 round-tripping float representation, so write/read is exact.  Readers reject
 malformed input outright instead of repairing it; errors carry the path to the
 offending field.
@@ -11,6 +13,7 @@ offending field.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -79,33 +82,77 @@ def read_labelmap(path) -> np.ndarray:
         raise SchemaError(f"{path}: unsupported maxval {maxval} (need 255 or 65535)")
     if i >= n or data[i] not in _WHITESPACE:
         raise SchemaError(f"{path}: missing whitespace after maxval")
-    payload = data[i + 1:]
+    size = len(data) - (i + 1)
     expected = width * height * (1 if maxval == 255 else 2)
-    if len(payload) != expected:
-        raise SchemaError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
+    if size != expected:
+        raise SchemaError(f"{path}: payload is {size} bytes, expected {expected}")
     dtype = ">u1" if maxval == 255 else ">u2"
-    return np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    return np.frombuffer(data, dtype=dtype, offset=i + 1).reshape(height, width)
 
 
 def write_labelmap(arr: np.ndarray, path) -> None:
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("label map must be 2-D")
-    if arr.size and (arr.min() < 0 or arr.max() > 65535):
+    lo, hi = (arr.min(), arr.max()) if arr.size else (0, 0)
+    if lo < 0 or hi > 65535:
         raise ValueError("label values must lie in [0, 65535]")
-    maxval = 255 if (arr.size == 0 or arr.max() <= 255) else 65535
-    dtype = ">u1" if maxval == 255 else ">u2"
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + arr.astype(dtype).tobytes())
+    maxval = 255 if hi <= 255 else 65535
+    payload = np.ascontiguousarray(arr, ">u1" if maxval == 255 else ">u2")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(payload.data)
 
 
 # ---------------------------------------------------------------- JSON plumbing
 
+_SCALARS = {str, int, float, bool, type(None)}
+_SCALAR = json.JSONEncoder()
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(inner: str) -> json.JSONEncoder:
+    return json.JSONEncoder(separators=("," + inner, ": "))
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_prefix(key: str) -> str:
+    return _SCALAR.encode(key) + ": "
+
+
+def _canonical(obj, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, for ``str`` keys only.
+
+    ``indent`` turns off the stdlib's C encoder, so this walks dicts and
+    nested lists itself and hands each list of scalars (every RLE) to the C
+    encoder whole, with the indented item separator.  ``newline`` is the line
+    break plus the indent of ``obj``'s own depth.
+    """
+    t = type(obj)
+    if t is int or t is float and math.isfinite(obj):
+        return repr(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not set(map(type, obj)) <= {str}:
+            raise TypeError("canonical JSON keys must be str")
+        body = ("," + inner).join(_key_prefix(k) + _canonical(obj[k], inner)
+                                  for k in sorted(obj))
+        return "{" + inner + body + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _SCALARS:
+            body = _flat_encoder(inner).encode(obj)[1:-1]
+        else:
+            body = ("," + inner).join(_canonical(x, inner) for x in obj)
+        return "[" + inner + body + newline + "]"
+    return _SCALAR.encode(obj)
+
+
 def _dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(_canonical(obj) + "\n", encoding="utf-8")
 
 
 def _load_json(path):
@@ -136,6 +183,15 @@ def _check_version(doc, path) -> None:
         raise SchemaError(f"{path}.format_version: unsupported version {version}")
 
 
+def _frame_size(doc, path) -> tuple[int, int]:
+    width = _get(doc, "width", int, str(path))
+    height = _get(doc, "height", int, str(path))
+    for key, v in (("width", width), ("height", height)):
+        if v < 1:
+            raise SchemaError(f"{path}.{key}: must be at least 1, got {v}")
+    return width, height
+
+
 def _mask_from_field(rle, width, height, where) -> Mask:
     # Mask checks the values; its int() would quietly accept 1.5 or true
     if not isinstance(rle, list) or not set(map(type, rle)) <= {int}:
@@ -161,8 +217,7 @@ def read_manifest(path) -> Manifest:
     doc = _load_json(path)
     _check_version(doc, path)
     name = _get(doc, "sequence", str, str(path))
-    width = _get(doc, "width", int, str(path))
-    height = _get(doc, "height", int, str(path))
+    width, height = _frame_size(doc, path)
     ignore = _get(doc, "ignore_value", int, str(path), allow_none=True)
     raw_frames = _get(doc, "frames", list, str(path))
     frames = []
@@ -236,8 +291,7 @@ def write_sequence(name: str, gt: GroundTruthSequence, out_dir,
 def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
     doc = _load_json(path)
     _check_version(doc, path)
-    width = _get(doc, "width", int, str(path))
-    height = _get(doc, "height", int, str(path))
+    width, height = _frame_size(doc, path)
     raw_frames = _get(doc, "frames", list, str(path))
     out: dict[int, list[Detection]] = {}
     last = None
@@ -288,8 +342,7 @@ def write_detections(path, width: int, height: int, dets_by_frame) -> None:
 def read_tracks(path) -> tuple[int, int, list[Track]]:
     doc = _load_json(path)
     _check_version(doc, path)
-    width = _get(doc, "width", int, str(path))
-    height = _get(doc, "height", int, str(path))
+    width, height = _frame_size(doc, path)
     tracks = []
     seen_ids = set()
     for k, item in enumerate(_get(doc, "tracks", list, str(path))):

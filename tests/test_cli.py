@@ -49,6 +49,13 @@ class TestExitCodes:
         assert main(["track", "--detections", str(bad),
                      "--out", str(tmp_path / "t.json")]) == 2
 
+    def test_non_positive_size_data_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format_version": 1, "width": 0, "height": -5, "frames": [{"index": 0, "detections": []}]}')
+        assert main(["track", "--detections", str(bad),
+                     "--out", str(tmp_path / "t.json")]) == 2
+        assert not (tmp_path / "t.json").exists()
+
     def test_missing_file_data_error(self, tmp_path):
         assert main(["track", "--detections", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "t.json")]) == 2

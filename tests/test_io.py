@@ -1,14 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import det
 from movingseg import io as fileio
 from movingseg.mask import Mask
 from movingseg.metrics import MetricReport
-from movingseg.synth import SynthConfig, generate
-from movingseg.tracker import Detection, Track
+from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
+from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
 
 W, H = 16, 8
 
@@ -71,6 +74,110 @@ class TestLabelmapPgm:
         path.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 0, 0, 0]))
         with pytest.raises(fileio.SchemaError):
             fileio.read_labelmap(path)
+
+    @pytest.mark.parametrize("maxval,sample", [(255, 1), (65535, 2)])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_payload_one_byte_off_rejected(self, tmp_path, maxval, sample, extra):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(f"P5\n3 2\n{maxval}\n".encode() + bytes(6 * sample + extra))
+        with pytest.raises(fileio.SchemaError, match="payload"):
+            fileio.read_labelmap(path)
+
+
+def _reference_pgm(arr):
+    """The writer's bytes as first implemented: header plus ``astype().tobytes()``."""
+    maxval = 255 if (arr.size == 0 or arr.max() <= 255) else 65535
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
+    return header + arr.astype(">u1" if maxval == 255 else ">u2").tobytes()
+
+
+_GRID = np.arange(6 * 10, dtype=np.int32).reshape(6, 10)
+
+
+class TestLabelmapWriterBytes:
+    @pytest.mark.parametrize("arr", [
+        (_GRID % 200).astype(np.uint8),
+        _GRID % 200,
+        _GRID * 1000,                    # above 255: the >u2 path
+        _GRID % 3 == 0,                  # bool
+        (_GRID * 1000)[:, ::2],          # non-contiguous views
+        (_GRID % 200).T,
+        np.zeros((0, 4), dtype=np.int32),
+    ], ids=["uint8", "int32", "u2", "bool", "strided", "transposed", "empty"])
+    def test_same_bytes_as_reference(self, tmp_path, arr):
+        path = tmp_path / "a.pgm"
+        fileio.write_labelmap(arr, path)
+        assert path.read_bytes() == _reference_pgm(arr)
+
+    @pytest.mark.parametrize("value", [-1, 65536])
+    def test_out_of_range_rejected(self, tmp_path, value):
+        arr = _GRID.copy()
+        arr[2, 3] = value
+        with pytest.raises(ValueError, match="65535"):
+            fileio.write_labelmap(arr, tmp_path / "a.pgm")
+        assert not (tmp_path / "a.pgm").exists()
+
+
+_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028\U0001f600'),
+                          st.characters()), max_size=6)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63 - 2, 2**80),
+    st.integers(-(2**80), -(2**63)), st.floats(), st.sampled_from([-0.0, float("inf"),
+                                                                   float("-inf"), float("nan")]),
+    _text,
+)
+_documents = st.recursive(
+    st.one_of(_scalars, st.lists(st.one_of(st.integers(), st.booleans()))),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(_text, children, max_size=4)),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    @given(_documents)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stdlib_indented_encoder(self, doc):
+        assert fileio._canonical(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2.5: 0}],
+                                     {True: []}])
+    def test_non_str_keys_rejected(self, doc):
+        with pytest.raises(TypeError):
+            fileio._canonical(doc)
+
+    def test_written_files_are_canonical(self, tmp_path):
+        gt, gt_tracks = generate(SynthConfig(seed=4, frames=6, width=48, height=32,
+                                             objects=3))
+        dets = corrupt(gt, NoiseConfig(fp_rate=0.5, score_spread=0.2), seed=4)
+        report = MetricReport(precision=1 / 3, recall=0.0, f_measure=None, flags=("x",))
+        report.per_sequence = {"s\u00e9q": MetricReport(n_over_075=2, flags=("x",))}
+        fileio.write_tracks(tmp_path / "t.json", 48, 32, track_sequence(dets, TrackerConfig()))
+        fileio.write_tracks(tmp_path / "gt.json", 48, 32, gt_tracks)
+        fileio.write_detections(tmp_path / "d.json", 48, 32, dets)
+        fileio.write_sequence("seq", gt, tmp_path)
+        fileio.write_report(report, tmp_path / "r.json")
+        for name in ("t.json", "gt.json", "d.json", "manifest.json", "r.json"):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+_SIZED_DOCS = {
+    "read_detections": {"frames": []},
+    "read_tracks": {"tracks": []},
+    "read_manifest": {"sequence": "x", "ignore_value": None, "frames": []},
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_SIZED_DOCS))
+@pytest.mark.parametrize("field,value", [("width", 0), ("height", -5)])
+def test_non_positive_frame_size_rejected(tmp_path, reader, field, value):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"format_version": 1, "width": W, "height": H,
+                                **_SIZED_DOCS[reader], field: value}))
+    with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.{field}:")):
+        getattr(fileio, reader)(path)
 
 
 class TestDetectionsFile:
