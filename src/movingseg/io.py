@@ -17,11 +17,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .mask import Mask, MaskError
+from .mask import MAX_PIXELS, MalformedMaskError, _from_cuts, _split_runs
 from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport
 from .tracker import Detection, Track
 
@@ -78,6 +79,8 @@ def read_labelmap(path) -> np.ndarray:
         raise SchemaError(f"{path}: non-numeric PGM header field") from None
     if width <= 0 or height <= 0:
         raise SchemaError(f"{path}: non-positive PGM dimensions {width}x{height}")
+    if width * height > MAX_PIXELS:
+        raise SchemaError(f"{path}.width: {width}x{height} frame exceeds {MAX_PIXELS} pixels")
     if maxval not in (255, 65535):
         raise SchemaError(f"{path}: unsupported maxval {maxval} (need 255 or 65535)")
     if i >= n or data[i] not in _WHITESPACE:
@@ -189,16 +192,21 @@ def _frame_size(doc, path) -> tuple[int, int]:
     for key, v in (("width", width), ("height", height)):
         if v < 1:
             raise SchemaError(f"{path}.{key}: must be at least 1, got {v}")
+    if width * height > MAX_PIXELS:
+        raise SchemaError(f"{path}.width: {width}x{height} frame exceeds {MAX_PIXELS} pixels")
     return width, height
 
 
-def _mask_from_field(rle, width, height, where) -> Mask:
-    # Mask checks the values; its int() would quietly accept 1.5 or true
-    if not isinstance(rle, list) or not set(map(type, rle)) <= {int}:
-        raise SchemaError(f"{where}: rle must be a list of non-negative integers")
+def _detections_from_fields(fields, width, height) -> list[Detection]:
+    """Detections from (frame, score, kind, rle, where) tuples, all run lists checked at once."""
     try:
-        return Mask(width, height, tuple(rle))
-    except MaskError as e:
+        cuts = _split_runs([f[3] for f in fields], width * height)
+        return [Detection(f[0], f[1], _from_cuts(width, height, c), f[2])
+                for f, c in zip(fields, cuts)]
+    except ValueError as e:
+        for f in fields[:-1]:   # the first offending entry raises, with its own message
+            _detections_from_fields([f], width, height)
+        where = fields[-1][4] + (".rle" if isinstance(e, MalformedMaskError) else "")
         raise SchemaError(f"{where}: {e}") from None
 
 
@@ -293,7 +301,7 @@ def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
     _check_version(doc, path)
     width, height = _frame_size(doc, path)
     raw_frames = _get(doc, "frames", list, str(path))
-    out: dict[int, list[Detection]] = {}
+    fields, counts = [], {}
     last = None
     for k, item in enumerate(raw_frames):
         where = f"{path}.frames[{k}]"
@@ -301,21 +309,17 @@ def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
         if last is not None and idx <= last:
             raise SchemaError(f"{where}.index: frame indices must be strictly increasing")
         last = idx
-        dets = []
-        for m, dd in enumerate(_get(item, "detections", list, where)):
+        raw_dets = _get(item, "detections", list, where)
+        for m, dd in enumerate(raw_dets):
             dwhere = f"{where}.detections[{m}]"
             score = _score_from_field(_get(dd, "score", (int, float), dwhere), dwhere)
             kind = _get(dd, "kind", str, dwhere)
             if kind not in ("moving", "static"):
                 raise SchemaError(f"{dwhere}.kind: expected 'moving' or 'static'")
-            mask = _mask_from_field(_get(dd, "rle", list, dwhere), width, height,
-                                    f"{dwhere}.rle")
-            try:
-                dets.append(Detection(idx, score, mask, kind))
-            except ValueError as e:
-                raise SchemaError(f"{dwhere}: {e}") from None
-        out[idx] = dets
-    return width, height, out
+            fields.append((idx, score, kind, _get(dd, "rle", list, dwhere), dwhere))
+        counts[idx] = len(raw_dets)
+    dets = iter(_detections_from_fields(fields, width, height))
+    return width, height, {idx: list(islice(dets, n)) for idx, n in counts.items()}
 
 
 def write_detections(path, width: int, height: int, dets_by_frame) -> None:
@@ -325,7 +329,7 @@ def write_detections(path, width: int, height: int, dets_by_frame) -> None:
             {
                 "index": idx,
                 "detections": [
-                    {"score": d.score, "kind": d.kind, "rle": list(d.mask.runs)}
+                    {"score": d.score, "kind": d.kind, "rle": d.mask.runs}
                     for d in dets_by_frame[idx]
                 ],
             }
@@ -343,33 +347,27 @@ def read_tracks(path) -> tuple[int, int, list[Track]]:
     doc = _load_json(path)
     _check_version(doc, path)
     width, height = _frame_size(doc, path)
-    tracks = []
-    seen_ids = set()
+    fields, counts = [], {}
     for k, item in enumerate(_get(doc, "tracks", list, str(path))):
         where = f"{path}.tracks[{k}]"
         tid = _get(item, "id", int, where)
-        if tid in seen_ids:
+        if tid in counts:
             raise SchemaError(f"{where}.id: duplicate track id {tid}")
-        seen_ids.add(tid)
-        entries = []
+        raw_entries = _get(item, "frames", list, where)
+        if not raw_entries:
+            raise SchemaError(f"{where}: track has no frames")
         last = None
-        for m, ff in enumerate(_get(item, "frames", list, where)):
+        for m, ff in enumerate(raw_entries):
             fwhere = f"{where}.frames[{m}]"
             idx = _get(ff, "index", int, fwhere)
             if last is not None and idx <= last:
                 raise SchemaError(f"{fwhere}.index: track frames must be strictly increasing")
             last = idx
             score = _score_from_field(_get(ff, "score", (int, float), fwhere), fwhere)
-            mask = _mask_from_field(_get(ff, "rle", list, fwhere), width, height,
-                                    f"{fwhere}.rle")
-            try:
-                entries.append(Detection(idx, score, mask))
-            except ValueError as e:
-                raise SchemaError(f"{fwhere}: {e}") from None
-        if not entries:
-            raise SchemaError(f"{where}: track has no frames")
-        tracks.append(Track(tid, tuple(entries)))
-    return width, height, tracks
+            fields.append((idx, score, "moving", _get(ff, "rle", list, fwhere), fwhere))
+        counts[tid] = len(raw_entries)
+    entries = iter(_detections_from_fields(fields, width, height))
+    return width, height, [Track(tid, tuple(islice(entries, n))) for tid, n in counts.items()]
 
 
 def write_tracks(path, width: int, height: int, tracks) -> None:
@@ -385,7 +383,7 @@ def write_tracks(path, width: int, height: int, tracks) -> None:
                 {
                     "id": t.id,
                     "frames": [
-                        {"index": d.frame, "score": d.score, "rle": list(d.mask.runs)}
+                        {"index": d.frame, "score": d.score, "rle": d.mask.runs}
                         for d in t.entries
                     ],
                 }

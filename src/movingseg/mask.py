@@ -1,13 +1,14 @@
 """Run-length encoded binary masks and the pixel arithmetic built on them.
 
-A mask is stored as alternating run counts over the row-major pixel order,
+Files carry a mask as alternating run counts over the row-major pixel order,
 starting with a (possibly zero) count of background pixels.  The encoding is
 canonical: a given pixel set has exactly one valid ``runs`` tuple.
 
-Every operation past encoding and decoding works on the sorted foreground
-interval boundaries (``foreground_cuts``) and never touches a dense pixel grid,
-as pycocotools' ``maskApi.c`` does; this is what keeps evaluation over long
-high-resolution sequences cheap.  Two prefix sums carry all of it:
+A Mask stores only its sorted foreground interval boundaries (a read-only int64
+``foreground_cuts``); run lists are checked once, as they enter, a file's all
+together.  Every other operation works on the cuts and never touches a dense
+pixel grid, as pycocotools' ``maskApi.c`` does; this is what keeps evaluation
+over long high-resolution sequences cheap.  Two prefix sums carry all of it:
 
 - Overlap counts (``intersect_cuts``, batched as ``intersect_cuts_many``) take
   the cumulative interval lengths of B, find A's boundaries in B by binary
@@ -21,10 +22,14 @@ Translation and boundary extraction first split runs at row ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
+
+# The largest frame, in pixels: offsets stay within 2**31, so each int64 intermediate is
+# exact (doubled in _sweep, strided in intersect_cuts_many, pooled over < 2**31 frames)
+MAX_PIXELS = 2**31
 
 
 class MaskError(ValueError):
@@ -39,47 +44,54 @@ class DimensionMismatchError(MaskError):
     """Operands do not share width/height."""
 
 
-@dataclass(frozen=True)
 class Mask:
     """An immutable single-frame binary region.
 
-    ``runs`` alternates background/foreground counts in row-major scan order;
-    the first entry is the leading background count and is the only entry
-    allowed to be zero.  ``sum(runs) == width * height`` always holds.
+    It stores ``width``, ``height`` and ``foreground_cuts``, the read-only int64
+    flat offsets [s0, e0, s1, e1, ...] of the foreground runs, strictly
+    increasing within [0, width*height].  ``Mask(width, height, runs)`` checks
+    ``runs``: background/foreground counts in row-major order, only the first
+    (leading background) may be zero, summing to ``width * height``.
     """
 
-    width: int
-    height: int
-    runs: tuple[int, ...]
+    def __init__(self, width: int, height: int, runs) -> None:
+        if width <= 0 or height <= 0:
+            raise MalformedMaskError(f"non-positive dimensions {width}x{height}")
+        if width * height > MAX_PIXELS:
+            raise MalformedMaskError(f"{width}x{height} frame exceeds {MAX_PIXELS} pixels")
+        (cuts,) = _split_runs([[int(r) for r in runs]], width * height)
+        self.__dict__.update(width=width, height=height, foreground_cuts=cuts)
 
-    def __post_init__(self) -> None:
-        runs = tuple(map(int, self.runs))
-        object.__setattr__(self, "runs", runs)
-        if self.width <= 0 or self.height <= 0:
-            raise MalformedMaskError(f"non-positive dimensions {self.width}x{self.height}")
-        if not runs:
-            raise MalformedMaskError("empty runs list")
-        if min(runs) < 0:
-            raise MalformedMaskError("negative run length")
-        if min(runs[1:], default=1) == 0:
-            raise MalformedMaskError("zero-length interior run")
-        total = sum(runs)
-        if total != self.width * self.height:
-            raise MalformedMaskError(
-                f"runs sum {total} != width*height {self.width * self.height}"
-            )
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mask is immutable: cannot set {name!r}")
 
-    @cached_property
-    def foreground_cuts(self) -> np.ndarray:
-        """Sorted flat pixel offsets [s0, e0, s1, e1, ...] of foreground runs."""
-        cum = np.cumsum(np.asarray(self.runs, dtype=np.int64))
-        if len(cum) % 2:  # trailing background run closes at width*height
-            cum = cum[:-1]
-        return cum
+    def __reduce__(self):
+        return Mask, (self.width, self.height, self.runs)
+
+    def __eq__(self, o):
+        return (isinstance(o, Mask) and (self.width, self.height) == (o.width, o.height)
+                and np.array_equal(self.foreground_cuts, o.foreground_cuts))
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.height, self.foreground_cuts.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Mask({self.width}, {self.height}, {self.runs})"
+
+    @property
+    def runs(self) -> tuple[int, ...]:
+        """The canonical run list."""
+        edges = np.concatenate(([0], self.foreground_cuts, [self.width * self.height]))
+        runs = tuple((edges[1:] - edges[:-1]).tolist())
+        return runs if runs[-1] else runs[:-1]   # no empty run after a foreground at the end
 
     @property
     def is_empty(self) -> bool:
-        return len(self.runs) == 1
+        return not len(self.foreground_cuts)
+
+    @cached_property
+    def _area(self) -> int:
+        return int(self.foreground_cuts[1::2].sum() - self.foreground_cuts[0::2].sum())
 
     @cached_property
     def _bbox(self) -> tuple[int, int, int, int] | None:
@@ -93,6 +105,49 @@ class Mask:
         if (row_e > row_s).any():   # a run wrapping rows spans the full width
             return 0, y0, w - 1, y1
         return int((starts % w).min()), y0, int((ends % w).max()), y1
+
+
+def _from_cuts(width: int, height: int, cuts: np.ndarray) -> Mask:
+    """A Mask over checked, read-only int64 cuts."""
+    if width <= 0 or height <= 0:
+        raise MalformedMaskError(f"non-positive dimensions {width}x{height}")
+    mask = object.__new__(Mask)
+    mask.__dict__.update(width=width, height=height, foreground_cuts=cuts)
+    return mask
+
+
+def _split_runs(rles, total: int) -> list[np.ndarray]:
+    """Check lists of runs over ``total`` pixels, all in one int64 array.
+
+    Returns each list's foreground cuts, read-only views of one cumulative sum.
+    An error does not say which list failed: check a list alone for that.
+    """
+    if not rles:
+        return []
+    lengths = np.fromiter(map(len, rles), np.int64, len(rles))
+    starts = (ends := np.cumsum(lengths)) - lengths
+    if not lengths.all():
+        raise MalformedMaskError("empty runs list")
+    flat = list(chain.from_iterable(rles))
+    if not set(map(type, flat)) <= {int}:   # JSON's 1.5, true and "4" are not runs
+        raise MalformedMaskError("runs must be integers")
+    # bounds first, with Python ints, so that the int64 array below is exact
+    if min(flat) < 0:
+        raise MalformedMaskError("negative run length")
+    if max(flat) > total:
+        raise MalformedMaskError("run length outside the frame")
+    runs = np.fromiter(flat, np.int64, len(flat))
+    if np.count_nonzero(runs == 0) > np.count_nonzero(runs[starts] == 0):   # only as a first run
+        raise MalformedMaskError("zero-length interior run")
+    sums = np.add.reduceat(runs, starts)
+    if sums[k := np.argmax(sums != total)] != total:
+        raise MalformedMaskError(f"runs sum {sums[k]} != width*height {total}")
+    # every list sums to total: taking it off each later list's first run restarts the sum
+    runs[starts[1:]] -= total
+    cuts = np.cumsum(runs, out=runs)
+    cuts.flags.writeable = False
+    stops = ends - (lengths & 1)   # an odd list ends in background, closing at total
+    return [cuts[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
 
 
 def rle_encode(dense, width: int, height: int) -> Mask:
@@ -113,24 +168,25 @@ def rle_encode(dense, width: int, height: int) -> Mask:
         if not binary:
             raise MalformedMaskError("grid entries must be 0 or 1")
         flat = flat.astype(bool)
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    runs = np.diff(bounds)
+    cuts = np.flatnonzero(flat[1:] != flat[:-1]).astype(np.int64) + 1
     if flat[0]:
-        runs = np.concatenate(([0], runs))
-    return Mask(width, height, tuple(int(r) for r in runs))
+        cuts = np.concatenate(([0], cuts))
+    if flat[-1]:
+        cuts = np.append(cuts, flat.size)
+    cuts.flags.writeable = False
+    return _from_cuts(width, height, cuts)
 
 
 def rle_decode(mask: Mask) -> np.ndarray:
     """Expand a Mask into a height x width uint8 grid."""
-    values = np.arange(len(mask.runs), dtype=np.uint8) % 2
-    flat = np.repeat(values, np.asarray(mask.runs, dtype=np.int64))
+    runs = mask.runs
+    flat = np.repeat(np.arange(len(runs), dtype=np.uint8) % 2, runs)
     return flat.reshape(mask.height, mask.width)
 
 
 def area(mask: Mask) -> int:
     """Number of foreground pixels."""
-    return int(sum(mask.runs[1::2]))
+    return mask._area
 
 
 def _require_same_dims(a: Mask, b: Mask) -> None:
@@ -310,10 +366,11 @@ def boundary_pixels(mask: Mask) -> np.ndarray:
 def mask_from_cuts(cuts: np.ndarray, width: int, height: int) -> Mask:
     """Build a Mask from sorted foreground interval boundaries [s0,e0,s1,e1,...].
 
-    Adjacent intervals (e_i == s_{i+1}) are merged so the result is canonical.
+    Touching intervals (e_i == s_{i+1}) are merged and empty ones dropped; what is
+    left must increase strictly within [0, width*height], in pairs.  The mask
+    keeps its own copy.
     """
-    total = width * height
-    cuts = np.asarray(cuts, dtype=np.int64)
+    cuts = np.array(cuts, dtype=np.int64)
     # drop seam points shared by touching (or empty) intervals
     while len(cuts):
         dup_at = np.flatnonzero(cuts[1:] == cuts[:-1])
@@ -323,11 +380,8 @@ def mask_from_cuts(cuts: np.ndarray, width: int, height: int) -> Mask:
         keep[dup_at] = False
         keep[dup_at + 1] = False
         cuts = cuts[keep]
-    if len(cuts) == 0:
-        return Mask(width, height, (total,))
-    runs = [int(cuts[0])]
-    runs.extend(np.diff(cuts).tolist())
-    tail = total - int(cuts[-1])
-    if tail > 0:
-        runs.append(tail)
-    return Mask(width, height, tuple(runs))
+    if len(cuts) % 2 or len(cuts) and (
+            cuts[0] < 0 or cuts[-1] > width * height or (cuts[1:] <= cuts[:-1]).any()):
+        raise MalformedMaskError(f"cuts must be pairs increasing within [0, {width * height}]")
+    cuts.flags.writeable = False
+    return _from_cuts(width, height, cuts)

@@ -452,7 +452,9 @@ def davis_j(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask]):
         raise ValueError("empty sequence")
     if sorted(pred_binary) != frames:
         raise ValueError("prediction frames do not match ground-truth frames")
-    ious = np.array([mask_iou(pred_binary[f], gt_binary[f]) for f in frames])
+    # a frame with both masks empty scores 1, as DAVIS's db_eval_iou has it
+    ious = np.array([1.0 if pred_binary[f].is_empty and gt_binary[f].is_empty
+                     else mask_iou(pred_binary[f], gt_binary[f]) for f in frames])
     mean = float(ious.mean())
     recall = float((ious > 0.5).mean())
     if len(ious) >= 4:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .assign import solve_max_assignment
-from .mask import Mask, area, boxes_meet, iou
+from .mask import Mask, boxes_meet, iou
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Detection:
             raise ValueError("detection score must be finite")
         if self.kind not in ("moving", "static"):
             raise ValueError(f"unknown detection kind {self.kind!r}")
-        if area(self.mask) == 0:
+        if self.mask.is_empty:
             raise ValueError("detection mask must be non-empty")
 
 

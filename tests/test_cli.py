@@ -56,6 +56,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t.json")]) == 2
         assert not (tmp_path / "t.json").exists()
 
+    def test_oversized_frame_data_error(self, tmp_path, capsys):
+        # 10^24 pixels: int64 kernels would overflow, so the reader must refuse the size
+        bad = tmp_path / "bad.json"
+        frames = [{"index": k, "detections": [{"score": 0.9, "kind": "moving",
+                                               "rle": [0, 10**24]}]} for k in range(2)]
+        bad.write_text(json.dumps({"format_version": 1, "width": 10**12, "height": 10**12,
+                                   "frames": frames}))
+        assert main(["track", "--detections", str(bad),
+                     "--out", str(tmp_path / "t.json")]) == 2
+        assert f"{bad}.width" in capsys.readouterr().err
+
+    def test_malformed_rle_error_names_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        rles = [[0, 16], [0, 2**64]]
+        bad.write_text(json.dumps({"format_version": 1, "width": 4, "height": 4, "frames": [
+            {"index": k, "detections": [{"score": 0.9, "kind": "moving", "rle": r}]}
+            for k, r in enumerate(rles)]}))
+        assert main(["track", "--detections", str(bad),
+                     "--out", str(tmp_path / "t.json")]) == 2
+        assert (f"{bad}.frames[1].detections[0].rle: run length outside the frame"
+                in capsys.readouterr().err)
+
     def test_missing_file_data_error(self, tmp_path):
         assert main(["track", "--detections", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "t.json")]) == 2

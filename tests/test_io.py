@@ -1,5 +1,7 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import det
 from movingseg import io as fileio
-from movingseg.mask import Mask
+from movingseg.mask import MAX_PIXELS, Mask, rle_encode
 from movingseg.metrics import MetricReport
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
@@ -178,6 +180,109 @@ def test_non_positive_frame_size_rejected(tmp_path, reader, field, value):
                                 **_SIZED_DOCS[reader], field: value}))
     with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.{field}:")):
         getattr(fileio, reader)(path)
+
+
+@pytest.mark.parametrize("reader", sorted(_SIZED_DOCS))
+def test_frame_size_bound(tmp_path, reader):
+    # a full-frame mask at the bound is two cuts: nothing of the declared size is allocated
+    doc = dict(_SIZED_DOCS[reader])
+    full = {"index": 0, "score": 0.5, "kind": "moving", "rle": [0, MAX_PIXELS]}
+    if reader == "read_detections":
+        doc["frames"] = [{"index": 0, "detections": [full]}]
+    elif reader == "read_tracks":
+        doc["tracks"] = [{"id": 1, "frames": [full]}]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"format_version": 1, "width": MAX_PIXELS // 2, "height": 2,
+                                **doc}))
+    getattr(fileio, reader)(path)
+    path.write_text(json.dumps({"format_version": 1, "width": MAX_PIXELS + 1, "height": 1,
+                                **_SIZED_DOCS[reader]}))
+    with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.width:")):
+        getattr(fileio, reader)(path)
+
+
+def test_labelmap_size_bound(tmp_path):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(b"P5\n65536 32768\n255\n" + bytes(1))
+    with pytest.raises(fileio.SchemaError, match="payload is 1 bytes"):
+        fileio.read_labelmap(path)
+    path.write_bytes(b"P5\n%d 1\n255\n" % (MAX_PIXELS + 1) + bytes(1))
+    with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.width:")):
+        fileio.read_labelmap(path)
+
+
+def _masks_doc(reader, rles):
+    """A document whose masks, in file order, have the run lists ``rles``.
+
+    Detections go two to a frame and track entries two to a track, so the
+    k-th mask sits at ``frames[k // 2].detections[k % 2]`` or
+    ``tracks[k // 2].frames[k % 2]``.
+    """
+    pairs = [rles[i:i + 2] for i in range(0, len(rles), 2)]
+    if reader == "read_detections":
+        body = {"frames": [{"index": k, "detections": [
+            {"score": 0.5, "kind": "moving", "rle": r} for r in pair]}
+            for k, pair in enumerate(pairs)]}
+    else:
+        body = {"tracks": [{"id": k, "frames": [
+            {"index": m, "score": 0.5, "rle": r} for m, r in enumerate(pair)]}
+            for k, pair in enumerate(pairs)]}
+    return {"format_version": 1, "width": W, "height": H, **body}
+
+
+def _read_masks(reader, path):
+    _, _, got = getattr(fileio, reader)(path)
+    dets = [d for ds in got.values() for d in ds] if reader == "read_detections" \
+        else [d for t in got for d in t.entries]
+    return [d.mask for d in dets]
+
+
+@pytest.mark.parametrize("reader", ["read_detections", "read_tracks"])
+@pytest.mark.parametrize("bad,message", [
+    ([True, W * H - 1], "runs must be integers"),
+    ([1.5, W * H - 1.5], "runs must be integers"),
+    (["4", W * H - 4], "runs must be integers"),
+    ([-1, W * H + 1], "negative run length"),
+    ([], "empty runs list"),
+    ([1, 0, W * H - 1], "zero-length interior run"),
+    ([1, 2], f"runs sum 3 != width*height {W * H}"),
+    ([0, W * H + 1], "run length outside the frame"),
+    ([0, 2**64], "run length outside the frame"),
+])
+@pytest.mark.parametrize("position", [0, 3])
+def test_bad_rle_names_its_field(tmp_path, reader, bad, message, position):
+    rles = [[0, W * H], [1, W * H - 1], [2, 3, W * H - 5], [0, 5, 1, W * H - 6]]
+    rles[position] = bad
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_masks_doc(reader, rles)))
+    k, m = divmod(position, 2)
+    field = f"frames[{k}].detections[{m}]" if reader == "read_detections" \
+        else f"tracks[{k}].frames[{m}]"
+    with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.{field}.rle: {message}")):
+        getattr(fileio, reader)(path)
+
+
+@st.composite
+def _run_lists(draw):
+    """Run lists of 1-7 random non-empty masks sharing one frame size."""
+    w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    grids = draw(st.lists(st.lists(st.integers(0, 1), min_size=w * h, max_size=w * h)
+                          .filter(any), min_size=1, max_size=7))
+    return w, h, [list(rle_encode(np.array(g), w, h).runs) for g in grids]
+
+
+@given(_run_lists())
+@settings(max_examples=100, deadline=None)
+def test_file_masks_equal_masks_built_alone(data):
+    w, h, rles = data
+    with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
+        for reader in ("read_detections", "read_tracks"):
+            path = Path(tmp) / f"{reader}.json"
+            path.write_text(json.dumps({**_masks_doc(reader, rles), "width": w, "height": h}))
+            masks = _read_masks(reader, path)
+            assert masks == [Mask(w, h, r) for r in rles]
+            assert [list(m.runs) for m in masks] == rles
+            assert all(not m.foreground_cuts.flags.writeable for m in masks)
 
 
 class TestDetectionsFile:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask,
                             area, bbox, intersection_area, iou, mask_from_cuts,
-                            rle_decode, rle_encode, union_merge)
+                            rle_decode, rle_encode, translate, union_merge)
 
 
 def grid(rows):
@@ -35,6 +38,11 @@ def test_encode_rejects_bad_sizes():
         rle_encode(grid([[0, 1]]), 3, 1)
     with pytest.raises(DimensionMismatchError):
         rle_encode(grid([[0, 1], [1, 0]]), 4, 1)
+
+
+def test_encode_rejects_non_positive_dimensions():
+    with pytest.raises(MalformedMaskError):
+        rle_encode(np.array([1]), -1, -1)
 
 
 def test_encode_rejects_non_binary():
@@ -139,6 +147,53 @@ def test_mask_is_immutable():
     m = Mask(2, 2, (0, 4))
     with pytest.raises(AttributeError):
         m.width = 3
+
+
+@given(random_masks(max_side=8), random_masks(max_side=8))
+@settings(max_examples=100)
+def test_mask_value_semantics(one, two):
+    a, b = (rle_encode(*data) for data in (one, two))
+    for m in (a, b):
+        for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert clone == m and hash(clone) == hash(m) and clone.runs == m.runs
+            assert not clone.foreground_cuts.flags.writeable
+    same = (a.width, a.height, a.runs) == (b.width, b.height, b.runs)
+    assert (a == b) == same and (a != b) != same
+    assert (a == Mask(b.width, b.height, b.runs)) == same
+    if same:
+        assert hash(a) == hash(b)
+
+
+def test_foreground_cuts_read_only():
+    m = Mask(4, 2, (1, 2, 5))
+    built = [m, rle_encode(rle_decode(m), 4, 2), mask_from_cuts(np.array([1, 3]), 4, 2),
+             union_merge([m, m]), translate(m, 1, 1)]
+    for mask in built:
+        with pytest.raises(ValueError):
+            mask.foreground_cuts[0] = 0
+    with pytest.raises(AttributeError):
+        m.foreground_cuts = np.array([0, 8])
+    with pytest.raises(AttributeError):
+        m.runs = (0, 8)
+    assert m.runs == (1, 2, 5)
+
+
+@pytest.mark.parametrize("cuts,width", [([2], 4), ([0, 2, 3], 4), ([-1, 2], 4), ([2, 5], 4),
+                                        ([3, 1], 4), ([0, 2, 1, 3], 4), ([], 0)])
+def test_mask_from_cuts_rejects_bad_cuts(cuts, width):
+    with pytest.raises(MalformedMaskError):
+        mask_from_cuts(np.array(cuts, dtype=np.int64), width, 1)
+
+
+def test_mask_from_cuts_keeps_its_own_copy():
+    cuts = np.array([1, 3, 3, 4])
+    m = mask_from_cuts(cuts, 4, 1)
+    cuts[0] = 0
+    assert m.runs == (1, 3) and cuts.flags.writeable
+    kept = np.array([0, 2])
+    m = mask_from_cuts(kept, 4, 1)
+    kept[1] = 4
+    assert m.runs == (0, 2, 2)
 
 
 def test_mask_from_cuts_roundtrip():

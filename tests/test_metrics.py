@@ -307,6 +307,12 @@ class TestDavisJ:
         with pytest.raises(ValueError):
             davis_j({}, {})
 
+    def test_both_empty_frame_scores_one(self):
+        # DAVIS db_eval_iou: an empty union is a perfect frame, as boundary F has it
+        gt = {0: rect_mask(W, H, 0, 0, 8, 8), 1: Mask(W, H, (W * H,))}
+        assert davis_j(gt, dict(gt)) == (1.0, 1.0, 0.0)
+        assert boundary_f(gt, dict(gt)) == 1.0
+
 
 class TestBoundaryF:
     def test_identical(self):
