@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mask import MAX_PIXELS, MalformedMaskError, _from_cuts, _split_runs
+from .mask import MAX_PIXELS, MalformedMaskError, _from_cuts, _run_lists, _split_runs
 from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport
 from .tracker import Detection, Track
 
@@ -323,17 +323,18 @@ def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
 
 
 def write_detections(path, width: int, height: int, dets_by_frame) -> None:
-    frames = []
-    for idx in sorted(dets_by_frame):
-        frames.append(
-            {
-                "index": idx,
-                "detections": [
-                    {"score": d.score, "kind": d.kind, "rle": d.mask.runs}
-                    for d in dets_by_frame[idx]
-                ],
-            }
-        )
+    order = sorted(dets_by_frame)
+    rles = iter(_run_lists([d.mask for idx in order for d in dets_by_frame[idx]]))
+    frames = [
+        {
+            "index": idx,
+            "detections": [
+                {"score": d.score, "kind": d.kind, "rle": next(rles)}
+                for d in dets_by_frame[idx]
+            ],
+        }
+        for idx in order
+    ]
     _dump_json(
         {"format_version": FORMAT_VERSION, "width": width, "height": height,
          "frames": frames},
@@ -374,6 +375,7 @@ def write_tracks(path, width: int, height: int, tracks) -> None:
     ids = [t.id for t in tracks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate track ids")
+    rles = iter(_run_lists([d.mask for t in tracks for d in t.entries]))
     _dump_json(
         {
             "format_version": FORMAT_VERSION,
@@ -383,7 +385,7 @@ def write_tracks(path, width: int, height: int, tracks) -> None:
                 {
                     "id": t.id,
                     "frames": [
-                        {"index": d.frame, "score": d.score, "rle": d.mask.runs}
+                        {"index": d.frame, "score": d.score, "rle": next(rles)}
                         for d in t.entries
                     ],
                 }

@@ -10,9 +10,10 @@ together.  Every other operation works on the cuts and never touches a dense
 pixel grid, as pycocotools' ``maskApi.c`` does; this is what keeps evaluation
 over long high-resolution sequences cheap.  Two prefix sums carry all of it:
 
-- Overlap counts (``intersect_cuts``, batched as ``intersect_cuts_many``) take
-  the cumulative interval lengths of B, find A's boundaries in B by binary
-  search, and sum the differences of the covered lengths there.
+- Overlap counts (``intersect_cuts``, batched as ``intersect_cuts_many``, and
+  ``iou_matrix`` for every pair of two mask lists at once) take the cumulative
+  interval lengths of B, find A's boundaries in B by binary search, and sum
+  the differences of the covered lengths there.
 - New interval sets (``union_merge``, the interior behind
   ``boundary_pixels``) come from a running sum of +1 at every interval start
   and -1 at every end over the sorted boundaries of all operands.
@@ -28,8 +29,11 @@ from itertools import chain
 import numpy as np
 
 # The largest frame, in pixels: offsets stay within 2**31, so each int64 intermediate is
-# exact (doubled in _sweep, strided in intersect_cuts_many, pooled over < 2**31 frames)
+# exact (doubled in _sweep, strided in intersect_cuts_many and iou_matrix, pooled over
+# < 2**31 frames)
 MAX_PIXELS = 2**31
+# query points per binary search in iou_matrix, which bounds its working memory
+_CHUNK = 1 << 16
 
 
 class MaskError(ValueError):
@@ -81,9 +85,7 @@ class Mask:
     @property
     def runs(self) -> tuple[int, ...]:
         """The canonical run list."""
-        edges = np.concatenate(([0], self.foreground_cuts, [self.width * self.height]))
-        runs = tuple((edges[1:] - edges[:-1]).tolist())
-        return runs if runs[-1] else runs[:-1]   # no empty run after a foreground at the end
+        return tuple(_run_lists([self])[0])
 
     @property
     def is_empty(self) -> bool:
@@ -93,19 +95,6 @@ class Mask:
     def _area(self) -> int:
         return int(self.foreground_cuts[1::2].sum() - self.foreground_cuts[0::2].sum())
 
-    @cached_property
-    def _bbox(self) -> tuple[int, int, int, int] | None:
-        cuts = self.foreground_cuts
-        if not len(cuts):
-            return None
-        w = self.width
-        starts, ends = cuts[0::2], cuts[1::2] - 1   # ends inclusive
-        row_s, row_e = starts // w, ends // w
-        y0, y1 = int(row_s.min()), int(row_e.max())
-        if (row_e > row_s).any():   # a run wrapping rows spans the full width
-            return 0, y0, w - 1, y1
-        return int((starts % w).min()), y0, int((ends % w).max()), y1
-
 
 def _from_cuts(width: int, height: int, cuts: np.ndarray) -> Mask:
     """A Mask over checked, read-only int64 cuts."""
@@ -114,6 +103,28 @@ def _from_cuts(width: int, height: int, cuts: np.ndarray) -> Mask:
     mask = object.__new__(Mask)
     mask.__dict__.update(width=width, height=height, foreground_cuts=cuts)
     return mask
+
+
+def _run_lists(masks) -> list[list[int]]:
+    """Each mask's canonical run list, from one difference over all masks' cuts.
+
+    Mask k's runs are the differences of [0, cuts_k..., width*height].
+    """
+    if not masks:
+        return []
+    n = np.fromiter((len(m.foreground_cuts) for m in masks), np.int64, len(masks))
+    first = np.cumsum(n + 2) - (n + 2)   # where each mask's 0 sits
+    last = first + n + 1                 # and its width*height
+    edges = np.empty(int(last[-1]) + 1, dtype=np.int64)
+    cut_at = np.ones(len(edges), dtype=bool)
+    cut_at[first] = cut_at[last] = False
+    edges[first] = 0
+    edges[last] = [m.width * m.height for m in masks]
+    edges[cut_at] = np.concatenate([m.foreground_cuts for m in masks])
+    diffs = np.diff(edges)
+    last -= diffs[last - 1] == 0   # no empty run after a foreground at the end
+    diffs = diffs.tolist()
+    return [diffs[a:b] for a, b in zip(first.tolist(), last.tolist())]
 
 
 def _split_runs(rles, total: int) -> list[np.ndarray]:
@@ -273,6 +284,51 @@ def iou(a: Mask, b: Mask) -> float:
     return inter / union
 
 
+def iou_matrix(a, b) -> np.ndarray:
+    """len(a) x len(b) float64 IoU of every pair, each equal to ``iou`` bit for bit.
+
+    All masks must share one frame size.  Pairs whose bounding boxes are
+    disjoint are 0 untested.  For the rest, b's cuts are stacked at a stride of
+    ``width*height + 1``, and each pair's query, a[i]'s cuts moved into b[j]'s
+    block, is located in the stack by one binary search per chunk of
+    ``_CHUNK`` query points.
+    """
+    a, b = list(a), list(b)
+    sizes = {(m.width, m.height) for m in chain(a, b)}
+    if len(sizes) > 1:
+        raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
+    out = np.zeros((len(a), len(b)))
+    if not out.size:
+        return out
+    ii, jj = np.nonzero(boxes_meet(a, b))
+    if not len(ii):
+        return out
+    ((w, h),) = sizes
+    a_len = np.fromiter((len(m.foreground_cuts) for m in a), np.int64, len(a))
+    b_len = np.fromiter((len(m.foreground_cuts) for m in b), np.int64, len(b))
+    a_cuts = np.concatenate([m.foreground_cuts for m in a])
+    stride = w * h + 1
+    stacked = (np.concatenate([m.foreground_cuts for m in b])
+               + np.repeat(np.arange(len(b), dtype=np.int64) * stride, b_len))
+    n = a_len[ii]   # query points of each pair
+    start = np.cumsum(n) - n
+    src = (np.cumsum(a_len) - a_len)[ii]   # where each pair's a-cuts begin in a_cuts
+    inter = np.empty(len(ii), dtype=np.int64)
+    # pairs whose queries start in one block of _CHUNK points are searched together
+    cut = np.flatnonzero(np.diff(start // _CHUNK)) + 1
+    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(ii)]):
+        seg = start[lo:hi] - start[lo]
+        pos = np.arange(int(seg[-1] + n[hi - 1])) + np.repeat(src[lo:hi] - seg, n[lo:hi])
+        points = a_cuts[pos] + np.repeat(jj[lo:hi] * stride, n[lo:hi])
+        covered = _covered(stacked, points)
+        inter[lo:hi] = np.add.reduceat(covered[1::2] - covered[0::2], seg >> 1)
+    area_a = np.fromiter((m._area for m in a), np.int64, len(a))
+    area_b = np.fromiter((m._area for m in b), np.int64, len(b))
+    # int64 to float64 is exact below 2**53, so each quotient is iou's
+    out[ii, jj] = inter / (area_a[ii] + area_b[jj] - inter)
+    return out
+
+
 def union_merge(masks, *, width: int | None = None, height: int | None = None) -> Mask:
     """Pixelwise OR of masks sharing one frame size.
 
@@ -292,9 +348,33 @@ def union_merge(masks, *, width: int | None = None, height: int | None = None) -
     return mask_from_cuts(cuts, first.width, first.height)
 
 
+def _boxes(masks) -> np.ndarray:
+    """(len(masks), 4) int64 inclusive (x0, y0, x1, y1) foreground bounds.
+
+    An empty mask gets (0, 0, -1, -1), a box that meets nothing.
+    """
+    n = np.fromiter((len(m.foreground_cuts) // 2 for m in masks), np.int64, len(masks))
+    out = np.empty((len(masks), 4), dtype=np.int64)
+    out[:] = 0, 0, -1, -1
+    full = np.flatnonzero(n)
+    if not len(full):
+        return out
+    w = np.repeat([m.width for m in masks], n)
+    cuts = np.concatenate([m.foreground_cuts for m in masks])
+    row_s, x_s = np.divmod(cuts[0::2], w)
+    row_e, x_e = np.divmod(cuts[1::2] - 1, w)   # ends inclusive
+    wraps = row_e > row_s   # a run wrapping rows spans the full width
+    first = (np.cumsum(n) - n)[full]   # each non-empty mask's first run; runs are sorted
+    out[full, 0] = np.minimum.reduceat(np.where(wraps, 0, x_s), first)
+    out[full, 1] = row_s[first]
+    out[full, 2] = np.maximum.reduceat(np.where(wraps, w - 1, x_e), first)
+    out[full, 3] = row_e[first + n[full] - 1]
+    return out
+
+
 def bbox(mask: Mask) -> tuple[int, int, int, int] | None:
     """Tight (x0, y0, x1, y1) inclusive bounds of the foreground, None if empty."""
-    return mask._bbox
+    return None if mask.is_empty else tuple(_boxes([mask])[0].tolist())
 
 
 def boxes_meet(a, b) -> np.ndarray:
@@ -302,12 +382,7 @@ def boxes_meet(a, b) -> np.ndarray:
 
     Masks whose boxes are disjoint (or either empty) have an IoU of exactly 0.
     """
-    def boxes(masks):
-        # an empty mask gets a box that meets nothing
-        return np.array([m._bbox or (0, 0, -1, -1) for m in masks],
-                        dtype=np.int64).reshape(-1, 4)
-
-    ba, bb = boxes(a)[:, None, :], boxes(b)[None, :, :]
+    ba, bb = _boxes(a)[:, None, :], _boxes(b)[None, :, :]
     return ((ba[..., 0] <= bb[..., 2]) & (bb[..., 0] <= ba[..., 2])
             & (ba[..., 1] <= bb[..., 3]) & (bb[..., 1] <= ba[..., 3]))
 

@@ -22,9 +22,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .assign import solve_max_assignment
-from .mask import (Mask, bbox as _mask_bbox, boundary_pixels, boxes_meet,
-                   intersect_cuts, intersect_cuts_many, iou as mask_iou,
-                   mask_from_cuts, union_merge)
+from .mask import (Mask, _boxes, boundary_pixels, intersect_cuts, intersect_cuts_many,
+                   iou as mask_iou, iou_matrix, mask_from_cuts, union_merge)
 
 REPORT_FIELDS = (
     "precision",
@@ -207,6 +206,15 @@ def _prf(inter: int, c_area: int, g_area: int) -> tuple[float, float, float]:
     return p, r, f
 
 
+def _f_matrix(inter: np.ndarray, c_areas, g_areas) -> np.ndarray:
+    """``_prf``'s F of every (prediction, region) pair, operation for operation."""
+    c = np.array(c_areas, dtype=np.int64)[:, None]
+    g = np.array(g_areas, dtype=np.int64)
+    p = np.divide(inter, c, out=np.zeros(inter.shape), where=c != 0)
+    r = np.divide(inter, g, out=np.zeros(inter.shape), where=g != 0)
+    return np.divide(2 * p * r, p + r, out=np.zeros(inter.shape), where=p + r != 0)
+
+
 def pairwise_prf(pred: Region, gt: Region, eval_frames: Sequence[int],
                  ignore_masks: Mapping[int, Mask] | None = None):
     """Precision/recall/F of one prediction against one ground-truth region.
@@ -264,14 +272,12 @@ def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
     targets = gt_cuts + [ignore_cuts] if official and len(ignore_cuts) else gt_cuts
 
     inter = np.zeros((len(preds), len(gt_ids)), dtype=np.int64)
-    f_matrix = np.zeros((len(preds), len(gt_ids)))
     for i, c in enumerate(pred_cuts):
         overlaps = intersect_cuts_many(c, targets)
         inter[i] = overlaps[:len(gt_ids)]
         if len(targets) > len(gt_ids):
             pred_areas[i] -= int(overlaps[-1])
-        for j in range(len(gt_ids)):
-            f_matrix[i, j] = _prf(inter[i, j], pred_areas[i], gt_areas[j])[2]
+    f_matrix = _f_matrix(inter, pred_areas, gt_areas)
 
     matched = [
         (i, j) for i, j in solve_max_assignment(f_matrix).pairs if f_matrix[i, j] > 0.0
@@ -303,9 +309,6 @@ def combine_tallies(tallies: Sequence[SequenceTally], official: bool) -> MetricR
         if n_preds == 0:
             flags.append("no_predictions")
         return MetricReport(n_over_075=0 if official else None, flags=tuple(flags))
-    if not official and n_preds == 0:
-        return MetricReport(precision=1.0, recall=0.0, f_measure=0.0,
-                            flags=("no_predictions",))
     if n_preds == 0:
         flags.append("no_predictions")
     precision, recall, f = _prf(inter, c_pool, g_pool)
@@ -375,17 +378,18 @@ def delta_obj(gt_counts: Mapping[str, int], pred_counts: Mapping[str, int]) -> f
     )
 
 
-def _box_iou(a, b) -> float:
-    if a is None or b is None:
-        return 0.0
-    ix = min(a[2], b[2]) - max(a[0], b[0]) + 1
-    iy = min(a[3], b[3]) - max(a[1], b[1]) + 1
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    area_a = (a[2] - a[0] + 1) * (a[3] - a[1] + 1)
-    area_b = (b[2] - b[0] + 1) * (b[3] - b[1] + 1)
-    return inter / (area_a + area_b - inter)
+def _box_ious(a, b) -> np.ndarray:
+    """len(a) x len(b) IoU of the masks' bounding boxes; 0 where either is empty."""
+    ba, bb = _boxes(a)[:, None, :], _boxes(b)[None, :, :]
+    ix = np.minimum(ba[..., 2], bb[..., 2]) - np.maximum(ba[..., 0], bb[..., 0]) + 1
+    iy = np.minimum(ba[..., 3], bb[..., 3]) - np.maximum(ba[..., 1], bb[..., 1]) + 1
+    inter = np.maximum(ix, 0) * np.maximum(iy, 0)
+
+    def box_area(x):
+        return (x[..., 2] - x[..., 0] + 1) * (x[..., 3] - x[..., 1] + 1)
+
+    return np.divide(inter, box_area(ba) + box_area(bb) - inter,
+                     out=np.zeros(inter.shape), where=inter > 0)
 
 
 def average_precision(gt_by_frame, dets_by_frame, iou_threshold: float = 0.5,
@@ -407,31 +411,19 @@ def average_precision(gt_by_frame, dets_by_frame, iou_threshold: float = 0.5,
     dets = []
     for f in frames:
         for idx, d in enumerate(dets_by_frame.get(f, ())):
-            dets.append((-d.score, frame_order[f], idx, f, d.mask))
+            dets.append((-d.score, frame_order[f], idx, f))
     dets.sort(key=lambda t: t[:3])
 
-    gt_items = {f: list(gt_by_frame.get(f, ())) for f in frames}
-    if mode == "box":
-        gt_boxes = {f: [_mask_bbox(m) for m in ms] for f, ms in gt_items.items()}
-    taken: dict[tuple, bool] = {}
+    overlap = iou_matrix if mode == "mask" else _box_ious
+    # one detections x ground-truth matrix per frame; a taken object's column is zeroed
+    ious = {f: overlap([d.mask for d in dets_by_frame.get(f, ())], gt_by_frame.get(f, ()))
+            for f in frames}
     tp = np.zeros(len(dets), dtype=bool)
-    for k, (_, _, _, f, mask) in enumerate(dets):
-        best_iou, best_j = 0.0, -1
-        if mode == "box":
-            box = _mask_bbox(mask)
-            overlaps = [_box_iou(box, gb) for gb in gt_boxes[f]]
-        else:
-            # disjoint bounding boxes mean an IoU of exactly 0
-            meet = boxes_meet([mask], gt_items[f])[0]
-            overlaps = [mask_iou(mask, gm) if meet[j] else 0.0
-                        for j, gm in enumerate(gt_items[f])]
-        for j, ov in enumerate(overlaps):
-            if taken.get((f, j)):
-                continue
-            if ov > best_iou:
-                best_iou, best_j = ov, j
-        if best_j >= 0 and best_iou >= iou_threshold:
-            taken[(f, best_j)] = True
+    for k, (_, _, idx, f) in enumerate(dets):
+        row = ious[f][idx]
+        j = int(row.argmax()) if len(row) else -1   # the first of the best overlaps
+        if j >= 0 and row[j] > 0 and row[j] >= iou_threshold:   # 0 matches nothing
+            ious[f][:, j] = 0.0
             tp[k] = True
     tp_cum = np.cumsum(tp)
     fp_cum = np.cumsum(~tp)

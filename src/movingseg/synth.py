@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mask import Mask, bbox, mask_from_cuts, translate
+from .mask import Mask, _boxes, mask_from_cuts, translate
 from .metrics import GroundTruthSequence
 from .tracker import Detection, Track
 
@@ -210,9 +210,9 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int
     out: dict[int, list[Detection]] = {}
     for f in gt.eval_frames():
         dets: list[Detection] = []
-        true_boxes = []
-        for mask in gt.instance_masks(f):
-            true_boxes.append(bbox(mask))
+        masks = gt.instance_masks(f)
+        true_boxes = _boxes(masks).tolist()
+        for mask in masks:
             if noise.jitter_px > 0:
                 dx = int(rng_obj.integers(-noise.jitter_px, noise.jitter_px + 1))
                 dy = int(rng_obj.integers(-noise.jitter_px, noise.jitter_px + 1))

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .assign import solve_max_assignment
-from .mask import Mask, boxes_meet, iou
+# iou stays bound here: bench/spans.py counts the tracker's IoU pairs at this name
+from .mask import Mask, iou, iou_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -90,16 +89,6 @@ def gate(dets: Sequence[Detection], cfg: TrackerConfig) -> list[Detection]:
     return [d for d in dets if d.score >= cfg.alpha_low]
 
 
-def _iou_matrix(a: Sequence[Mask], b: Sequence[Mask]) -> np.ndarray:
-    """IoU of every pair; pairs whose bounding boxes are disjoint are 0 untested."""
-    out = np.zeros((len(a), len(b)))
-    if not out.size:
-        return out
-    for i, j in zip(*np.nonzero(boxes_meet(a, b))):
-        out[i, j] = iou(a[i], b[j])
-    return out
-
-
 def _eligible(track: Track, frame: int, cfg: TrackerConfig) -> bool:
     # idle frames are the fully missed ones between the last entry and `frame`
     return track.state == "active" and (frame - track.last_active_frame - 1) <= cfg.t_inactive
@@ -136,7 +125,7 @@ def step(tracks: Sequence[Track], frame_dets: Sequence[Detection],
         else:
             updated[t.id] = t if t.state == "inactive" else replace(t, state="inactive")
 
-    benefit = _iou_matrix([t.last_mask for t in candidates], [d.mask for d in frame_dets])
+    benefit = iou_matrix([t.last_mask for t in candidates], [d.mask for d in frame_dets])
     matched_dets: set[int] = set()
     for i, j in solve_max_assignment(benefit).pairs:
         if benefit[i, j] > cfg.min_match_iou:
@@ -181,7 +170,7 @@ def merge_moving_static(moving: Mapping[int, Sequence[Detection]],
     for frame in sorted(set(moving) | set(static)):
         movers = gate(moving.get(frame, ()), cfg)
         statics = gate(static.get(frame, ()), cfg)
-        overlap = _iou_matrix([s.mask for s in statics], [m.mask for m in movers])
+        overlap = iou_matrix([s.mask for s in statics], [m.mask for m in movers])
         keep = [s for s, row in zip(statics, overlap)
                 if (row <= cfg.static_overlap_iou).all()]
         merged[frame] = movers + keep
@@ -220,8 +209,8 @@ def bidirectional_track(moving: Mapping[int, Sequence[Detection]],
             if earliest - frame - 1 <= cfg.t_inactive
         )
         if cands and eligible:
-            benefit = _iou_matrix([live[tid][1] for tid in eligible],
-                                  [d.mask for d in cands])
+            benefit = iou_matrix([live[tid][1] for tid in eligible],
+                                 [d.mask for d in cands])
             for i, j in solve_max_assignment(benefit).pairs:
                 if benefit[i, j] > cfg.min_match_iou:
                     tid, det = eligible[i], cands[j]

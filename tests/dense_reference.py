@@ -4,6 +4,8 @@ Each one decodes masks into full pixel grids and works on those, sharing no
 arithmetic with the interval kernels in ``movingseg.mask``.
 """
 
+from itertools import groupby
+
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
@@ -16,6 +18,28 @@ def interval_grid(cuts, size):
     for start, end in zip(cuts[0::2], cuts[1::2]):
         grid[start:end] = True
     return grid
+
+
+def grid_runs(grid) -> list[int]:
+    """Canonical run list of a 0/1 grid: the lengths of its equal-value stretches."""
+    flat = np.asarray(grid).ravel().astype(bool).tolist()
+    runs = [len(list(stretch)) for _, stretch in groupby(flat)]
+    return [0, *runs] if flat[0] else runs
+
+
+def grid_box(grid) -> tuple[int, int, int, int]:
+    """(x0, y0, x1, y1) inclusive bounds of the set pixels; (0, 0, -1, -1) if none."""
+    ys, xs = np.nonzero(grid)
+    if not len(xs):
+        return 0, 0, -1, -1
+    return int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
+
+
+def grid_iou(a, b) -> float:
+    """Set pixels in both grids over set pixels in either; 0.0 when neither has any."""
+    a, b = np.asarray(a, dtype=bool), np.asarray(b, dtype=bool)
+    union = int((a | b).sum())
+    return int((a & b).sum()) / union if union else 0.0
 
 
 def translate_dense(mask: Mask, dx: int, dy: int) -> Mask | None:
@@ -61,3 +85,49 @@ def boundary_f_edt(gt_binary, pred_binary, tolerance_px) -> float:
         recall = float((gt_b & (dist_to_pr <= tolerance_px)).sum()) / n_gt
         scores.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
     return float(np.mean(scores))
+
+
+def _box_iou(a, b) -> float:
+    ix = min(a[2], b[2]) - max(a[0], b[0]) + 1
+    iy = min(a[3], b[3]) - max(a[1], b[1]) + 1
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    area_a = (a[2] - a[0] + 1) * (a[3] - a[1] + 1)
+    area_b = (b[2] - b[0] + 1) * (b[3] - b[1] + 1)
+    return inter / (area_a + area_b - inter)
+
+
+def average_precision_dense(gt_by_frame, dets_by_frame, iou_threshold, mode) -> float | None:
+    """Greedy score-ordered AP, pair by pair on decoded grids, all-points interpolation.
+
+    A detection takes the first untaken object of its frame with the largest
+    positive overlap; score ties break by frame, then input order.
+    """
+    frames = sorted(set(gt_by_frame) | set(dets_by_frame))
+    n_gt = sum(len(gt_by_frame.get(f, ())) for f in frames)
+    if n_gt == 0:
+        return None
+    grids = {f: [rle_decode(m) for m in gt_by_frame.get(f, ())] for f in frames}
+    dets = sorted((-d.score, k, idx, f, rle_decode(d.mask))
+                  for k, f in enumerate(frames)
+                  for idx, d in enumerate(dets_by_frame.get(f, ())))
+    taken, tp = set(), []
+    for _, _, _, f, grid in dets:
+        best, best_j = 0.0, -1
+        for j, g in enumerate(grids[f]):
+            ov = grid_iou(grid, g) if mode == "mask" else _box_iou(grid_box(grid), grid_box(g))
+            if (f, j) not in taken and ov > best:
+                best, best_j = ov, j
+        tp.append(best_j >= 0 and best >= iou_threshold)
+        if tp[-1]:
+            taken.add((f, best_j))
+    tp = np.array(tp, dtype=bool)
+    rec = np.cumsum(tp) / n_gt
+    prec = np.cumsum(tp) / np.arange(1, len(tp) + 1)
+    mrec = np.concatenate(([0.0], rec, [1.0]))
+    mpre = np.concatenate(([0.0], prec, [0.0]))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    moved = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
+    return float(np.sum((mrec[moved] - mrec[moved - 1]) * mpre[moved]))

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import (boundary_f_edt, boundary_map, interval_grid,
-                             translate_dense)
-from movingseg import metrics, tracker
-from movingseg.mask import (Mask, boundary_pixels, intersect_cuts, intersect_cuts_many,
+from dense_reference import (average_precision_dense, boundary_f_edt, boundary_map,
+                             grid_box, grid_iou, interval_grid, translate_dense)
+from movingseg import mask as mask_module
+from movingseg.mask import (DimensionMismatchError, Mask, _boxes, bbox, boundary_pixels,
+                            intersect_cuts, intersect_cuts_many, iou, iou_matrix,
                             rle_decode, rle_encode, translate, union_merge)
 from movingseg.metrics import average_precision, boundary_f
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
@@ -40,6 +41,18 @@ def grids(draw, max_side=12):
 
 def _seeded_grid(seed, density, w, h):
     return (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+
+
+@st.composite
+def frame_grids(draw, w, h):
+    """A w x h grid: random pixels at any density, or a rectangle, often at the frame edge."""
+    if draw(st.booleans()):
+        return _seeded_grid(draw(st.integers(0, 2**32 - 1)), draw(DENSITIES), w, h)
+    x0, x1 = sorted([draw(st.integers(0, w - 1)), draw(st.integers(0, w - 1))])
+    y0, y1 = sorted([draw(st.integers(0, h - 1)), draw(st.integers(0, h - 1))])
+    grid = np.zeros((h, w), dtype=np.uint8)
+    grid[y0:y1 + 1, x0:x1 + 1] = 1
+    return grid
 
 
 class TestIntersectKernel:
@@ -169,7 +182,11 @@ def _crowded_inputs(seed):
 
 
 class TestBoxSkip:
-    """Skipping pairs with disjoint bounding boxes changes no result."""
+    """Skipping pairs with disjoint bounding boxes changes no result.
+
+    ``iou_matrix`` finds the pairs to test with ``mask.boxes_meet``; patching
+    that binding to pass every pair gives the unskipped result.
+    """
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -185,7 +202,7 @@ class TestBoxSkip:
             return merged, track_sequence(merged, cfg), bidirectional_track(moving, static, bidir)
 
         skipped = run()
-        with mock.patch.object(tracker, "boxes_meet", _all_pairs):
+        with mock.patch.object(mask_module, "boxes_meet", _all_pairs):
             unskipped = run()
         assert skipped == unskipped
 
@@ -200,8 +217,70 @@ class TestBoxSkip:
             return [average_precision(gt_frames, moving, t) for t in (0.1, 0.5, 0.75)]
 
         skipped = run()
-        with mock.patch.object(metrics, "boxes_meet", _all_pairs):
+        with mock.patch.object(mask_module, "boxes_meet", _all_pairs):
             assert run() == skipped
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_average_precision_matches_dense(seed):
+    gt, moving, _ = _crowded_inputs(seed)
+    gt_frames = {f: gt.instance_masks(f) for f in gt.eval_frames()}
+    dets = {f: ds + ds[:2] for f, ds in moving.items()}   # repeats tie on score and overlap
+    for mode in ("mask", "box"):
+        for threshold in (0.1, 0.5, 0.75):
+            assert (average_precision(gt_frames, dets, threshold, mode)
+                    == average_precision_dense(gt_frames, dets, threshold, mode))
+
+
+class TestIouMatrix:
+    @given(st.data(), st.integers(1, 10), st.integers(1, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_iou_and_dense(self, data, w, h):
+        grids_a = data.draw(st.lists(frame_grids(w, h), max_size=5))
+        grids_b = data.draw(st.lists(frame_grids(w, h), max_size=5))
+        grids_b += grids_a[:data.draw(st.integers(0, len(grids_a)))]   # identical masks
+        a = [rle_encode(g, w, h) for g in grids_a]
+        b = [rle_encode(g, w, h) for g in grids_b]
+        matrix = iou_matrix(a, b)
+        assert matrix.shape == (len(a), len(b)) and matrix.dtype == np.float64
+        expected = [[iou(x, y) for y in b] for x in a]
+        assert matrix.tolist() == expected
+        assert expected == [[grid_iou(x, y) for y in grids_b] for x in grids_a]
+        for chunk in (2, 6):   # pairs split over several binary searches
+            with mock.patch.object(mask_module, "_CHUNK", chunk):
+                assert iou_matrix(a, b).tolist() == expected
+
+    def test_hand_cases(self):
+        empty, full = Mask(4, 3, (12,)), Mask(4, 3, (0, 12))
+        first, last = Mask(4, 3, (0, 1, 11)), Mask(4, 3, (11, 1))
+        wrap = Mask(4, 3, (2, 5, 5))        # row 0's last two pixels and row 1's first three
+        left, right = Mask(4, 3, (0, 2, 2, 2, 2, 2, 2)), Mask(4, 3, (2, 2, 2, 2, 2, 2))
+        masks = [empty, full, first, last, wrap, left, right]
+        assert iou_matrix(masks, masks).tolist() == [[iou(x, y) for y in masks] for x in masks]
+        assert iou_matrix([left], [right, wrap]).tolist() == [[0.0, 2 / 9]]   # right touches left
+        assert iou_matrix([empty], [empty, full]).tolist() == [[0.0, 0.0]]
+        assert iou_matrix([first], [last]).tolist() == [[0.0]]                # disjoint boxes
+        for a, b, shape in (([], [], (0, 0)), ([], masks, (0, 7)), (masks, [], (7, 0))):
+            assert iou_matrix(a, b).shape == shape
+
+    def test_mixed_frame_sizes_raise(self):
+        wide, tall = Mask(4, 3, (0, 12)), Mask(3, 4, (0, 12))   # same pixel count
+        for a, b in (([wide, tall], []), ([wide], [tall]), ([], [wide, tall]),
+                     ([Mask(4, 3, (12,))], [Mask(4, 4, (16,))])):
+            with pytest.raises(DimensionMismatchError):
+                iou_matrix(a, b)
+
+
+@given(st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10))
+                .flatmap(lambda size: frame_grids(*size)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_boxes_match_dense(grids_):
+    masks = [rle_encode(g, g.shape[1], g.shape[0]) for g in grids_]   # frame sizes may differ
+    expected = [grid_box(g) for g in grids_]
+    assert [tuple(box) for box in _boxes(masks).tolist()] == expected
+    assert [bbox(m) for m in masks] == [None if m.is_empty else box
+                                        for m, box in zip(masks, expected)]
 
 
 def test_encode_accepts_every_binary_dtype():

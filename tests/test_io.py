@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import grid_runs
 from helpers import det
 from movingseg import io as fileio
+from movingseg import mask as mask_module
 from movingseg.mask import MAX_PIXELS, Mask, rle_encode
 from movingseg.metrics import MetricReport
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
@@ -283,6 +285,49 @@ def test_file_masks_equal_masks_built_alone(data):
             assert masks == [Mask(w, h, r) for r in rles]
             assert [list(m.runs) for m in masks] == rles
             assert all(not m.foreground_cuts.flags.writeable for m in masks)
+
+
+def _grid(size, seed, density):
+    w, h = size
+    return (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+
+
+_GRIDS = st.builds(_grid, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                   st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+
+
+@given(st.lists(_GRIDS, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_run_lists_match_per_mask_runs(grids):
+    masks = [rle_encode(g, g.shape[1], g.shape[0]) for g in grids]   # sizes may differ
+    expected = [grid_runs(g) for g in grids]
+    assert mask_module._run_lists(masks) == expected
+    assert [list(m.runs) for m in masks] == expected
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_writers_match_per_mask_runs(w, h, data):
+    """Both writers give json.dumps's bytes for the documents built from each mask's runs."""
+    frames = data.draw(st.lists(st.lists(st.integers(0, 2**32 - 1), max_size=4), max_size=4))
+    masks = [[rle_encode(g, w, h) for s in seeds if (g := _grid((w, h), s, 0.5)).any()]
+             for seeds in frames]
+    dets = {f: [Detection(f, 1 / (k + 3), m, ("moving", "static")[k % 2])
+                for k, m in enumerate(ms)] for f, ms in enumerate(masks)}
+    tracks = [Track(k + 1, tuple(Detection(j, 0.5, m) for j, m in enumerate(ms)))
+              for k, ms in enumerate(masks) if ms]
+    detections_doc = {"format_version": 1, "width": w, "height": h, "frames": [
+        {"index": f, "detections": [{"score": d.score, "kind": d.kind, "rle": list(d.mask.runs)}
+                                    for d in ds]} for f, ds in dets.items()]}
+    tracks_doc = {"format_version": 1, "width": w, "height": h, "tracks": [
+        {"id": t.id, "frames": [{"index": d.frame, "score": d.score, "rle": list(d.mask.runs)}
+                                for d in t.entries]} for t in tracks]}
+    with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
+        for write, arg, doc in ((fileio.write_detections, dets, detections_doc),
+                                (fileio.write_tracks, tracks, tracks_doc)):
+            path = Path(tmp) / "out.json"
+            write(path, w, h, arg)
+            assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestDetectionsFile:

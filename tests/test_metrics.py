@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from helpers import det, rect_labels, rect_mask, region, single_frame_gt
 from movingseg.assign import brute_force_assignment
 from movingseg.mask import Mask, rle_encode, union_merge
-from movingseg.metrics import (GroundTruthSequence, Region, average_precision,
-                               binarize_detections, boundary_f, davis_j, delta_obj,
+from movingseg.metrics import (GroundTruthSequence, Region, _f_matrix, _prf,
+                               average_precision, binarize_detections, boundary_f,
+                               davis_j, delta_obj,
                                evaluate_dataset, official_measure, pairwise_prf,
                                proposed_measure, sequence_tally)
 
@@ -146,8 +147,23 @@ class TestProposedMeasure:
     def test_empty_prediction_set(self):
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
         rep = proposed_measure(gt, [])
-        assert (rep.precision, rep.recall, rep.f_measure) == (1.0, 0.0, 0.0)
+        assert (rep.precision, rep.recall, rep.f_measure) == (0.0, 0.0, 0.0)
         assert "no_predictions" in rep.flags
+        official = official_measure(gt, [])   # both measures agree on no predictions
+        assert (official.precision, official.recall, official.f_measure) == (0.0, 0.0, 0.0)
+        assert rep.flags == official.flags == ("no_predictions",)
+
+
+@given(st.data(), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_f_matrix_equals_prf_per_pair(data, n_pred, n_gt):
+    areas = st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 2**50))
+    c = data.draw(st.lists(areas, min_size=n_pred, max_size=n_pred))
+    g = data.draw(st.lists(areas, min_size=n_gt, max_size=n_gt))
+    inter = [[data.draw(st.integers(0, min(ci, gj))) for gj in g] for ci in c]
+    f = _f_matrix(np.array(inter, dtype=np.int64).reshape(n_pred, n_gt), c, g)
+    assert f.tolist() == [[_prf(inter[i][j], ci, gj)[2] for j, gj in enumerate(g)]
+                          for i, ci in enumerate(c)]
 
 
 class TestMeasureInvariants:
@@ -277,6 +293,14 @@ class TestAveragePrecision:
 
     def test_no_ground_truth(self):
         assert average_precision({}, {0: [det(0, 0.9, W, H, 0, 0, 4, 4)]}) is None
+
+    @pytest.mark.parametrize("mode", ["mask", "box"])
+    def test_overlap_tie_takes_first_object(self, mode):
+        gt = {0: [rect_mask(W, H, 0, 0, 4, 4), rect_mask(W, H, 6, 0, 4, 4)]}
+        # the first detection meets both objects with IoU 1/4; it takes the first, so
+        # the second detection, an exact copy of that object, is a false positive
+        dets = {0: [det(0, 0.9, W, H, 2, 0, 6, 4), det(0, 0.8, W, H, 0, 0, 4, 4)]}
+        assert average_precision(gt, dets, 0.2, mode) == 0.5
 
     def test_each_gt_matched_once(self):
         gt = {0: [rect_mask(W, H, 0, 0, 10, 10)]}
