@@ -207,7 +207,8 @@ def _parallel(fn, items, jobs):
 
 # Each metric is a per-sequence score, (gt, tracks, args) -> payload, run in the
 # --jobs pool, and a combine, ([(name, payload)], args) -> MetricReport.  The
-# aggregate combines every sequence and each sequence's report combines it alone.
+# aggregate combines every sequence and each sequence's report combines it alone;
+# a report over sequences without a single track is flagged no_predictions.
 
 def _tally(gt, tracks, args, official):
     preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
@@ -289,9 +290,15 @@ def _evaluate_pairs(args, pairs) -> MetricReport:
                 f"{pred_path}: dimensions {width}x{height} do not match manifest "
                 f"{gt_path} ({gt.width}x{gt.height})"
             )
-        return name, score(gt, tracks, args)
+        return name, (len(tracks), score(gt, tracks, args))
 
-    return aggregate(_parallel(run, pairs, args.jobs), lambda items: combine(items, args))
+    def report(items):
+        rep = combine([(name, payload) for name, (_, payload) in items], args)
+        if not any(n for _, (n, _) in items) and "no_predictions" not in rep.flags:
+            rep.flags += ("no_predictions",)
+        return rep
+
+    return aggregate(_parallel(run, pairs, args.jobs), report)
 
 
 def _format_line(name: str, report: MetricReport) -> str:

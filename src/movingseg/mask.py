@@ -10,10 +10,10 @@ together.  Every other operation works on the cuts and never touches a dense
 pixel grid, as pycocotools' ``maskApi.c`` does; this is what keeps evaluation
 over long high-resolution sequences cheap.  Two prefix sums carry all of it:
 
-- Overlap counts (``intersect_cuts``, batched as ``intersect_cuts_many``, and
-  ``iou_matrix`` for every pair of two mask lists at once) take the cumulative
-  interval lengths of B, find A's boundaries in B by binary search, and sum
-  the differences of the covered lengths there.
+- Overlap counts come from one pair kernel, ``_overlaps``, behind
+  ``intersect_cuts``, ``iou_matrix`` and the F-measure tally: it takes the
+  cumulative interval lengths of B, finds A's boundaries in B by binary
+  search, and sums the differences of the covered lengths there.
 - New interval sets (``union_merge``, the interior behind
   ``boundary_pixels``) come from a running sum of +1 at every interval start
   and -1 at every end over the sorted boundaries of all operands.
@@ -29,11 +29,11 @@ from itertools import chain
 import numpy as np
 
 # The largest frame, in pixels: offsets stay within 2**31, so each int64 intermediate is
-# exact (doubled in _sweep, strided in intersect_cuts_many and iou_matrix, pooled over
-# < 2**31 frames)
+# exact (doubled in _sweep, pooled over < 2**31 frames and strided in _overlaps)
 MAX_PIXELS = 2**31
-# query points per binary search in iou_matrix, which bounds its working memory
-_CHUNK = 1 << 16
+# query points per binary search in _overlaps, which bounds its working memory; at 2**14
+# each int64 temporary is 128 KiB, and larger chunks made the F-measure tally slower
+_CHUNK = 1 << 14
 
 
 class MaskError(ValueError):
@@ -222,31 +222,43 @@ def _covered(cuts: np.ndarray, points: np.ndarray) -> np.ndarray:
     return lengths[k >> 1] + (k & 1) * (points - cuts[k - 1])
 
 
+def _overlaps(a_sets, b_sets, ii, jj, stride: int) -> np.ndarray:
+    """Overlap, in pixels, of ``a_sets[ii[k]]`` and ``b_sets[jj[k]]`` for each k.
+
+    Set j of ``b_sets`` is moved up by j times ``stride``, which must exceed
+    every cut, so all of them share one sorted array.  Pair k's query,
+    a_sets[ii[k]] moved into b_sets[jj[k]]'s block, is located in it by one
+    binary search per chunk of ``_CHUNK`` query points.  Pairs with an empty
+    set on either side are 0.
+    """
+    ii, jj = np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
+    out = np.zeros(len(ii), dtype=np.int64)
+    a_len = np.fromiter(map(len, a_sets), np.int64, len(a_sets))
+    b_len = np.fromiter(map(len, b_sets), np.int64, len(b_sets))
+    live = np.flatnonzero((a_len[ii] > 0) & (b_len[jj] > 0))
+    if not len(live):
+        return out
+    ii, jj = ii[live], jj[live]
+    a_cuts = np.concatenate(a_sets)
+    stacked = (np.concatenate(b_sets)
+               + np.repeat(np.arange(len(b_sets), dtype=np.int64) * stride, b_len))
+    n = a_len[ii]   # query points of each pair
+    start = np.cumsum(n) - n
+    src = (np.cumsum(a_len) - a_len)[ii]   # where each pair's a-cuts begin in a_cuts
+    # pairs whose queries start in one block of _CHUNK points are searched together
+    cut = np.flatnonzero(np.diff(start // _CHUNK)) + 1
+    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(ii)]):
+        seg = start[lo:hi] - start[lo]
+        pos = np.arange(int(seg[-1] + n[hi - 1])) + np.repeat(src[lo:hi] - seg, n[lo:hi])
+        points = a_cuts[pos] + np.repeat(jj[lo:hi] * stride, n[lo:hi])
+        covered = _covered(stacked, points)
+        out[live[lo:hi]] = np.add.reduceat(covered[1::2] - covered[0::2], seg >> 1)
+    return out
+
+
 def intersect_cuts(a: np.ndarray, b: np.ndarray) -> int:
     """Overlap, in pixels, of two foreground interval sets (prefix sums, no decode)."""
-    if len(a) == 0 or len(b) == 0:
-        return 0
-    if a[-1] <= b[0] or b[-1] <= a[0]:
-        return 0
-    covered = _covered(b, a)
-    return int(np.sum(covered[1::2] - covered[0::2]))
-
-
-def intersect_cuts_many(a: np.ndarray, bs) -> np.ndarray:
-    """Overlap of one interval set with each of several, from one binary search.
-
-    Operand k of ``bs`` is moved up by k times a stride longer than any
-    operand, so all of them share one sorted array and ``a``, repeated at each
-    stride, is located in it at once.
-    """
-    out = np.zeros(len(bs), dtype=np.int64)
-    if len(a) == 0 or not any(len(b) for b in bs):
-        return out
-    stride = max([int(a[-1])] + [int(b[-1]) for b in bs if len(b)]) + 1
-    offsets = np.arange(len(bs), dtype=np.int64) * stride
-    stacked = np.concatenate([b + off for b, off in zip(bs, offsets)])
-    covered = _covered(stacked, (a + offsets[:, None]).ravel()).reshape(len(bs), len(a))
-    return np.sum(covered[:, 1::2] - covered[:, 0::2], axis=1)
+    return int(_overlaps([a], [b], [0], [0], 0)[0])   # one pair, so b's block sits at 0
 
 
 def _sweep(cut_arrays, depth: int) -> np.ndarray:
@@ -288,10 +300,8 @@ def iou_matrix(a, b) -> np.ndarray:
     """len(a) x len(b) float64 IoU of every pair, each equal to ``iou`` bit for bit.
 
     All masks must share one frame size.  Pairs whose bounding boxes are
-    disjoint are 0 untested.  For the rest, b's cuts are stacked at a stride of
-    ``width*height + 1``, and each pair's query, a[i]'s cuts moved into b[j]'s
-    block, is located in the stack by one binary search per chunk of
-    ``_CHUNK`` query points.
+    disjoint are 0 untested; the rest are counted by one ``_overlaps`` call at
+    a stride of ``width*height + 1``.
     """
     a, b = list(a), list(b)
     sizes = {(m.width, m.height) for m in chain(a, b)}
@@ -301,27 +311,9 @@ def iou_matrix(a, b) -> np.ndarray:
     if not out.size:
         return out
     ii, jj = np.nonzero(boxes_meet(a, b))
-    if not len(ii):
-        return out
     ((w, h),) = sizes
-    a_len = np.fromiter((len(m.foreground_cuts) for m in a), np.int64, len(a))
-    b_len = np.fromiter((len(m.foreground_cuts) for m in b), np.int64, len(b))
-    a_cuts = np.concatenate([m.foreground_cuts for m in a])
-    stride = w * h + 1
-    stacked = (np.concatenate([m.foreground_cuts for m in b])
-               + np.repeat(np.arange(len(b), dtype=np.int64) * stride, b_len))
-    n = a_len[ii]   # query points of each pair
-    start = np.cumsum(n) - n
-    src = (np.cumsum(a_len) - a_len)[ii]   # where each pair's a-cuts begin in a_cuts
-    inter = np.empty(len(ii), dtype=np.int64)
-    # pairs whose queries start in one block of _CHUNK points are searched together
-    cut = np.flatnonzero(np.diff(start // _CHUNK)) + 1
-    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(ii)]):
-        seg = start[lo:hi] - start[lo]
-        pos = np.arange(int(seg[-1] + n[hi - 1])) + np.repeat(src[lo:hi] - seg, n[lo:hi])
-        points = a_cuts[pos] + np.repeat(jj[lo:hi] * stride, n[lo:hi])
-        covered = _covered(stacked, points)
-        inter[lo:hi] = np.add.reduceat(covered[1::2] - covered[0::2], seg >> 1)
+    inter = _overlaps([m.foreground_cuts for m in a], [m.foreground_cuts for m in b],
+                      ii, jj, w * h + 1)
     area_a = np.fromiter((m._area for m in a), np.int64, len(a))
     area_b = np.fromiter((m._area for m in b), np.int64, len(b))
     # int64 to float64 is exact below 2**53, so each quotient is iou's

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .assign import solve_max_assignment
-from .mask import (Mask, _boxes, boundary_pixels, intersect_cuts, intersect_cuts_many,
+from .mask import (Mask, _boxes, _overlaps, boundary_pixels, intersect_cuts,
                    iou as mask_iou, iou_matrix, mask_from_cuts, union_merge)
 
 REPORT_FIELDS = (
@@ -175,24 +175,22 @@ def _labelmap_value_cuts(arr: np.ndarray) -> dict[int, np.ndarray]:
     return out
 
 
-def _pool_region_cuts(region: Region, frame_slots: Mapping[int, int], frame_px: int,
-                      width: int, height: int) -> np.ndarray:
-    chunks = []
-    for frame in sorted(region.frames):
-        slot = frame_slots.get(frame)
-        if slot is None:
-            continue
-        m = region.frames[frame]
-        if m.width != width or m.height != height:
-            raise ValueError(
-                f"region {region.id} frame {frame} is {m.width}x{m.height}, "
-                f"sequence is {width}x{height}"
-            )
-        if not m.is_empty:
-            chunks.append(m.foreground_cuts + slot * frame_px)
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+def _pooled(per_frame, frame_px: int) -> np.ndarray:
+    """One region's cuts over a sequence, from ``per_frame[k]``, its cuts in the
+    k-th frame (None where it is absent), moved up by k frames."""
+    chunks = [cuts + k * frame_px for k, cuts in enumerate(per_frame) if cuts is not None]
+    return np.concatenate([np.empty(0, dtype=np.int64), *chunks])
+
+
+def _region_cuts(regions, frames: Sequence[int], width: int, height: int):
+    """Each region's pooled cuts over the sorted ``frames`` of a width x height sequence."""
+    for r in regions:
+        m = next(iter(r.frames.values()), None)   # a Region holds one frame size
+        if m is not None and (m.width, m.height) != (width, height):
+            raise ValueError(f"region {r.id} is {m.width}x{m.height}, "
+                             f"sequence is {width}x{height}")
+    return [_pooled([r.frames[f].foreground_cuts if f in r.frames else None for f in frames],
+                    width * height) for r in regions]
 
 
 def _cuts_area(cuts: np.ndarray) -> int:
@@ -223,21 +221,12 @@ def pairwise_prf(pred: Region, gt: Region, eval_frames: Sequence[int],
     given, ignore-labeled pixels are removed from the prediction before its
     area is counted (they never overlap ground-truth regions).
     """
-    frames = sorted(eval_frames)
-    slots = {f: k for k, f in enumerate(frames)}
     sample = next(iter(gt.frames.values()), None) or next(iter(pred.frames.values()), None)
     if sample is None:
         return 0.0, 0.0, 0.0
-    width, height = sample.width, sample.height
-    frame_px = width * height
-    c = _pool_region_cuts(pred, slots, frame_px, width, height)
-    g = _pool_region_cuts(gt, slots, frame_px, width, height)
-    inter = intersect_cuts(c, g)
-    c_area = _cuts_area(c)
-    if ignore_masks:
-        ig = _pool_region_cuts(Region(-1, ignore_masks), slots, frame_px, width, height)
-        c_area -= intersect_cuts(c, ig)
-    return _prf(inter, c_area, _cuts_area(g))
+    c, g, ig = _region_cuts([pred, gt, Region(-1, dict(ignore_masks or {}))],
+                            sorted(eval_frames), sample.width, sample.height)
+    return _prf(intersect_cuts(c, g), _cuts_area(c) - intersect_cuts(c, ig), _cuts_area(g))
 
 
 @dataclass(frozen=True)
@@ -253,30 +242,20 @@ class SequenceTally:
 def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
                     official: bool) -> SequenceTally:
     frames = gt.eval_frames()
-    slots = {f: k for k, f in enumerate(frames)}
     frame_px = gt.width * gt.height
-
-    def pooled(value):
-        chunks = [cuts[value] + slots[f] * frame_px for f in frames
-                  if value in (cuts := gt.frame_value_cuts(f))]
-        return np.concatenate(chunks) if chunks else np.empty(0, np.int64)
-
     gt_ids = gt.region_ids()
-    gt_cuts = [pooled(rid) for rid in gt_ids]
-    gt_areas = [_cuts_area(c) for c in gt_cuts]
-    ignore_cuts = pooled(gt.ignore_value) if official else np.empty(0, np.int64)
-
-    pred_cuts = [_pool_region_cuts(p, slots, frame_px, gt.width, gt.height) for p in preds]
-    pred_areas = [_cuts_area(c) for c in pred_cuts]
-    # one kernel call per prediction scores it against every region and the ignore label
-    targets = gt_cuts + [ignore_cuts] if official and len(ignore_cuts) else gt_cuts
-
-    inter = np.zeros((len(preds), len(gt_ids)), dtype=np.int64)
-    for i, c in enumerate(pred_cuts):
-        overlaps = intersect_cuts_many(c, targets)
-        inter[i] = overlaps[:len(gt_ids)]
-        if len(targets) > len(gt_ids):
-            pred_areas[i] -= int(overlaps[-1])
+    tables = [gt.frame_value_cuts(f) for f in frames]
+    # the last column is the ignore label, empty unless it counts
+    targets = [_pooled([t.get(v) for t in tables], frame_px)
+               for v in [*gt_ids, gt.ignore_value if official else None]]
+    gt_areas = [_cuts_area(c) for c in targets[:-1]]
+    pred_cuts = _region_cuts(preds, frames, gt.width, gt.height)
+    # one kernel call scores every prediction against every region and the ignore label
+    ii, jj = np.divmod(np.arange(len(preds) * len(targets)), len(targets))
+    overlaps = _overlaps(pred_cuts, targets, ii, jj, len(frames) * frame_px + 1)
+    overlaps = overlaps.reshape(len(preds), len(targets))
+    inter = overlaps[:, :-1]
+    pred_areas = [_cuts_area(c) - int(ig) for c, ig in zip(pred_cuts, overlaps[:, -1])]
     f_matrix = _f_matrix(inter, pred_areas, gt_areas)
 
     matched = [

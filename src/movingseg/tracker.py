@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .assign import solve_max_assignment
-# iou stays bound here: bench/spans.py counts the tracker's IoU pairs at this name
+# the tracker calls only iou_matrix; iou stays bound because bench/spans.py wraps
+# tracker.iou, so the bench's tracker.iou_pairs count reads 0
 from .mask import Mask, iou, iou_matrix  # noqa: F401
 
 

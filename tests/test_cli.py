@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import det, rect_labels
 from movingseg import io as fileio
 from movingseg.cli import main
+from movingseg.mask import MAX_PIXELS
 from movingseg.metrics import GroundTruthSequence
 from movingseg.tracker import Track
 
@@ -114,6 +121,35 @@ class TestExitCodes:
                 "--out", str(tmp_path / "r.json")]
         assert main(base) == 0
         assert main(base + ["--fail-on-degenerate"]) == 3
+
+
+    @pytest.mark.parametrize("metric", ["proposed", "official", "delta-obj", "map", "davis"])
+    def test_empty_track_file_flags_no_predictions(self, tmp_path, metric):
+        labels = {f: rect_labels(32, 24, [(1, 4 + f, 6, 8, 8)]) for f in range(3)}
+        pairs = []
+        for name, tracks in (("bare", []),
+                             ("found", [Track(1, tuple(det(f, 0.9, 32, 24, 4 + f, 6, 8, 8)
+                                                  for f in range(3)))])):
+            fileio.write_sequence(name, GroundTruthSequence(32, 24, labels), tmp_path / name)
+            fileio.write_tracks(tmp_path / f"{name}.json", 32, 24, tracks)
+            pairs.append(["--gt", str(tmp_path / name / "manifest.json"),
+                          "--pred", str(tmp_path / f"{name}.json")])
+
+        def evaluate(*pair_args):
+            out = tmp_path / "r.json"
+            rc = main(["evaluate", *pair_args, "--metric", metric, "--out", str(out),
+                       "--fail-on-degenerate"])
+            return rc, json.loads(out.read_text())
+
+        rc, report = evaluate(*pairs[0])
+        assert rc == 3
+        assert "no_predictions" in report["aggregate"]["flags"]
+        assert "no_predictions" in report["per_sequence"]["bare"]["flags"]
+        # a track in any sequence clears the aggregate's flag, not the bare entry's
+        _, report = evaluate(*pairs[0], *pairs[1])
+        assert "no_predictions" not in report["aggregate"]["flags"]
+        assert "no_predictions" in report["per_sequence"]["bare"]["flags"]
+        assert "no_predictions" not in report["per_sequence"]["found"]["flags"]
 
 
 class TestSynthCommand:
@@ -303,3 +339,119 @@ class TestPerSequenceRule:
         assert sorted(both["per_sequence"]) == ["seq4", "seq7"]
         for name, pair in pairs.items():
             assert both["per_sequence"][name] == evaluate(name, *pair)["aggregate"]
+
+
+# A malformed file is rejected before anything of its declared size exists: the
+# parsed document and a few small arrays stay far below this many traced bytes.
+_PEAK_BOUND = 4 << 20
+_FUZZ_W, _FUZZ_H = 8, 6
+
+
+def _run_traced(argv):
+    """main(argv)'s exit code, its stderr and the tracemalloc peak during it."""
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rc, err.getvalue(), peak
+
+
+def _fuzz_files(root, detections=None, tracks=None):
+    """A valid 8x6 sequence and tracks file under root; documents override either file.
+
+    Returns the evaluate and track argument lists over them.
+    """
+    labels = {0: rect_labels(_FUZZ_W, _FUZZ_H, [(1, 2, 1, 3, 3)])}
+    manifest = fileio.write_sequence("s", GroundTruthSequence(_FUZZ_W, _FUZZ_H, labels),
+                                     root / "g")
+    fileio.write_tracks(root / "t.json", _FUZZ_W, _FUZZ_H, [])
+    fileio.write_detections(root / "d.json", _FUZZ_W, _FUZZ_H, {})
+    for name, doc in (("d.json", detections), ("t.json", tracks)):
+        if doc is not None:
+            (root / name).write_text(json.dumps({"format_version": 1, "width": _FUZZ_W,
+                                                 "height": _FUZZ_H, **doc}))
+    evaluate = ["evaluate", "--gt", str(manifest), "--pred", str(root / "t.json"),
+                "--metric", "proposed", "--jobs", "1", "--out", str(root / "r.json")]
+    track = ["track", "--detections", str(root / "d.json"), "--out", str(root / "o.json")]
+    return evaluate, track
+
+
+def _assert_rejected(argv, field=None):
+    rc, err, peak = _run_traced(argv)
+    assert rc == 2, err
+    assert "Traceback" not in err
+    if field is not None:
+        assert field in err
+    assert peak < _PEAK_BOUND
+
+
+_VALID_PGM = b"P5\n%d %d\n255\n" % (_FUZZ_W, _FUZZ_H) + bytes(_FUZZ_W * _FUZZ_H)
+_PGMS = st.one_of(
+    st.integers(0, len(_VALID_PGM) - 1).map(lambda k: _VALID_PGM[:k]),   # truncated
+    # declared sizes up to 10^24 pixels over a payload of at most 16 bytes
+    st.builds(lambda w, h, maxval, payload: b"P5\n%d %d\n%d\n" % (w, h, maxval) + bytes(payload),
+              st.integers(1, 10**12), st.integers(1, 10**12),
+              st.sampled_from([255, 65535]), st.integers(0, 16)))
+_ABSURD_RUNS = st.one_of(
+    st.lists(st.integers(-2**65, 2**70), min_size=1, max_size=6).filter(
+        lambda runs: sum(runs) != _FUZZ_W * _FUZZ_H),
+    # one run above 2^63 among plausible ones
+    st.builds(lambda head, big, tail: [*head, big, *tail],
+              st.lists(st.integers(0, _FUZZ_W * _FUZZ_H), max_size=3),
+              st.integers(2**63, 2**80), st.lists(st.integers(0, _FUZZ_W * _FUZZ_H), max_size=3)))
+
+
+class TestReaderFuzz:
+    """Malformed inputs exit 2 without a traceback or a declared-size allocation."""
+
+    @given(_PGMS)
+    @settings(max_examples=60, deadline=None)
+    def test_pgm_headers(self, pgm):
+        with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
+            evaluate, _ = _fuzz_files(Path(tmp))
+            (Path(tmp) / "g" / "labelmaps" / "000000.pgm").write_bytes(pgm)
+            _assert_rejected(evaluate)
+
+    @given(st.booleans(), _ABSURD_RUNS)
+    @settings(max_examples=60, deadline=None)
+    def test_absurd_runs(self, tracks, runs):
+        with tempfile.TemporaryDirectory() as tmp:
+            if tracks:
+                evaluate, _ = _fuzz_files(Path(tmp), tracks={"tracks": [
+                    {"id": 1, "frames": [{"index": 0, "score": 0.9, "rle": runs}]}]})
+                _assert_rejected(evaluate, f"{Path(tmp) / 't.json'}.tracks[0].frames[0].rle")
+            else:
+                _, track = _fuzz_files(Path(tmp), detections={"frames": [
+                    {"index": 0, "detections": [{"score": 0.9, "kind": "moving", "rle": runs}]}]})
+                _assert_rejected(track, f"{Path(tmp) / 'd.json'}.frames[0].detections[0].rle")
+
+    @given(st.sampled_from(["manifest", "tracks", "detections"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_huge_declared_size(self, doc, data):
+        width = data.draw(st.integers(1, 10**12))
+        height = data.draw(st.integers(MAX_PIXELS // width + 1, 10**12))
+        size = {"width": width, "height": height}
+        full = [0, width * height]   # one run over the whole declared frame
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            evaluate, track = _fuzz_files(root)
+            if doc == "manifest":
+                path = root / "g" / "manifest.json"
+                path.write_text(json.dumps({**json.loads(path.read_text()), **size}))
+                argv = evaluate
+            elif doc == "tracks":
+                path = root / "t.json"
+                path.write_text(json.dumps({"format_version": 1, **size, "tracks": [
+                    {"id": 1, "frames": [{"index": 0, "score": 0.9, "rle": full}]}]}))
+                argv = evaluate
+            else:
+                path = root / "d.json"
+                path.write_text(json.dumps({"format_version": 1, **size, "frames": [
+                    {"index": 0, "detections": [
+                        {"score": 0.9, "kind": "moving", "rle": full}]}]}))
+                argv = track
+            _assert_rejected(argv, f"{path}.width")

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dense_reference import (average_precision_dense, boundary_f_edt, boundary_map,
                              grid_box, grid_iou, interval_grid, translate_dense)
 from movingseg import mask as mask_module
-from movingseg.mask import (DimensionMismatchError, Mask, _boxes, bbox, boundary_pixels,
-                            intersect_cuts, intersect_cuts_many, iou, iou_matrix,
+from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, bbox,
+                            boundary_pixels, intersect_cuts, iou, iou_matrix,
                             rle_decode, rle_encode, translate, union_merge)
 from movingseg.metrics import average_precision, boundary_f
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
@@ -56,17 +56,22 @@ def frame_grids(draw, w, h):
 
 
 class TestIntersectKernel:
-    @given(st.data(), st.integers(1, 40))
+    @given(st.data(), st.integers(1, 40), st.sampled_from([1, 2, 3, 6, mask_module._CHUNK]))
     @settings(max_examples=300)
-    def test_matches_dense(self, data, size):
-        a = data.draw(interval_sets(size))
-        bs = [data.draw(interval_sets(size)) for _ in range(data.draw(st.integers(0, 4)))]
-        dense_a = interval_grid(a, size)
-        expected = [int((dense_a & interval_grid(b, size)).sum()) for b in bs]
-        assert [intersect_cuts(a, b) for b in bs] == expected
-        many = intersect_cuts_many(a, bs)
-        assert many.shape == (len(bs),)
-        assert many.tolist() == expected
+    def test_matches_dense(self, data, size, chunk):
+        # sets may be empty, or hold empty and touching intervals; pairs may repeat
+        sets = st.one_of(st.just(np.empty(0, np.int64)), interval_sets(size))
+        a_sets = data.draw(st.lists(sets, min_size=1, max_size=4))
+        b_sets = data.draw(st.lists(sets, min_size=1, max_size=4))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, len(a_sets) - 1),
+                                             st.integers(0, len(b_sets) - 1)), max_size=12))
+        ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
+        expected = [int((interval_grid(a_sets[i], size) & interval_grid(b_sets[j], size)).sum())
+                    for i, j in pairs]
+        with mock.patch.object(mask_module, "_CHUNK", chunk):
+            got = _overlaps(a_sets, b_sets, ii, jj, size + 1)
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert [intersect_cuts(a_sets[i], b_sets[j]) for i, j in pairs] == expected
 
     def test_hand_cases(self):
         a = np.array([2, 5, 5, 8], dtype=np.int64)          # touching intervals
@@ -75,9 +80,10 @@ class TestIntersectKernel:
         assert intersect_cuts(a, np.array([8, 12])) == 0      # disjoint, touching
         assert intersect_cuts(np.empty(0, np.int64), a) == 0
         empty = np.empty(0, np.int64)
-        assert intersect_cuts_many(a, [empty, np.array([4, 6]), a]).tolist() == [0, 2, 6]
-        assert intersect_cuts_many(empty, [a]).tolist() == [0]
-        assert intersect_cuts_many(a, []).tolist() == []
+        got = _overlaps([a, empty], [empty, np.array([4, 6]), a],
+                        [0, 0, 0, 1, 0], [0, 1, 2, 2, 1], 13)
+        assert got.tolist() == [0, 2, 6, 0, 2]
+        assert _overlaps([a], [a], [], [], 13).tolist() == []
 
 
 class TestUnion:

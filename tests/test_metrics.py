@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import det, rect_labels, rect_mask, region, single_frame_gt
+from movingseg import mask as mask_module
 from movingseg.assign import brute_force_assignment
 from movingseg.mask import Mask, rle_encode, union_merge
 from movingseg.metrics import (GroundTruthSequence, Region, _f_matrix, _prf,
@@ -429,18 +432,29 @@ def test_measures_match_dense_oracle(seed, official):
     rects = [(i + 1, int(rng.integers(0, W - 8)), int(rng.integers(0, H - 8)),
               int(rng.integers(3, 8)), int(rng.integers(3, 8)))
              for i in range(n_obj)]
-    labels = {f: rect_labels(W, H, rects) for f in range(2)}
-    gt = GroundTruthSequence(W, H, labels, ignore_value=None)
+    # odd seeds label a band under the objects as ignored
+    ignore = 9 if seed % 2 else None
+    band = [(9, 0, int(rng.integers(0, H - 6)), W, 6)] if ignore else []
+    # frames 1 and 3 are unlabelled, and the predictions cover them too
+    labels = {f: rect_labels(W, H, band + [(v, x + f, y, w, h) for v, x, y, w, h in rects])
+              for f in (0, 2)}
+    gt = GroundTruthSequence(W, H, labels, ignore_value=ignore)
     preds = []
-    for i in range(int(rng.integers(1, 5))):
+    for i in range(0 if seed % 5 == 0 else int(rng.integers(1, 5))):
         x, y = int(rng.integers(0, W - 8)), int(rng.integers(0, H - 8))
         w, h = int(rng.integers(3, 8)), int(rng.integers(3, 8))
-        preds.append(region(i + 1, W, H, {0: (x, y, w, h), 1: (x, y, w, h)}))
-    rep = (official_measure if official else proposed_measure)(gt, preds)
+        if i < n_obj:   # near an object, so that some predictions match
+            _, x, y, w, h = rects[i]
+            x, y = max(x + int(rng.integers(-2, 3)), 0), max(y + int(rng.integers(-2, 3)), 0)
+        preds.append(region(i + 1, W, H, {f: (x + f, y, w, h) for f in range(4)}))
     p, r, f = _dense_oracle(gt, preds, official)
-    assert rep.precision == pytest.approx(p, abs=1e-12)
-    assert rep.recall == pytest.approx(r, abs=1e-12)
-    assert rep.f_measure == pytest.approx(f, abs=1e-12)
+    # tiny chunks make one tally's pair search cross chunk boundaries
+    for chunk in (mask_module._CHUNK, 2, 6):
+        with mock.patch.object(mask_module, "_CHUNK", chunk):
+            rep = (official_measure if official else proposed_measure)(gt, preds)
+        assert rep.precision == pytest.approx(p, abs=1e-12)
+        assert rep.recall == pytest.approx(r, abs=1e-12)
+        assert rep.f_measure == pytest.approx(f, abs=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1))
