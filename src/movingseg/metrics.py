@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from . import mask as mask_module
 from .assign import solve_max_assignment
-from .mask import (Mask, _boxes, _overlaps, boundary_pixels, intersect_cuts,
-                   iou as mask_iou, iou_matrix, mask_from_cuts, union_merge)
+from .mask import (DimensionMismatchError, Mask, _boxes, _overlaps, boundary_pixels,
+                   intersect_cuts, iou_matrix, mask_from_cuts, union_merge)
+# davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
+# bench/spans.py's tracer test wraps metrics.mask_iou
+from .mask import iou as mask_iou  # noqa: F401
 
 REPORT_FIELDS = (
     "precision",
@@ -416,16 +420,32 @@ def average_precision(gt_by_frame, dets_by_frame, iou_threshold: float = 0.5,
     return float(np.sum((mrec[moved] - mrec[moved - 1]) * mpre[moved]))
 
 
-def davis_j(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask]):
-    """Per-frame IoU statistics: (mean, recall over 0.5, first-vs-last quartile decay)."""
+def _binary_sequence(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask]):
+    """The sorted frames of ground truth and prediction, which must match, and their one size."""
     frames = sorted(gt_binary)
     if not frames:
         raise ValueError("empty sequence")
     if sorted(pred_binary) != frames:
         raise ValueError("prediction frames do not match ground-truth frames")
-    # a frame with both masks empty scores 1, as DAVIS's db_eval_iou has it
-    ious = np.array([1.0 if pred_binary[f].is_empty and gt_binary[f].is_empty
-                     else mask_iou(pred_binary[f], gt_binary[f]) for f in frames])
+    sizes = {(m.width, m.height) for m in chain(gt_binary.values(), pred_binary.values())}
+    if len(sizes) > 1:
+        raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
+    return frames, sizes.pop()
+
+
+def davis_j(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask]):
+    """Per-frame IoU statistics: (mean, recall over 0.5, first-vs-last quartile decay)."""
+    frames, (width, height) = _binary_sequence(gt_binary, pred_binary)
+    pred = [pred_binary[f] for f in frames]
+    gt = [gt_binary[f] for f in frames]
+    pairs = np.arange(len(frames))
+    inter = _overlaps([m.foreground_cuts for m in pred], [m.foreground_cuts for m in gt],
+                      pairs, pairs, width * height + 1)
+    union = np.fromiter((p._area + g._area for p, g in zip(pred, gt)), np.int64,
+                        len(frames)) - inter
+    # a frame with both masks empty scores 1, as DAVIS's db_eval_iou has it; int64 to
+    # float64 is exact below 2**53, so each other quotient is mask.iou's
+    ious = np.divide(inter, union, out=np.ones(len(frames)), where=union != 0)
     mean = float(ious.mean())
     recall = float((ious > 0.5).mean())
     if len(ious) >= 4:
@@ -436,22 +456,51 @@ def davis_j(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask]):
     return mean, recall, decay
 
 
-def _boundary_points(mask: Mask) -> np.ndarray:
-    return np.column_stack(np.divmod(boundary_pixels(mask), mask.width))
+def _moves(tolerance_px: float, width: int, height: int) -> list[tuple[int, int]]:
+    """(dy, dx) for dy = 0, 1, -1, 2, -2, ...: the largest dx < ``width`` with
+    sqrt(float64(dx**2 + dy**2)) <= ``tolerance_px``, the test a distance
+    transform's value passes, for every |dy| < ``height`` that has one."""
+    if not tolerance_px >= 0:
+        return []
+    dy_max = height - 1 if tolerance_px >= height - 1 else math.floor(tolerance_px)
+    dx = width - 1 if tolerance_px >= width - 1 else math.floor(tolerance_px)
+    moves = []
+    for dy in range(dy_max + 1):
+        while math.sqrt(dx * dx + dy * dy) > tolerance_px:   # dx shrinks as |dy| grows
+            dx -= 1
+        moves += [(dy, dx), (-dy, dx)] if dy else [(0, dx)]
+    return moves
 
 
-def _within(points: np.ndarray, targets: np.ndarray, tolerance_px: float) -> int:
-    """How many points have a target within ``tolerance_px`` (Euclidean).
+def _far(points: np.ndarray, targets: np.ndarray, moves, width: int,
+         frame_px: int) -> np.ndarray:
+    """Per frame, how many of ``points`` have none of ``targets`` within a move of ``_moves``.
 
-    The nearest target is exact, and its distance is the float64 square root
-    of an integer squared distance, the value a distance transform gives.
+    Both are sorted pixel offsets pooled over frames of ``frame_px`` pixels,
+    and each has some in every frame.  A point at (row, col) is near when a
+    target lies on row row+dy of its frame between col-dx and col+dx; one
+    binary search per move and chunk of ``mask._CHUNK`` points finds the first
+    target at or after each window start.
     """
-    _, nearest = cKDTree(targets).query(
-        points, distance_upper_bound=max(tolerance_px, 0.0) + 1.0)
-    found = nearest < len(targets)   # the rest have no target within the bound
-    offsets = points[found] - targets[nearest[found]]
-    dist = np.sqrt(np.sum(offsets * offsets, axis=1).astype(np.float64))
-    return int(np.count_nonzero(dist <= tolerance_px))
+    height = frame_px // width
+    chunk = mask_module._CHUNK
+    far = []
+    for lo in range(0, len(points), chunk):
+        p = points[lo:lo + chunk]
+        row, col = np.divmod(p % frame_px, width)
+        for dy, dx in moves:
+            centre = p + dy * width
+            start = centre - np.minimum(col, dx)
+            # past the last target this takes the last, which lies before start
+            first = targets.take(np.searchsorted(targets, start), mode="clip")
+            hit = (first >= start) & (first <= centre + np.minimum(width - 1 - col, dx))
+            hit &= (row >= -dy) if dy < 0 else (row < height - dy)   # rows outside are skipped
+            miss = ~hit
+            p, row, col = p[miss], row[miss], col[miss]
+            if not len(p):
+                break
+        far.append(p)
+    return np.bincount(np.concatenate(far) // frame_px, minlength=points[-1] // frame_px + 1)
 
 
 def default_boundary_tolerance(width: int, height: int, pct: float = 0.8) -> int:
@@ -465,32 +514,31 @@ def boundary_f(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask],
 
     Boundaries are 4-connected: foreground pixels with a background (or
     out-of-image) neighbor.  A boundary pixel matches when the opposite
-    boundary passes within ``tolerance_px`` (Euclidean).  Each boundary
-    pixel's nearest opposite boundary pixel is found exactly, among boundary
-    pixels only, so no full-frame distance transform is computed.
+    boundary passes within ``tolerance_px`` (Euclidean), measured as a
+    full-frame distance transform would.  No such transform is computed: each
+    boundary pixel looks for the opposite boundary's sorted offsets in one row
+    window per row offset within the tolerance, over the whole sequence at once.
     """
-    frames = sorted(gt_binary)
-    if not frames:
-        raise ValueError("empty sequence")
-    if sorted(pred_binary) != frames:
-        raise ValueError("prediction frames do not match ground-truth frames")
-    sample = gt_binary[frames[0]]
+    frames, (width, height) = _binary_sequence(gt_binary, pred_binary)
     if tolerance_px is None:
-        tolerance_px = default_boundary_tolerance(sample.width, sample.height)
-    scores = []
-    for f in frames:
-        gt_b = _boundary_points(gt_binary[f])
-        pr_b = _boundary_points(pred_binary[f])
-        n_gt, n_pr = len(gt_b), len(pr_b)
-        if n_gt == 0 and n_pr == 0:
-            scores.append(1.0)
-            continue
-        if n_gt == 0 or n_pr == 0:
-            scores.append(0.0)
-            continue
-        precision = float(_within(pr_b, gt_b, tolerance_px)) / n_pr
-        recall = float(_within(gt_b, pr_b, tolerance_px)) / n_gt
-        scores.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
+        tolerance_px = default_boundary_tolerance(width, height)
+    gt_b = [boundary_pixels(gt_binary[f]) for f in frames]
+    pr_b = [boundary_pixels(pred_binary[f]) for f in frames]
+    n_gt = np.fromiter(map(len, gt_b), np.int64, len(frames))
+    n_pr = np.fromiter(map(len, pr_b), np.int64, len(frames))
+    # a frame without boundary on one side scores 0, and on both sides 1
+    scores = ((n_gt == 0) & (n_pr == 0)).astype(np.float64)
+    both = np.flatnonzero((n_gt > 0) & (n_pr > 0))
+    if len(both):
+        frame_px = width * height
+        gt_pool = _pooled([gt_b[k] for k in both], frame_px)
+        pr_pool = _pooled([pr_b[k] for k in both], frame_px)
+        moves = _moves(tolerance_px, width, height)
+        n_gt, n_pr = n_gt[both], n_pr[both]
+        precision = (n_pr - _far(pr_pool, gt_pool, moves, width, frame_px)) / n_pr
+        recall = (n_gt - _far(gt_pool, pr_pool, moves, width, frame_px)) / n_gt
+        scores[both] = np.divide(2 * precision * recall, precision + recall,
+                                 out=np.zeros(len(both)), where=precision + recall != 0)
     return float(np.mean(scores))
 
 

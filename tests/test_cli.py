@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import movingseg
 from helpers import det, rect_labels
 from movingseg import io as fileio
 from movingseg.cli import main
@@ -455,3 +460,25 @@ class TestReaderFuzz:
                         {"score": 0.9, "kind": "moving", "rle": full}]}]}))
                 argv = track
             _assert_rejected(argv, f"{path}.width")
+
+
+def test_pipeline_runs_on_numpy_alone(tmp_path):
+    """synth, track and evaluate --metric davis never import scipy, a test-only dependency."""
+    script = textwrap.dedent(f"""
+        import sys
+        from movingseg.cli import main
+        out = {str(tmp_path / "seq")!r}
+        assert main({synth_args(tmp_path / "seq", extra=("--fp-rate", "0.3"))!r}) == 0
+        assert main(["track", "--detections", out + "/detections.json",
+                     "--out", out + "/tracks.json"]) == 0
+        assert main(["evaluate", "--metric", "davis", "--gt", out + "/manifest.json",
+                     "--pred", out + "/tracks.json", "--out", out + "/davis.json"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(movingseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,5 +1,6 @@
 """Run-space fast paths against the dense references in dense_reference.py."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, bbox,
                             boundary_pixels, intersect_cuts, iou, iou_matrix,
                             rle_decode, rle_encode, translate, union_merge)
-from movingseg.metrics import average_precision, boundary_f
+from movingseg.metrics import average_precision, boundary_f, davis_j
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
 from movingseg.tracker import (Detection, TrackerConfig, bidirectional_track, gate,
                                merge_moving_static, track_sequence)
@@ -140,19 +141,31 @@ class TestBoundary:
         mask = rle_encode(grid, w, h)
         assert boundary_pixels(mask).tolist() == np.flatnonzero(boundary_map(mask)).tolist()
 
-    @given(st.integers(1, 14), st.integers(1, 14), st.integers(1, 3),
+    @given(st.data(), st.one_of(
+               st.tuples(st.integers(1, 14), st.integers(1, 14)),
+               # long, thin frames clip the search windows at the row and frame edges
+               st.tuples(st.integers(1, 40), st.integers(1, 6)),
+               st.tuples(st.integers(1, 6), st.integers(1, 40))),
            st.lists(st.tuples(st.integers(0, 2**32 - 1), DENSITIES, DENSITIES),
-                    min_size=3, max_size=3),
-           st.one_of(st.just(0), st.integers(0, 8),
-                     st.floats(0, 9, allow_nan=False, allow_infinity=False)))
-    @settings(max_examples=300)
-    def test_f_matches_edt(self, w, h, n_frames, draws, tolerance):
+                    min_size=1, max_size=6),
+           st.sampled_from([1, 2, 3, mask_module._CHUNK]))
+    @settings(max_examples=400, deadline=None)
+    def test_f_matches_edt(self, data, size, draws, chunk):
+        w, h = size
         gt, pred = {}, {}
-        for f, (seed, d_gt, d_pr) in enumerate(draws[:n_frames]):
+        for f, (seed, d_gt, d_pr) in enumerate(draws):   # density 0 leaves a side empty
             rng = np.random.default_rng(seed)
             gt[f] = rle_encode(rng.random((h, w)) < d_gt, w, h)
             pred[f] = rle_encode(rng.random((h, w)) < d_pr, w, h)
-        assert boundary_f(gt, pred, tolerance) == boundary_f_edt(gt, pred, tolerance)
+        root = math.sqrt(data.draw(st.integers(0, 60)))
+        tolerance = data.draw(st.one_of(
+            st.just(0), st.just(0.0), st.integers(-3, 8),
+            st.floats(-9, 9, allow_nan=False),
+            # the distances a transform gives, and the floats on either side of one
+            st.sampled_from([root, np.nextafter(root, -np.inf), np.nextafter(root, np.inf)]),
+            st.floats(math.hypot(w, h), 1e300)))   # wider than the frame
+        with mock.patch.object(mask_module, "_CHUNK", chunk):
+            assert boundary_f(gt, pred, tolerance) == boundary_f_edt(gt, pred, tolerance)
 
     @pytest.mark.parametrize("tolerance", [0, 0.5, 1, 1.4142135, 1.4142136, 2.5, 30])
     def test_edge_cases_match_edt(self, tolerance):
@@ -169,6 +182,27 @@ class TestBoundary:
         for f in gt:
             one = boundary_f({0: gt[f]}, {0: pred[f]}, tolerance)
             assert one == boundary_f_edt({0: gt[f]}, {0: pred[f]}, tolerance)
+
+
+class TestDavisJ:
+    @given(st.integers(1, 12), st.integers(1, 12),
+           st.lists(st.tuples(st.integers(0, 2**32 - 1), DENSITIES, DENSITIES),
+                    min_size=1, max_size=9),
+           st.sampled_from([1, 2, 3, mask_module._CHUNK]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_iou(self, w, h, draws, chunk):
+        gt, pred, ious = {}, {}, []
+        for f, (seed, d_gt, d_pr) in enumerate(draws):
+            rng = np.random.default_rng(seed)
+            g, p = rng.random((h, w)) < d_gt, rng.random((h, w)) < d_pr
+            gt[f], pred[f] = rle_encode(g, w, h), rle_encode(p, w, h)
+            # DAVIS's db_eval_iou scores a frame with both masks empty 1
+            ious.append(grid_iou(p, g) if (g | p).any() else 1.0)
+        ious = np.array(ious)
+        bins = np.array_split(ious, 4)
+        decay = np.mean(bins[0]) - np.mean(bins[3]) if len(ious) >= 4 else ious[0] - ious[-1]
+        with mock.patch.object(mask_module, "_CHUNK", chunk):
+            assert davis_j(gt, pred) == (ious.mean(), (ious > 0.5).mean(), decay)
 
 
 def _all_pairs(a, b):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import det, rect_labels, rect_mask, region, single_frame_gt
 from movingseg import mask as mask_module
 from movingseg.assign import brute_force_assignment
-from movingseg.mask import Mask, rle_encode, union_merge
+from movingseg.mask import DimensionMismatchError, Mask, rle_encode, union_merge
 from movingseg.metrics import (GroundTruthSequence, Region, _f_matrix, _prf,
                                average_precision, binarize_detections, boundary_f,
                                davis_j, delta_obj,
@@ -339,6 +339,15 @@ class TestDavisJ:
         gt = {0: rect_mask(W, H, 0, 0, 8, 8), 1: Mask(W, H, (W * H,))}
         assert davis_j(gt, dict(gt)) == (1.0, 1.0, 0.0)
         assert boundary_f(gt, dict(gt)) == 1.0
+
+    @pytest.mark.parametrize("measure", [davis_j, boundary_f])
+    def test_mixed_frame_sizes_rejected(self, measure):
+        # a sequence is scored at one frame size, pooled over its frames
+        small, large = rect_mask(W, H, 0, 0, 8, 8), rect_mask(W, H + 1, 0, 0, 8, 8)
+        with pytest.raises(DimensionMismatchError):
+            measure({0: small}, {0: large})
+        with pytest.raises(DimensionMismatchError):
+            measure({0: small, 1: large}, {0: small, 1: large})
 
 
 class TestBoundaryF:
