@@ -7,6 +7,7 @@ evaluation (only with --fail-on-degenerate).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -56,15 +57,22 @@ def _parse_size(text: str) -> tuple[int, int]:
     return _positive_int(parts[0], "--size width"), _positive_int(parts[1], "--size height")
 
 
-def _parse_velocity(text: str) -> tuple[float, float]:
+def _finite(text: str) -> float:
+    """The argparse type of every float option: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _velocity(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise UsageError(f"--velocity expects MIN:MAX, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"--velocity expects numbers, got {text!r}") from None
-    return lo, hi
+        raise argparse.ArgumentTypeError(f"expects MIN:MAX, got {text!r}")
+    return _finite(parts[0]), _finite(parts[1])
 
 
 def _parse_occlusion(text: str) -> OcclusionEvent:
@@ -89,14 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", type=str, default="1")
     p.add_argument("--size", type=str, default="128x96")
     p.add_argument("--shape", choices=("rectangle", "ellipse"), default="rectangle")
-    p.add_argument("--velocity", type=str, default="1:3", metavar="MIN:MAX")
+    p.add_argument("--velocity", type=_velocity, default="1:3", metavar="MIN:MAX")
     p.add_argument("--object-size", type=str, default=None, metavar="MIN:MAX")
     p.add_argument("--occlude", action="append", default=[], metavar="OBJ:START:DUR")
     p.add_argument("--jitter", type=int, default=0)
-    p.add_argument("--score-mean", type=float, default=1.0)
-    p.add_argument("--score-spread", type=float, default=0.0)
-    p.add_argument("--fp-rate", type=float, default=0.0)
-    p.add_argument("--fn-rate", type=float, default=0.0)
+    p.add_argument("--score-mean", type=_finite, default=1.0)
+    p.add_argument("--score-spread", type=_finite, default=0.0)
+    p.add_argument("--fp-rate", type=_finite, default=0.0)
+    p.add_argument("--fn-rate", type=_finite, default=0.0)
     p.add_argument("--name", type=str, default=None)
     p.add_argument("--out", type=str, required=True, metavar="DIR")
     p.set_defaults(func=cmd_synth)
@@ -105,11 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", type=str, required=True, metavar="FILE")
     p.add_argument("--static", type=str, default=None, metavar="FILE")
     p.add_argument("--out", type=str, required=True, metavar="FILE")
-    p.add_argument("--alpha-high", type=float, default=0.9)
-    p.add_argument("--alpha-low", type=float, default=0.7)
+    p.add_argument("--alpha-high", type=_finite, default=0.9)
+    p.add_argument("--alpha-low", type=_finite, default=0.7)
     p.add_argument("--t-inactive", type=int, default=10)
-    p.add_argument("--min-match-iou", type=float, default=1e-9)
-    p.add_argument("--static-overlap-iou", type=float, default=0.5)
+    p.add_argument("--min-match-iou", type=_finite, default=1e-9)
+    p.add_argument("--static-overlap-iou", type=_finite, default=0.5)
     p.add_argument("--bidirectional", action="store_true")
     p.set_defaults(func=cmd_track)
 
@@ -121,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True, metavar="REPORT")
     p.add_argument("--csv", type=str, default=None, metavar="FILE")
     p.add_argument("--map-mode", choices=("box", "mask"), default="mask")
-    p.add_argument("--binarize-threshold", type=float, default=0.7)
-    p.add_argument("--boundary-tolerance", type=float, default=0.8, metavar="PCT")
+    p.add_argument("--binarize-threshold", type=_finite, default=0.7)
+    p.add_argument("--boundary-tolerance", type=_finite, default=0.8, metavar="PCT")
     p.add_argument("--jobs", type=int, default=0,
                    help="sequence-level parallelism; 0 means all hardware threads")
     p.add_argument("--fail-on-degenerate", action="store_true")
@@ -147,7 +155,7 @@ def cmd_synth(args) -> int:
                             fn_rate=args.fn_rate)
         cfg = SynthConfig(seed=args.seed, frames=frames, width=width, height=height,
                           objects=objects, shape=args.shape,
-                          velocity=_parse_velocity(args.velocity),
+                          velocity=args.velocity,
                           object_size=object_size,
                           occlusions=tuple(_parse_occlusion(o) for o in args.occlude),
                           noise=noise)
@@ -170,8 +178,7 @@ def cmd_track(args) -> int:
         cfg = TrackerConfig(alpha_high=args.alpha_high, alpha_low=args.alpha_low,
                             t_inactive=args.t_inactive,
                             min_match_iou=args.min_match_iou,
-                            static_overlap_iou=args.static_overlap_iou,
-                            bidirectional=args.bidirectional)
+                            static_overlap_iou=args.static_overlap_iou)
     except ValueError as e:
         raise UsageError(str(e)) from None
     width, height, dets = fileio.read_detections(args.detections)
@@ -187,7 +194,7 @@ def cmd_track(args) -> int:
         for f, ds in s_dets.items():
             forced = [Detection(d.frame, d.score, d.mask, "static") for d in ds]
             static.setdefault(f, []).extend(forced)
-    if cfg.bidirectional:
+    if args.bidirectional:
         tracks = bidirectional_track(moving, static, cfg)
     else:
         tracks = track_sequence(merge_moving_static(moving, static, cfg), cfg)
@@ -318,6 +325,8 @@ def _format_line(name: str, report: MetricReport) -> str:
 def cmd_evaluate(args) -> int:
     if args.jobs < 0:
         raise UsageError("--jobs must be >= 0")
+    if args.boundary_tolerance < 0:
+        raise UsageError("--boundary-tolerance must be >= 0")
     if len(args.gt) != len(args.pred):
         raise fileio.SchemaError(
             f"{len(args.gt)} ground-truth manifests but {len(args.pred)} track files"

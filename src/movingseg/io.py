@@ -27,6 +27,8 @@ from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport
 from .tracker import Detection, Track
 
 FORMAT_VERSION = 1
+# write_sequence puts the label maps here, relative to the manifest
+_LABELMAP_DIR = "labelmaps"
 
 _WHITESPACE = (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
 
@@ -278,14 +280,13 @@ def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
     )
 
 
-def write_sequence(name: str, gt: GroundTruthSequence, out_dir,
-                   labelmap_dir: str = "labelmaps") -> Path:
+def write_sequence(name: str, gt: GroundTruthSequence, out_dir) -> Path:
     """Write label maps plus manifest under out_dir; returns the manifest path."""
     out = Path(out_dir)
-    (out / labelmap_dir).mkdir(parents=True, exist_ok=True)
+    (out / _LABELMAP_DIR).mkdir(parents=True, exist_ok=True)
     frames = []
     for idx in gt.eval_frames():
-        rel = f"{labelmap_dir}/{idx:06d}.pgm"
+        rel = f"{_LABELMAP_DIR}/{idx:06d}.pgm"
         write_labelmap(gt.labeled_frames[idx], out / rel)
         frames.append((idx, rel))
     manifest = Manifest(name, gt.width, gt.height, gt.ignore_value, tuple(frames))

@@ -5,8 +5,12 @@ starting with a (possibly zero) count of background pixels.  The encoding is
 canonical: a given pixel set has exactly one valid ``runs`` tuple.
 
 A Mask stores only its sorted foreground interval boundaries (a read-only int64
-``foreground_cuts``); run lists are checked once, as they enter, a file's all
-together.  Every other operation works on the cuts and never touches a dense
+``foreground_cuts``).  Run lists are checked once, by ``Mask(width, height, runs)``
+or, a file's all together, by ``_split_runs``.  Cuts that are canonical by
+construction, such as label runs from the one run finder ``_value_cuts`` and
+``_sweep`` output, go unchecked to ``_from_cuts``, which alone makes cuts
+read-only and applies the frame-size rule; ``mask_from_cuts`` checks any other
+cuts once.  Every other operation works on the cuts and never touches a dense
 pixel grid, as pycocotools' ``maskApi.c`` does; this is what keeps evaluation
 over long high-resolution sequences cheap.  Two prefix sums carry all of it:
 
@@ -59,12 +63,8 @@ class Mask:
     """
 
     def __init__(self, width: int, height: int, runs) -> None:
-        if width <= 0 or height <= 0:
-            raise MalformedMaskError(f"non-positive dimensions {width}x{height}")
-        if width * height > MAX_PIXELS:
-            raise MalformedMaskError(f"{width}x{height} frame exceeds {MAX_PIXELS} pixels")
-        (cuts,) = _split_runs([[int(r) for r in runs]], width * height)
-        self.__dict__.update(width=width, height=height, foreground_cuts=cuts)
+        (cuts,) = _split_runs([[int(r) for r in runs]], _frame_pixels(width, height))
+        self.__dict__.update(vars(_from_cuts(width, height, cuts)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Mask is immutable: cannot set {name!r}")
@@ -93,13 +93,22 @@ class Mask:
 
     @cached_property
     def _area(self) -> int:
-        return int(self.foreground_cuts[1::2].sum() - self.foreground_cuts[0::2].sum())
+        return _cuts_area(self.foreground_cuts)
+
+
+def _frame_pixels(width: int, height: int) -> int:
+    """``width * height``, once both sides are >= 1 and it is at most MAX_PIXELS."""
+    if width <= 0 or height <= 0:
+        raise MalformedMaskError(f"non-positive dimensions {width}x{height}")
+    if width * height > MAX_PIXELS:
+        raise MalformedMaskError(f"{width}x{height} frame exceeds {MAX_PIXELS} pixels")
+    return width * height
 
 
 def _from_cuts(width: int, height: int, cuts: np.ndarray) -> Mask:
-    """A Mask over checked, read-only int64 cuts."""
-    if width <= 0 or height <= 0:
-        raise MalformedMaskError(f"non-positive dimensions {width}x{height}")
+    """A Mask over int64 cuts that are canonical for the frame; it makes them read-only."""
+    _frame_pixels(width, height)
+    cuts.flags.writeable = False
     mask = object.__new__(Mask)
     mask.__dict__.update(width=width, height=height, foreground_cuts=cuts)
     return mask
@@ -130,7 +139,7 @@ def _run_lists(masks) -> list[list[int]]:
 def _split_runs(rles, total: int) -> list[np.ndarray]:
     """Check lists of runs over ``total`` pixels, all in one int64 array.
 
-    Returns each list's foreground cuts, read-only views of one cumulative sum.
+    Returns each list's foreground cuts, views of one cumulative sum.
     An error does not say which list failed: check a list alone for that.
     """
     if not rles:
@@ -156,7 +165,6 @@ def _split_runs(rles, total: int) -> list[np.ndarray]:
     # every list sums to total: taking it off each later list's first run restarts the sum
     runs[starts[1:]] -= total
     cuts = np.cumsum(runs, out=runs)
-    cuts.flags.writeable = False
     stops = ends - (lengths & 1)   # an odd list ends in background, closing at total
     return [cuts[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
 
@@ -167,7 +175,7 @@ def rle_encode(dense, width: int, height: int) -> Mask:
     if arr.ndim == 2 and arr.shape != (height, width):
         raise DimensionMismatchError(f"grid shape {arr.shape} != ({height}, {width})")
     flat = arr.ravel()
-    if flat.size != width * height:
+    if flat.size != _frame_pixels(width, height):
         raise DimensionMismatchError(
             f"grid has {flat.size} entries, expected {width * height}"
         )
@@ -178,14 +186,18 @@ def rle_encode(dense, width: int, height: int) -> Mask:
             binary = ((flat == 0) | (flat == 1)).all()
         if not binary:
             raise MalformedMaskError("grid entries must be 0 or 1")
-        flat = flat.astype(bool)
-    cuts = np.flatnonzero(flat[1:] != flat[:-1]).astype(np.int64) + 1
-    if flat[0]:
-        cuts = np.concatenate(([0], cuts))
-    if flat[-1]:
-        cuts = np.append(cuts, flat.size)
-    cuts.flags.writeable = False
-    return _from_cuts(width, height, cuts)
+    return _from_cuts(width, height, _value_cuts(flat).get(1, np.empty(0, dtype=np.int64)))
+
+
+def _value_cuts(flat: np.ndarray) -> dict[int, np.ndarray]:
+    """The cuts of every value's runs in a non-empty flat label array, by value."""
+    bounds = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1, [flat.size]))
+    values = flat[bounds[:-1]]
+    out = {}
+    for value in np.unique(values):
+        at = np.flatnonzero(values == value)
+        out[int(value)] = _interleave(bounds[at], bounds[at + 1])
+    return out
 
 
 def rle_decode(mask: Mask) -> np.ndarray:
@@ -198,6 +210,11 @@ def rle_decode(mask: Mask) -> np.ndarray:
 def area(mask: Mask) -> int:
     """Number of foreground pixels."""
     return mask._area
+
+
+def _cuts_area(cuts: np.ndarray) -> int:
+    """Pixels in an interval set: summing lengths, not ends, stays exact on pooled cuts."""
+    return int(np.sum(cuts[1::2] - cuts[0::2]))
 
 
 def _require_same_dims(a: Mask, b: Mask) -> None:
@@ -332,12 +349,12 @@ def union_merge(masks, *, width: int | None = None, height: int | None = None) -
             raise DimensionMismatchError("empty mask list requires explicit width/height")
         return Mask(width, height, (width * height,))
     first = masks[0]
-    if width is not None and (width != first.width or height != first.height):
+    if (width, height) not in ((None, None), (first.width, first.height)):
         raise DimensionMismatchError("stated dimensions disagree with masks")
     for m in masks[1:]:
         _require_same_dims(first, m)
-    cuts = _sweep([m.foreground_cuts for m in masks], 1)
-    return mask_from_cuts(cuts, first.width, first.height)
+    return _from_cuts(first.width, first.height,
+                      _sweep([m.foreground_cuts for m in masks], 1))
 
 
 def _boxes(masks) -> np.ndarray:
@@ -431,24 +448,19 @@ def boundary_pixels(mask: Mask) -> np.ndarray:
 
 
 def mask_from_cuts(cuts: np.ndarray, width: int, height: int) -> Mask:
-    """Build a Mask from sorted foreground interval boundaries [s0,e0,s1,e1,...].
+    """Build a Mask from foreground interval boundaries [s0,e0,s1,e1,...].
 
-    Touching intervals (e_i == s_{i+1}) are merged and empty ones dropped; what is
-    left must increase strictly within [0, width*height], in pairs.  The mask
-    keeps its own copy.
+    The cuts must come in pairs, never decreasing, within [0, width*height];
+    intervals may be empty or touch, and the mask is their union.  It keeps
+    its own copy.
     """
     cuts = np.array(cuts, dtype=np.int64)
-    # drop seam points shared by touching (or empty) intervals
-    while len(cuts):
-        dup_at = np.flatnonzero(cuts[1:] == cuts[:-1])
-        if not len(dup_at):
-            break
-        keep = np.ones(len(cuts), dtype=bool)
-        keep[dup_at] = False
-        keep[dup_at + 1] = False
-        cuts = cuts[keep]
-    if len(cuts) % 2 or len(cuts) and (
-            cuts[0] < 0 or cuts[-1] > width * height or (cuts[1:] <= cuts[:-1]).any()):
-        raise MalformedMaskError(f"cuts must be pairs increasing within [0, {width * height}]")
-    cuts.flags.writeable = False
+    least = (cuts[1:] - cuts[:-1]).min(initial=1)   # the smallest step, 1 if none
+    if len(cuts) % 2 or least < 0 or len(cuts) and (cuts[0] < 0 or cuts[-1] > width * height):
+        raise MalformedMaskError(f"cuts must be pairs never decreasing in [0, {width * height}]")
+    if least == 0:
+        # intervals that at most touch: a point bounds their union iff it occurs
+        # an odd number of times
+        values, counts = np.unique(cuts, return_counts=True)
+        cuts = values[(counts & 1) == 1]
     return _from_cuts(width, height, cuts)

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import mask as mask_module
 from .assign import solve_max_assignment
-from .mask import (DimensionMismatchError, Mask, _boxes, _overlaps, boundary_pixels,
-                   intersect_cuts, iou_matrix, mask_from_cuts, union_merge)
+from .mask import (DimensionMismatchError, Mask, _boxes, _cuts_area, _frame_pixels, _from_cuts,
+                   _overlaps, _value_cuts, boundary_pixels, intersect_cuts, iou_matrix,
+                   mask_from_cuts, union_merge)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
@@ -70,8 +71,10 @@ class GroundTruthSequence:
                  ignore_value: int | None = None):
         self.width = int(width)
         self.height = int(height)
+        _frame_pixels(self.width, self.height)
         self.ignore_value = ignore_value
         self.labeled_frames: dict[int, np.ndarray] = {}
+        self._cuts: dict[int, dict[int, np.ndarray]] = {}
         for idx, arr in labeled_frames.items():
             arr = np.asarray(arr)
             if arr.shape != (self.height, self.width):
@@ -79,34 +82,24 @@ class GroundTruthSequence:
                     f"frame {idx} label map shape {arr.shape} != ({self.height}, {self.width})"
                 )
             self.labeled_frames[int(idx)] = arr
-        self._cuts_cache: dict[int, dict[int, np.ndarray]] = {}
+            self._cuts[int(idx)] = _value_cuts(arr.ravel())
 
     def eval_frames(self) -> list[int]:
         return sorted(self.labeled_frames)
 
     def frame_value_cuts(self, frame: int) -> dict[int, np.ndarray]:
         """Foreground interval boundaries of every label value in one frame."""
-        cached = self._cuts_cache.get(frame)
-        if cached is None:
-            cached = _labelmap_value_cuts(self.labeled_frames[frame])
-            self._cuts_cache[frame] = cached
-        return cached
+        return self._cuts[frame]
 
     def region_ids(self) -> list[int]:
-        ids: set[int] = set()
-        for frame in self.labeled_frames:
-            ids.update(self.frame_value_cuts(frame))
-        ids.discard(0)
-        if self.ignore_value is not None:
-            ids.discard(self.ignore_value)
-        return sorted(ids)
+        return sorted(set().union(*self._cuts.values()) - {0, self.ignore_value})
 
     def region(self, region_id: int) -> Region:
         frames = {}
         for frame in self.eval_frames():
             cuts = self.frame_value_cuts(frame).get(region_id)
             if cuts is not None:
-                frames[frame] = mask_from_cuts(cuts, self.width, self.height)
+                frames[frame] = _from_cuts(self.width, self.height, cuts)
         return Region(region_id, frames)
 
     def regions(self) -> list[Region]:
@@ -118,8 +111,7 @@ class GroundTruthSequence:
 
     def instance_masks(self, frame: int) -> list[Mask]:
         """One frame's masks in label order, without background or the ignore label."""
-        return [mask_from_cuts(cuts, self.width, self.height)
-                for cuts in self._instance_cuts(frame)]
+        return [_from_cuts(self.width, self.height, cuts) for cuts in self._instance_cuts(frame)]
 
     def foreground(self, frame: int) -> Mask:
         """The union of one frame's instance masks."""
@@ -164,21 +156,6 @@ class MetricReport:
         return out
 
 
-def _labelmap_value_cuts(arr: np.ndarray) -> dict[int, np.ndarray]:
-    flat = np.asarray(arr).ravel()
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    values = flat[bounds[:-1]]
-    out: dict[int, np.ndarray] = {}
-    for vid in np.unique(values):
-        idx = np.flatnonzero(values == vid)
-        cuts = np.empty(2 * len(idx), dtype=np.int64)
-        cuts[0::2] = bounds[idx]
-        cuts[1::2] = bounds[idx + 1]
-        out[int(vid)] = cuts
-    return out
-
-
 def _pooled(per_frame, frame_px: int) -> np.ndarray:
     """One region's cuts over a sequence, from ``per_frame[k]``, its cuts in the
     k-th frame (None where it is absent), moved up by k frames."""
@@ -195,10 +172,6 @@ def _region_cuts(regions, frames: Sequence[int], width: int, height: int):
                              f"sequence is {width}x{height}")
     return [_pooled([r.frames[f].foreground_cuts if f in r.frames else None for f in frames],
                     width * height) for r in regions]
-
-
-def _cuts_area(cuts: np.ndarray) -> int:
-    return int(np.sum(cuts[1::2] - cuts[0::2]))
 
 
 def _prf(inter: int, c_area: int, g_area: int) -> tuple[float, float, float]:

@@ -12,6 +12,7 @@ byte-identical outputs anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,8 @@ def _advance(pos: float, vel: float, hi: float) -> tuple[float, float]:
     if hi <= 0:
         return 0.0, 0.0
     pos += vel
+    if abs(vel) > hi:   # reflection repeats every 2*hi: fold long moves exactly
+        pos = math.fmod(pos, 2 * hi)
     while pos < 0 or pos > hi:
         if pos < 0:
             pos, vel = -pos, -vel

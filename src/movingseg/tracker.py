@@ -28,7 +28,6 @@ class TrackerConfig:
     t_inactive: int = 10
     min_match_iou: float = 1e-9
     static_overlap_iou: float = 0.5
-    bidirectional: bool = False
 
     def __post_init__(self) -> None:
         if not (self.alpha_low <= self.alpha_high):
@@ -188,8 +187,6 @@ def bidirectional_track(moving: Mapping[int, Sequence[Detection]],
     accretes leftover (typically static) detections.  Forward ids are kept and
     no new identities appear.
     """
-    if not cfg.bidirectional:
-        raise ValueError("bidirectional_track requires cfg.bidirectional")
     merged = merge_moving_static(moving, static, cfg)
     forward = track_sequence(merged, cfg)
     if not forward:

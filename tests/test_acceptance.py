@@ -146,8 +146,8 @@ def test_criterion_5_bidirectional():
     moving = {f: [det(f, 0.95, width, height, 10, 10, 12, 12)] for f in range(10, 30)}
     static = {f: [det(f, 0.85, width, height, 10, 10, 12, 12, kind="static")]
               for f in range(10)}
-    bi = bidirectional_track(moving, static, TrackerConfig(bidirectional=True))
     cfg = TrackerConfig()
+    bi = bidirectional_track(moving, static, cfg)
     from movingseg.tracker import merge_moving_static
     fwd = track_sequence(merge_moving_static(moving, static, cfg), cfg)
     ok = (len(bi) == 1 and bi[0].first_frame == 0 and bi[0].last_active_frame == 29

@@ -157,6 +157,41 @@ class TestExitCodes:
         assert "no_predictions" not in report["per_sequence"]["found"]["flags"]
 
 
+_FLOAT_OPTIONS = {"synth": ["--score-mean", "--score-spread", "--fp-rate", "--fn-rate"],
+                  "track": ["--alpha-high", "--alpha-low", "--min-match-iou",
+                            "--static-overlap-iou"],
+                  "evaluate": ["--binarize-threshold", "--boundary-tolerance"]}
+_BASE_ARGS = {"synth": ["--frames", "2", "--size", "40x30"],
+              "track": ["--detections", "d.json"],
+              "evaluate": ["--gt", "m.json", "--pred", "t.json", "--metric", "davis"]}
+
+
+class TestFloatOptions:
+    @pytest.mark.parametrize("command,option,value", [
+        *((c, o, v) for c, opts in _FLOAT_OPTIONS.items() for o in opts
+          for v in ("nan", "inf", "-inf", "x")),
+        ("synth", "--velocity", "nan:1"), ("synth", "--velocity", "1:inf"),
+        ("synth", "--velocity", "1"), ("evaluate", "--boundary-tolerance", "-5"),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, option, value):
+        out = tmp_path / "out"
+        argv = [command, *_BASE_ARGS[command], "--out", str(out), f"{option}={value}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and option in err
+        assert not out.exists()
+
+    def test_huge_velocity_finishes(self, tmp_path):
+        src = str(Path(movingseg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "movingseg", "synth", "--frames", "5",
+                               "--velocity", "1e12:1e12", "--size", "40x30",
+                               "--out", str(tmp_path / "s")],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+
+
 class TestSynthCommand:
     def test_outputs_present(self, tmp_path):
         out = tmp_path / "o"

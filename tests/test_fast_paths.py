@@ -233,13 +233,12 @@ class TestBoxSkip:
     def test_tracker_matches_unskipped(self, seed):
         gt, moving, static = _crowded_inputs(seed)
         cfg = TrackerConfig()
-        bidir = TrackerConfig(bidirectional=True)
 
         def run():
             gated_moving = {f: gate(ds, cfg) for f, ds in moving.items()}
             gated_static = {f: gate(ds, cfg) for f, ds in static.items()}
             merged = merge_moving_static(gated_moving, gated_static, cfg)
-            return merged, track_sequence(merged, cfg), bidirectional_track(moving, static, bidir)
+            return merged, track_sequence(merged, cfg), bidirectional_track(moving, static, cfg)
 
         skipped = run()
         with mock.patch.object(mask_module, "boxes_meet", _all_pairs):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask,
+from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, _value_cuts,
                             area, bbox, intersection_area, iou, mask_from_cuts,
                             rle_decode, rle_encode, translate, union_merge)
+from movingseg.metrics import GroundTruthSequence
 
 
 def grid(rows):
@@ -108,6 +109,14 @@ def test_union_merge_hand_cases():
         union_merge([m, Mask(2, 2, (4,))])
 
 
+def test_union_merge_checks_stated_size_as_a_pair():
+    m = rle_encode(grid([[0, 1, 0]]), 3, 1)
+    assert union_merge([m], width=3, height=1) == m
+    for stated in ({"height": 2}, {"width": 3}, {"width": 3, "height": 2}):
+        with pytest.raises(DimensionMismatchError):
+            union_merge([m], **stated)
+
+
 @st.composite
 def random_masks(draw, max_side=24):
     w = draw(st.integers(1, max_side))
@@ -166,8 +175,10 @@ def test_mask_value_semantics(one, two):
 
 def test_foreground_cuts_read_only():
     m = Mask(4, 2, (1, 2, 5))
+    gt = GroundTruthSequence(4, 2, {0: np.array([[0, 1, 1, 2], [2, 2, 0, 0]], np.uint8)})
     built = [m, rle_encode(rle_decode(m), 4, 2), mask_from_cuts(np.array([1, 3]), 4, 2),
-             union_merge([m, m]), translate(m, 1, 1)]
+             union_merge([m, m]), translate(m, 1, 1), gt.region(1).frames[0],
+             *gt.instance_masks(0), gt.foreground(0)]
     for mask in built:
         with pytest.raises(ValueError):
             mask.foreground_cuts[0] = 0
@@ -194,6 +205,57 @@ def test_mask_from_cuts_keeps_its_own_copy():
     m = mask_from_cuts(kept, 4, 1)
     kept[1] = 4
     assert m.runs == (0, 2, 2)
+
+
+def test_mask_from_cuts_hand_cases():
+    # an empty interval touching the one before it
+    assert mask_from_cuts([3, 5, 5, 5], 10, 1).foreground_cuts.tolist() == [3, 5]
+    with pytest.raises(MalformedMaskError):   # decreasing after a run of equal cuts
+        mask_from_cuts([0, 5, 5, 5, 5, 3], 10, 1)
+    with pytest.raises(MalformedMaskError):   # a frame above MAX_PIXELS
+        mask_from_cuts([0, 10], 2**40, 1)
+
+
+@st.composite
+def _sorted_cut_lists(draw):
+    """A frame and a non-decreasing, even-length cut list in it with repeated cuts."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(st.integers(0, w * h), st.integers(1, 4)), max_size=8))
+    cuts = sorted(p for p, times in points for _ in range(times))
+    return w, h, cuts[:len(cuts) & ~1]
+
+
+@given(_sorted_cut_lists())
+@settings(max_examples=300, deadline=None)
+def test_mask_from_cuts_is_union_of_painted_intervals(case):
+    w, h, cuts = case
+    painted = np.zeros(w * h, dtype=bool)
+    for s, e in zip(cuts[0::2], cuts[1::2]):
+        painted[s:e] = True
+    assert mask_from_cuts(cuts, w, h) == rle_encode(painted, w, h)
+    steps = np.flatnonzero(np.diff(cuts) > 0)
+    if len(steps):   # swapping a strictly increasing neighbour pair makes a decreasing step
+        k = int(steps[len(steps) // 2])
+        cuts[k], cuts[k + 1] = cuts[k + 1], cuts[k]
+        with pytest.raises(MalformedMaskError):
+            mask_from_cuts(cuts, w, h)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, ">u2", np.int32, bool])
+def test_value_cuts_match_dense_labels(dtype):
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        flat = rng.integers(0, 2 if dtype is bool else 4, n).astype(dtype)
+        flat = np.repeat(flat, rng.integers(1, 4, n))   # runs longer than one
+        table = _value_cuts(flat)
+        assert sorted(table) == np.unique(flat).tolist()
+        for value, cuts in table.items():
+            assert cuts.dtype == np.int64 and (np.diff(cuts) > 0).all()
+            painted = np.zeros(flat.size, dtype=bool)
+            for s, e in zip(cuts[0::2], cuts[1::2]):
+                painted[s:e] = True
+            assert (painted == (flat == value)).all()
 
 
 def test_mask_from_cuts_roundtrip():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from helpers import det, rect_labels, rect_mask, region, single_frame_gt
 from movingseg import mask as mask_module
 from movingseg.assign import brute_force_assignment
-from movingseg.mask import DimensionMismatchError, Mask, rle_encode, union_merge
+from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rle_encode,
+                            union_merge)
 from movingseg.metrics import (GroundTruthSequence, Region, _f_matrix, _prf,
                                average_precision, binarize_detections, boundary_f,
                                davis_j, delta_obj,
@@ -33,6 +34,14 @@ def test_foreground_is_union_of_instance_masks():
     assert fg == union_merge(gt.instance_masks(0))
     assert fg == rle_encode((gt.labeled_frames[0] != 0) & (gt.labeled_frames[0] != 9), W, H)
     assert single_frame_gt(W, H, []).foreground(0) == Mask(W, H, (W * H,))
+
+
+@pytest.mark.parametrize("width,height,frames", [(5, 0, {0: np.zeros((0, 5), np.uint8)}),
+                                                 (0, 0, {}), (2**20, 2**12, {})])
+def test_ground_truth_frame_size_checked(width, height, frames):
+    # a frame no Mask can have is refused up front, not when a label map is first read
+    with pytest.raises(MalformedMaskError):
+        GroundTruthSequence(width, height, frames)
 
 
 @given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))

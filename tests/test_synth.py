@@ -3,7 +3,7 @@ import pytest
 
 from movingseg.mask import area, rle_decode
 from movingseg.metrics import Region, proposed_measure
-from movingseg.synth import (NoiseConfig, OcclusionEvent, PlacementError,
+from movingseg.synth import (NoiseConfig, OcclusionEvent, PlacementError, _advance,
                              SynthConfig, corrupt, generate)
 from movingseg.tracker import TrackerConfig, track_sequence
 
@@ -12,6 +12,29 @@ def base_cfg(**kw):
     defaults = dict(seed=1, frames=5, width=64, height=48, objects=1)
     defaults.update(kw)
     return SynthConfig(**defaults)
+
+
+def _reflect(pos, vel, hi):
+    """One reflection per turn, off 0 and hi."""
+    pos += vel
+    while pos < 0 or pos > hi:
+        pos, vel = (-pos, -vel) if pos < 0 else (2 * hi - pos, -vel)
+    return pos, vel
+
+
+def test_advance_folds_long_moves():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        hi = float(rng.uniform(0.5, 50))
+        pos = float(rng.uniform(0, hi))
+        vel = float(rng.uniform(-1, 1) * hi)
+        assert _advance(pos, vel, hi) == _reflect(pos, vel, hi)   # bit for bit
+        vel *= float(rng.uniform(1, 40))
+        got, want = _advance(pos, vel, hi), _reflect(pos, vel, hi)
+        assert 0 <= got[0] <= hi and got[1] == want[1]
+        assert got[0] == pytest.approx(want[0], abs=1e-9 * abs(vel))
+    assert _advance(5.0, 5.0, 5.0) == _reflect(5.0, 5.0, 5.0) == (0.0, -5.0)   # lands on 2*hi
+    assert 0 <= _advance(3.0, 1e12, 37.0)[0] <= 37.0
 
 
 class TestGenerate:

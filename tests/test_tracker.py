@@ -183,7 +183,7 @@ class TestBidirectional:
 
     def test_backward_extension(self):
         moving, static = self._static_then_moving()
-        cfg = TrackerConfig(bidirectional=True)
+        cfg = TrackerConfig()
         tracks = bidirectional_track(moving, static, cfg)
         assert len(tracks) == 1
         assert tracks[0].first_frame == 0
@@ -203,7 +203,7 @@ class TestBidirectional:
 
     def test_no_static_identical_to_forward(self):
         moving, _ = self._static_then_moving()
-        cfg = TrackerConfig(bidirectional=True)
+        cfg = TrackerConfig()
         bi = bidirectional_track(moving, {}, cfg)
         fw = track_sequence(moving, cfg)
         assert [(t.id, t.entries) for t in bi] == [(t.id, t.entries) for t in fw]
@@ -212,7 +212,7 @@ class TestBidirectional:
         moving = {f: [det(f, 0.95, W, H, 10, 10, 10, 10)] for f in range(20)}
         static = {f: [det(f, 0.85, W, H, 40, 30, 6, 6, kind="static")]
                   for f in range(20)}
-        cfg = TrackerConfig(bidirectional=True)
+        cfg = TrackerConfig()
         tracks = bidirectional_track(moving, static, cfg)
         assert len(tracks) == 1
         assert tracks[0].first_frame == 0
@@ -222,14 +222,10 @@ class TestBidirectional:
         moving = {f: [det(f, 0.95, W, H, 10, 10, 10, 10)] for f in range(20, 30)}
         static = {f: [det(f, 0.85, W, H, 10, 10, 10, 10, kind="static")]
                   for f in range(0, 5)}   # gap 5..19 exceeds t_inactive=3
-        cfg = TrackerConfig(bidirectional=True, t_inactive=3)
+        cfg = TrackerConfig(t_inactive=3)
         tracks = bidirectional_track(moving, static, cfg)
         assert len(tracks) == 1
         assert tracks[0].first_frame == 20
-
-    def test_requires_flag(self):
-        with pytest.raises(ValueError):
-            bidirectional_track({}, {}, TrackerConfig())
 
 
 def test_synthetic_identity_agreement():
