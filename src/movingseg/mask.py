@@ -7,22 +7,28 @@ canonical: a given pixel set has exactly one valid ``runs`` tuple.
 A Mask stores only its sorted foreground interval boundaries (a read-only int64
 ``foreground_cuts``).  Run lists are checked once, by ``Mask(width, height, runs)``
 or, a file's all together, by ``_split_runs``.  Cuts that are canonical by
-construction, such as label runs from the one run finder ``_value_cuts`` and
-``_sweep`` output, go unchecked to ``_from_cuts``, which alone makes cuts
-read-only and applies the frame-size rule; ``mask_from_cuts`` checks any other
-cuts once.  Every other operation works on the cuts and never touches a dense
-pixel grid, as pycocotools' ``maskApi.c`` does; this is what keeps evaluation
-over long high-resolution sequences cheap.  Two prefix sums carry all of it:
+construction, such as label runs from the one run finder ``_label_runs``
+(grouped by value in ``_value_cuts``), ``_sweep`` output and ``translate_many``
+output, go unchecked to ``_from_cuts``, which alone makes cuts read-only and
+applies the frame-size rule; ``mask_from_cuts`` checks any other cuts once.
+Every other operation works on the cuts and never touches a dense pixel grid,
+as pycocotools' ``maskApi.c`` does; this is what keeps evaluation over long
+high-resolution sequences cheap.  Binary searches and prefix sums carry all of it:
 
-- Overlap counts come from one pair kernel, ``_overlaps``, behind
-  ``intersect_cuts``, ``iou_matrix`` and the F-measure tally: it takes the
+- Overlap counts of mask pairs come from one pair kernel, ``_overlaps``,
+  behind ``intersect_cuts``, ``iou_matrix`` and ``davis_j``: it takes the
   cumulative interval lengths of B, finds A's boundaries in B by binary
   search, and sums the differences of the covered lengths there.
+- The F-measure tally scores predictions against labels, whose intervals are
+  disjoint, with ``_tagged_overlaps``: two binary searches find the first and
+  the last labelled interval that each prediction interval meets, and the
+  overlaps with those and the ones between are summed per (prediction, label).
 - New interval sets (``union_merge``, the interior behind
   ``boundary_pixels``) come from a running sum of +1 at every interval start
   and -1 at every end over the sorted boundaries of all operands.
 
-Translation and boundary extraction first split runs at row ends.
+Translation, of all of a frame's masks at once, and boundary extraction first
+split runs at row ends.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ import numpy as np
 # The largest frame, in pixels: offsets stay within 2**31, so each int64 intermediate is
 # exact (doubled in _sweep, pooled over < 2**31 frames and strided in _overlaps)
 MAX_PIXELS = 2**31
-# query points per binary search in _overlaps, which bounds its working memory; at 2**14
-# each int64 temporary is 128 KiB, and larger chunks made the F-measure tally slower
+# query points per binary search in _overlaps, and overlaps per block in _tagged_overlaps,
+# which bounds their working memory: at 2**14 each int64 temporary is 128 KiB
 _CHUNK = 1 << 14
 
 
@@ -186,18 +192,28 @@ def rle_encode(dense, width: int, height: int) -> Mask:
             binary = ((flat == 0) | (flat == 1)).all()
         if not binary:
             raise MalformedMaskError("grid entries must be 0 or 1")
-    return _from_cuts(width, height, _value_cuts(flat).get(1, np.empty(0, dtype=np.int64)))
+    return _from_cuts(width, height,
+                      _value_cuts(*_label_runs(flat)).get(1, np.empty(0, dtype=np.int64)))
 
 
-def _value_cuts(flat: np.ndarray) -> dict[int, np.ndarray]:
-    """The cuts of every value's runs in a non-empty flat label array, by value."""
+def _label_runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A non-empty flat label array's run bounds [0, ..., flat.size] and each run's value."""
     bounds = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1, [flat.size]))
-    values = flat[bounds[:-1]]
-    out = {}
-    for value in np.unique(values):
-        at = np.flatnonzero(values == value)
-        out[int(value)] = _interleave(bounds[at], bounds[at + 1])
-    return out
+    return bounds, flat[bounds[:-1]]
+
+
+def _value_cuts(bounds: np.ndarray, values: np.ndarray) -> dict[int, np.ndarray]:
+    """The cuts of every value's runs, by ascending value, from ``_label_runs``' output.
+
+    One stable sort groups the runs by value and keeps each group in position
+    order; each value's cuts are a slice of one interleaved array.
+    """
+    order = np.argsort(values, kind="stable")
+    grouped = values[order]
+    first = np.concatenate(([0], np.flatnonzero(grouped[1:] != grouped[:-1]) + 1))
+    cuts = _interleave(bounds[:-1][order], bounds[1:][order])
+    edges = [*(2 * first).tolist(), len(cuts)]
+    return {int(v): cuts[a:b] for v, a, b in zip(grouped[first].tolist(), edges, edges[1:])}
 
 
 def rle_decode(mask: Mask) -> np.ndarray:
@@ -271,6 +287,35 @@ def _overlaps(a_sets, b_sets, ii, jj, stride: int) -> np.ndarray:
         covered = _covered(stacked, points)
         out[live[lo:hi]] = np.add.reduceat(covered[1::2] - covered[0::2], seg >> 1)
     return out
+
+
+def _tagged_overlaps(a_sets, starts, ends, tags, n_tags: int) -> np.ndarray:
+    """len(a_sets) x n_tags int64 overlap, in pixels, of each set with the intervals of each tag.
+
+    ``starts`` and ``ends`` bound disjoint, non-empty intervals in ascending
+    order; the k-th has the tag ``tags[k]`` in [0, n_tags).  Two binary
+    searches find the first and the last of them that each interval of the
+    sets meets; the overlaps with those and the ones between are summed per
+    (set, tag), at most about ``_CHUNK`` of them at a time.
+    """
+    out = np.zeros(len(a_sets) * n_tags, dtype=np.int64)
+    cuts = np.concatenate([np.empty(0, dtype=np.int64), *a_sets])
+    if not len(cuts) or not len(starts):
+        return out.reshape(len(a_sets), n_tags)
+    lo_at, hi_at = cuts[0::2], cuts[1::2]
+    row = np.repeat(np.arange(len(a_sets)) * n_tags, [len(c) // 2 for c in a_sets])
+    # from the first interval ending after lo_at to the last starting before hi_at
+    first = np.searchsorted(ends, lo_at, side="right")
+    n = np.maximum(np.searchsorted(starts, hi_at) - first, 0)
+    start = np.cumsum(n) - n
+    # intervals whose overlaps start in one block of _CHUNK are summed together
+    cut = np.flatnonzero(np.diff(start // _CHUNK)) + 1
+    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(n)]):
+        q = np.repeat(np.arange(lo, hi), n[lo:hi])
+        k = first[q] + np.arange(len(q)) - (start[q] - start[lo])
+        np.add.at(out, row[q] + tags[k],
+                  np.minimum(hi_at[q], ends[k]) - np.maximum(lo_at[q], starts[k]))
+    return out.reshape(len(a_sets), n_tags)
 
 
 def intersect_cuts(a: np.ndarray, b: np.ndarray) -> int:
@@ -397,7 +442,10 @@ def boxes_meet(a, b) -> np.ndarray:
 
 
 def _row_runs(cuts: np.ndarray, width: int):
-    """Foreground intervals split at row ends, as (row, x_start, x_end) arrays; x_end exclusive."""
+    """Foreground intervals split at row ends, as (row, x_start, x_end, interval) arrays.
+
+    x_end is exclusive; ``interval`` is the index of the interval each piece comes from.
+    """
     starts, ends = cuts[0::2], cuts[1::2]
     first = starts // width
     n = (ends - 1) // width - first + 1
@@ -406,20 +454,41 @@ def _row_runs(cuts: np.ndarray, width: int):
     row_start = rows * width
     x0 = np.maximum(starts[piece], row_start) - row_start
     x1 = np.minimum(ends[piece], row_start + width) - row_start
-    return rows, x0, x1
+    return rows, x0, x1, piece
 
 
-def translate(mask: Mask, dx: int, dy: int) -> Mask:
-    """Shift a mask by (dx, dy) pixels; what leaves the frame is cut off."""
-    if dx == 0 and dy == 0:
-        return mask
-    w, h = mask.width, mask.height
-    rows, x0, x1 = _row_runs(mask.foreground_cuts, w)
+def translate_many(masks, shifts) -> list[Mask]:
+    """Each mask shifted by its own (dx, dy) of ``shifts``; what leaves the frame is cut off.
+
+    All masks must share one frame size.  Their intervals are split at row
+    ends, shifted and clipped together; pieces of one mask that a shift joins
+    at a row seam merge again.
+    """
+    masks = list(masks)
+    sizes = {(m.width, m.height) for m in masks}
+    if len(sizes) > 1:
+        raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
+    if not masks:
+        return []
+    ((w, h),) = sizes
+    n = np.fromiter((len(m.foreground_cuts) // 2 for m in masks), np.int64, len(masks))
+    rows, x0, x1, piece = _row_runs(np.concatenate([m.foreground_cuts for m in masks]), w)
+    owner = np.repeat(np.arange(len(masks)), n)[piece]
+    dx, dy = np.array(shifts, dtype=np.int64).reshape(len(masks), 2)[owner].T
     rows = rows + dy
     x0, x1 = np.clip(x0 + dx, 0, w), np.clip(x1 + dx, 0, w)
     keep = (rows >= 0) & (rows < h) & (x0 < x1)
-    row_start = rows[keep] * w
-    return mask_from_cuts(_interleave(row_start + x0[keep], row_start + x1[keep]), w, h)
+    row_start, owner = rows[keep] * w, owner[keep]
+    cuts = _interleave(row_start + x0[keep], row_start + x1[keep])
+    # a piece ending where the next piece of its mask starts (at a row seam) joins it
+    seam = np.flatnonzero((cuts[1:-1:2] == cuts[2::2]) & (owner[:-1] == owner[1:]))
+    joined = np.ones(len(cuts), dtype=bool)
+    joined[2 * seam + 1] = joined[2 * seam + 2] = False
+    cuts = cuts[joined]
+    pieces = (np.bincount(owner, minlength=len(masks))
+              - np.bincount(owner[seam], minlength=len(masks)))
+    edges = np.concatenate(([0], np.cumsum(2 * pieces))).tolist()
+    return [_from_cuts(w, h, cuts[a:b]) for a, b in zip(edges, edges[1:])]
 
 
 def boundary_pixels(mask: Mask) -> np.ndarray:
@@ -434,7 +503,7 @@ def boundary_pixels(mask: Mask) -> np.ndarray:
     if not len(cuts):
         return cuts
     w = mask.width
-    rows, x0, x1 = _row_runs(cuts, w)
+    rows, x0, x1, _ = _row_runs(cuts, w)
     wide = x1 - x0 > 2
     row_start = rows[wide] * w
     shrunk = _interleave(row_start + x0[wide] + 1, row_start + x1[wide] - 1)

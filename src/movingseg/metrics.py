@@ -24,8 +24,8 @@ import numpy as np
 from . import mask as mask_module
 from .assign import solve_max_assignment
 from .mask import (DimensionMismatchError, Mask, _boxes, _cuts_area, _frame_pixels, _from_cuts,
-                   _overlaps, _value_cuts, boundary_pixels, intersect_cuts, iou_matrix,
-                   mask_from_cuts, union_merge)
+                   _label_runs, _overlaps, _tagged_overlaps, _value_cuts, boundary_pixels,
+                   intersect_cuts, iou_matrix, mask_from_cuts, union_merge)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
@@ -74,6 +74,7 @@ class GroundTruthSequence:
         _frame_pixels(self.width, self.height)
         self.ignore_value = ignore_value
         self.labeled_frames: dict[int, np.ndarray] = {}
+        self._runs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._cuts: dict[int, dict[int, np.ndarray]] = {}
         for idx, arr in labeled_frames.items():
             arr = np.asarray(arr)
@@ -82,7 +83,8 @@ class GroundTruthSequence:
                     f"frame {idx} label map shape {arr.shape} != ({self.height}, {self.width})"
                 )
             self.labeled_frames[int(idx)] = arr
-            self._cuts[int(idx)] = _value_cuts(arr.ravel())
+            self._runs[int(idx)] = _label_runs(arr.ravel())
+            self._cuts[int(idx)] = _value_cuts(*self._runs[int(idx)])
 
     def eval_frames(self) -> list[int]:
         return sorted(self.labeled_frames)
@@ -118,6 +120,25 @@ class GroundTruthSequence:
         # labels cover disjoint intervals; mask_from_cuts drops their shared seams
         cuts = np.concatenate([np.empty(0, dtype=np.int64), *self._instance_cuts(frame)])
         return mask_from_cuts(np.sort(cuts), self.width, self.height)
+
+    def _tagged_runs(self, columns: Mapping[int, int]):
+        """The runs of the labels in ``columns`` over the sorted labelled frames, each
+        frame moved up by its place among them as ``_pooled`` moves cuts: their starts,
+        ends and ``columns`` entries, in ascending order."""
+        frames = self.eval_frames()
+        keys = sorted(set().union(*(self._cuts[f] for f in frames)).intersection(columns))
+        if not keys:
+            return (np.empty(0, dtype=np.int64),) * 3
+        frame_px = self.width * self.height
+        bounds = [self._runs[f][0] + k * frame_px for k, f in enumerate(frames)]
+        values = np.concatenate([self._runs[f][1] for f in frames])
+        keys = np.array(keys, dtype=values.dtype)   # all occur, so all are exact in it
+        at = np.searchsorted(keys, values).clip(max=len(keys) - 1)
+        hit = keys[at] == values
+        tags = np.array([columns[k] for k in keys.tolist()], dtype=np.int64)
+        starts = np.concatenate([b[:-1] for b in bounds])[hit]
+        ends = np.concatenate([b[1:] for b in bounds])[hit]
+        return starts, ends, tags[at[hit]]
 
     def ignore_masks(self) -> dict[int, Mask]:
         if self.ignore_value is None:
@@ -219,18 +240,18 @@ class SequenceTally:
 def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
                     official: bool) -> SequenceTally:
     frames = gt.eval_frames()
-    frame_px = gt.width * gt.height
     gt_ids = gt.region_ids()
-    tables = [gt.frame_value_cuts(f) for f in frames]
-    # the last column is the ignore label, empty unless it counts
-    targets = [_pooled([t.get(v) for t in tables], frame_px)
-               for v in [*gt_ids, gt.ignore_value if official else None]]
-    gt_areas = [_cuts_area(c) for c in targets[:-1]]
+    # one column per region, and a last one for the ignore label, empty unless it counts
+    columns = {v: j for j, v in enumerate(gt_ids)}
+    if official and gt.ignore_value is not None:
+        columns[gt.ignore_value] = len(gt_ids)
+    starts, ends, tags = gt._tagged_runs(columns)
+    gt_areas = np.zeros(len(gt_ids) + 1, dtype=np.int64)
+    np.add.at(gt_areas, tags, ends - starts)
+    gt_areas = gt_areas[:-1].tolist()
     pred_cuts = _region_cuts(preds, frames, gt.width, gt.height)
-    # one kernel call scores every prediction against every region and the ignore label
-    ii, jj = np.divmod(np.arange(len(preds) * len(targets)), len(targets))
-    overlaps = _overlaps(pred_cuts, targets, ii, jj, len(frames) * frame_px + 1)
-    overlaps = overlaps.reshape(len(preds), len(targets))
+    # the regions are disjoint, so each prediction interval is searched for once
+    overlaps = _tagged_overlaps(pred_cuts, starts, ends, tags, len(gt_ids) + 1)
     inter = overlaps[:, :-1]
     pred_areas = [_cuts_area(c) - int(ig) for c, ig in zip(pred_cuts, overlaps[:, -1])]
     f_matrix = _f_matrix(inter, pred_areas, gt_areas)

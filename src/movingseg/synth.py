@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mask import Mask, _boxes, mask_from_cuts, translate
+from .mask import Mask, _boxes, mask_from_cuts, translate_many
 from .metrics import GroundTruthSequence
-from .tracker import Detection, Track
+from .tracker import Detection, Track, _require_finite
 
 
 class PlacementError(ValueError):
@@ -38,6 +38,7 @@ class NoiseConfig:
     fn_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "score_mean", "score_spread", "fp_rate", "fn_rate")
         if self.jitter_px < 0:
             raise ValueError("jitter_px must be >= 0")
         for name in ("fp_rate", "fn_rate"):
@@ -73,6 +74,7 @@ class SynthConfig:
             raise ValueError("frames, width, height and objects must be positive")
         if self.shape not in ("rectangle", "ellipse"):
             raise ValueError(f"unknown shape {self.shape!r}")
+        _require_finite(self, "velocity")
         lo, hi = self.velocity
         if lo < 0 or hi < lo:
             raise ValueError(f"bad velocity range {self.velocity}")
@@ -212,9 +214,9 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int
     rng_fp = _rng(seed, 2)
     out: dict[int, list[Detection]] = {}
     for f in gt.eval_frames():
-        dets: list[Detection] = []
         masks = gt.instance_masks(f)
         true_boxes = _boxes(masks).tolist()
+        kept, shifts, scores = [], [], []
         for mask in masks:
             if noise.jitter_px > 0:
                 dx = int(rng_obj.integers(-noise.jitter_px, noise.jitter_px + 1))
@@ -226,11 +228,13 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int
                 score += float(rng_obj.uniform(-noise.score_spread, noise.score_spread))
             score = min(1.0, max(0.0, score))
             dropped = noise.fn_rate > 0 and rng_obj.random() < noise.fn_rate
-            if dropped:
-                continue
-            shifted = translate(mask, dx, dy)
-            if not shifted.is_empty:
-                dets.append(Detection(f, score, shifted))
+            if not dropped:
+                kept.append(mask)
+                shifts.append((dx, dy))
+                scores.append(score)
+        dets = [Detection(f, score, shifted)
+                for score, shifted in zip(scores, translate_many(kept, shifts))
+                if not shifted.is_empty]
         if noise.fp_rate > 0 and rng_fp.random() < noise.fp_rate:
             rng_place = _rng(seed, 3, f)
             box = _place_spurious(rng_place, gt.width, gt.height, true_boxes)

@@ -21,6 +21,14 @@ from .assign import solve_max_assignment
 from .mask import Mask, iou, iou_matrix  # noqa: F401
 
 
+def _require_finite(config, *names: str) -> None:
+    """Raise a ValueError naming the first of the fields ``names`` that holds nan or inf."""
+    for name in names:
+        value = getattr(config, name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     alpha_high: float = 0.9
@@ -30,6 +38,7 @@ class TrackerConfig:
     static_overlap_iou: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha_high", "alpha_low", "min_match_iou", "static_overlap_iou")
         if not (self.alpha_low <= self.alpha_high):
             raise ValueError(
                 f"alpha_low ({self.alpha_low}) must not exceed alpha_high ({self.alpha_high})"

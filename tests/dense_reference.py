@@ -10,6 +10,8 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from movingseg.mask import Mask, rle_decode, rle_encode
+from movingseg.synth import _place_spurious
+from movingseg.tracker import Detection
 
 
 def interval_grid(cuts, size):
@@ -54,6 +56,53 @@ def translate_dense(mask: Mask, dx: int, dy: int) -> Mask | None:
             grid[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)]
     shifted = rle_encode(out, w, h)
     return None if shifted.is_empty else shifted
+
+
+def corrupt_reference(gt, noise, seed: int) -> dict:
+    """``synth.corrupt`` as a plain loop: each object's noise drawn and its mask shifted alone.
+
+    The draws follow the README's streams: from ``[seed, 1]``, per object in
+    label order, dx and dy (with jitter), a score offset (with a score
+    spread) and a false-negative draw (with a false-negative rate); from
+    ``[seed, 2]`` one false-positive gate per frame, and from ``[seed, 3,
+    frame]`` the spurious box, placed by ``synth._place_spurious``.
+    """
+    def rng(*key):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+
+    rng_obj, rng_fp = rng(seed, 1), rng(seed, 2)
+    out = {}
+    for f in sorted(gt.labeled_frames):
+        label = gt.labeled_frames[f]
+        grids = [label == v for v in np.unique(label).tolist() if v != 0]
+        dets = []
+        for grid in grids:
+            dx = dy = 0
+            if noise.jitter_px > 0:
+                dx = int(rng_obj.integers(-noise.jitter_px, noise.jitter_px + 1))
+                dy = int(rng_obj.integers(-noise.jitter_px, noise.jitter_px + 1))
+            score = noise.score_mean
+            if noise.score_spread > 0:
+                score += float(rng_obj.uniform(-noise.score_spread, noise.score_spread))
+            if noise.fn_rate > 0 and rng_obj.random() < noise.fn_rate:
+                continue
+            shifted = translate_dense(rle_encode(grid, gt.width, gt.height), dx, dy)
+            if shifted is not None:
+                dets.append(Detection(f, min(1.0, max(0.0, score)), shifted))
+        if noise.fp_rate > 0 and rng_fp.random() < noise.fp_rate:
+            rng_place = rng(seed, 3, f)
+            box = _place_spurious(rng_place, gt.width, gt.height, [grid_box(g) for g in grids])
+            if box is not None:
+                score = noise.score_mean
+                if noise.score_spread > 0:
+                    score += float(rng_place.uniform(-noise.score_spread, noise.score_spread))
+                x0, y0, x1, y1 = box
+                grid = np.zeros((gt.height, gt.width), dtype=bool)
+                grid[y0:y1 + 1, x0:x1 + 1] = True
+                dets.append(Detection(f, min(1.0, max(0.0, score)),
+                                      rle_encode(grid, gt.width, gt.height)))
+        out[f] = dets
+    return out
 
 
 def boundary_map(mask: Mask) -> np.ndarray:

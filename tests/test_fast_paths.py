@@ -13,7 +13,8 @@ from dense_reference import (average_precision_dense, boundary_f_edt, boundary_m
 from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, bbox,
                             boundary_pixels, intersect_cuts, iou, iou_matrix,
-                            rle_decode, rle_encode, translate, union_merge)
+                            mask_from_cuts, rle_decode, rle_encode, translate_many,
+                            union_merge)
 from movingseg.metrics import average_precision, boundary_f, davis_j
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
 from movingseg.tracker import (Detection, TrackerConfig, bidirectional_track, gate,
@@ -98,13 +99,37 @@ class TestUnion:
         assert merged == rle_encode(expected, w, h)
 
 
-def _assert_translate_matches(mask, dx, dy):
-    shifted = translate(mask, dx, dy)
-    expected = translate_dense(mask, dx, dy)
-    if expected is None:
-        assert shifted.is_empty
-    else:
-        assert shifted == expected
+def _assert_translate_matches(masks, shifts):
+    shifted = translate_many(masks, shifts)
+    assert len(shifted) == len(masks)
+    for mask, (dx, dy), got in zip(masks, shifts, shifted):
+        expected = translate_dense(mask, dx, dy)
+        if expected is None:
+            assert got.is_empty
+        else:
+            assert got == expected
+        assert not got.foreground_cuts.flags.writeable
+
+
+@st.composite
+def shifted_frames(draw):
+    """Masks of one frame, each with its own shift, often as far as the frame or farther.
+
+    Frames of one row or one column come up often; the masks are random pixels at
+    any density, rectangles (touching the frame edges too), or runs that wrap rows.
+    """
+    w, h = draw(st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                          st.tuples(st.integers(1, 12), st.just(1)),
+                          st.tuples(st.just(1), st.integers(1, 12))))
+    grids_ = draw(st.lists(frame_grids(w, h), max_size=6))
+    masks = [rle_encode(g, w, h) for g in grids_]
+    # a run from a row's middle through the next row's middle wraps the row seam
+    if w > 1 and h > 1 and draw(st.booleans()):
+        masks.append(mask_from_cuts([w // 2, w + w // 2], w, h))
+    shift = st.tuples(st.integers(-2 * w - 1, 2 * w + 1), st.integers(-2 * h - 1, 2 * h + 1))
+    small = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    shifts = [draw(st.one_of(shift, small)) for _ in masks]
+    return masks, shifts
 
 
 class TestTranslate:
@@ -114,14 +139,32 @@ class TestTranslate:
         grid, w, h = g
         dx = data.draw(st.integers(-2 * w - 1, 2 * w + 1))
         dy = data.draw(st.integers(-2 * h - 1, 2 * h + 1))
-        _assert_translate_matches(rle_encode(grid, w, h), dx, dy)
+        _assert_translate_matches([rle_encode(grid, w, h)], [(dx, dy)])
+
+    @given(shifted_frames())
+    @settings(max_examples=400, deadline=None)
+    def test_frame_of_masks_matches_dense_mask_by_mask(self, frame):
+        _assert_translate_matches(*frame)
 
     @pytest.mark.parametrize("dx,dy", [(4, 0), (0, 3), (-4, -3), (5, 7), (1, -1),
                                        (-1, 1), (3, 2), (-3, 0)])
     def test_runs_wrapping_rows(self, dx, dy):
         # one run covers the frame; another wraps from a row's end to the next start
-        _assert_translate_matches(Mask(4, 3, (0, 12)), dx, dy)
-        _assert_translate_matches(Mask(4, 3, (2, 5, 5)), dx, dy)
+        masks = [Mask(4, 3, (0, 12)), Mask(4, 3, (2, 5, 5))]
+        _assert_translate_matches(masks, [(dx, dy)] * 2)
+        _assert_translate_matches(masks, [(dx, dy), (-dx, -dy)])
+
+    def test_hand_cases(self):
+        wrap = Mask(4, 3, (2, 5, 5))   # row 0's last two pixels and row 1's first three
+        full = Mask(4, 3, (0, 12))
+        # unshifted, the pieces of a wrapping run meet at the row seam again; shifted
+        # right, row 0's piece moves out and row 1's piece stays whole
+        assert [m.runs for m in translate_many([wrap, wrap, full], [(0, 0), (2, 0), (0, -2)])] \
+            == [(2, 5, 5), (6, 2, 4), (0, 4, 8)]
+        assert translate_many([full], [(-4, 0)])[0].is_empty   # all of it leaves the frame
+        assert translate_many([], []) == []
+        with pytest.raises(DimensionMismatchError):
+            translate_many([full, Mask(3, 4, (0, 12))], [(0, 0), (0, 0)])
 
 
 @pytest.mark.parametrize("box", [(0, 0, 0, 0), (2, 1, 5, 3), (0, 2, 7, 4),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, _value_cuts,
-                            area, bbox, intersection_area, iou, mask_from_cuts,
-                            rle_decode, rle_encode, translate, union_merge)
+from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, _label_runs,
+                            _value_cuts, area, bbox, intersection_area, iou, mask_from_cuts,
+                            rle_decode, rle_encode, translate_many, union_merge)
 from movingseg.metrics import GroundTruthSequence
 
 
@@ -177,7 +177,8 @@ def test_foreground_cuts_read_only():
     m = Mask(4, 2, (1, 2, 5))
     gt = GroundTruthSequence(4, 2, {0: np.array([[0, 1, 1, 2], [2, 2, 0, 0]], np.uint8)})
     built = [m, rle_encode(rle_decode(m), 4, 2), mask_from_cuts(np.array([1, 3]), 4, 2),
-             union_merge([m, m]), translate(m, 1, 1), gt.region(1).frames[0],
+             union_merge([m, m]), *translate_many([m, m], [(1, 1), (0, 0)]),
+             gt.region(1).frames[0],
              *gt.instance_masks(0), gt.foreground(0)]
     for mask in built:
         with pytest.raises(ValueError):
@@ -244,18 +245,32 @@ def test_mask_from_cuts_is_union_of_painted_intervals(case):
 @pytest.mark.parametrize("dtype", [np.uint8, ">u2", np.int32, bool])
 def test_value_cuts_match_dense_labels(dtype):
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        flat = rng.integers(0, 2 if dtype is bool else 4, n).astype(dtype)
+    top = {bool: 2, np.uint8: 256, ">u2": 2**16, np.int32: 2**31}[dtype]
+    for k in range(60):
+        n = int(rng.integers(1, 40 if k < 40 else 2000))
+        # a few values, or hundreds drawn from the dtype's whole range (above 255 for >u2)
+        pool = rng.integers(0, min(top, 4 if k < 40 else top), 300 if k >= 40 else 4)
+        flat = rng.choice(pool, n).astype(dtype)
         flat = np.repeat(flat, rng.integers(1, 4, n))   # runs longer than one
-        table = _value_cuts(flat)
-        assert sorted(table) == np.unique(flat).tolist()
+        table = _value_cuts(*_label_runs(flat))
+        assert list(table) == np.unique(flat).tolist()   # keys ascending
         for value, cuts in table.items():
             assert cuts.dtype == np.int64 and (np.diff(cuts) > 0).all()
             painted = np.zeros(flat.size, dtype=bool)
             for s, e in zip(cuts[0::2], cuts[1::2]):
                 painted[s:e] = True
             assert (painted == (flat == value)).all()
+        # a sequence of two frames of these labels lists its regions in label order
+        w = 2 if flat.size % 2 == 0 else 1
+        frames = {0: flat.reshape(-1, w), 3: flat[::-1].reshape(-1, w)}
+        ignore = int(flat[0])
+        gt = GroundTruthSequence(w, flat.size // w, frames, ignore_value=ignore)
+        ids = sorted(set(np.unique(flat).tolist()) - {0, ignore})
+        assert gt.region_ids() == ids
+        assert [r.id for r in gt.regions()] == ids
+        for f, label in frames.items():
+            assert gt.instance_masks(f) == [rle_encode(label == v, w, flat.size // w)
+                                            for v in ids]
 
 
 def test_mask_from_cuts_roundtrip():

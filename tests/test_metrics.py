@@ -10,7 +10,7 @@ from movingseg import mask as mask_module
 from movingseg.assign import brute_force_assignment
 from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rle_encode,
                             union_merge)
-from movingseg.metrics import (GroundTruthSequence, Region, _f_matrix, _prf,
+from movingseg.metrics import (GroundTruthSequence, Region, SequenceTally, _f_matrix, _prf,
                                average_precision, binarize_detections, boundary_f,
                                davis_j, delta_obj,
                                evaluate_dataset, official_measure, pairwise_prf,
@@ -400,7 +400,7 @@ class TestBinarize:
 
 
 def _dense_oracle(gt, preds, official):
-    """Measures recomputed from dense pixel arrays + the brute-force matcher."""
+    """``sequence_tally``'s counts recomputed from dense pixel arrays + the brute-force matcher."""
     from movingseg.mask import rle_decode
 
     frames = sorted(gt.labeled_frames)
@@ -434,12 +434,68 @@ def _dense_oracle(gt, preds, official):
             f_matrix[i, j] = 2 * p * r / (p + r) if p + r else 0.0
     matched = [(i, j) for i, j in brute_force_assignment(f_matrix).pairs
                if f_matrix[i, j] > 0]
-    num = sum(inter[i, j] for i, j in matched)
-    den_c = sum(c_area[i] for i, _ in matched) if official else int(c_area.sum())
-    den_g = int(g_area.sum())
+    return SequenceTally(
+        matched_intersection=int(sum(inter[i, j] for i, j in matched)),
+        pred_pixels=int(sum(c_area[i] for i, _ in matched) if official else c_area.sum()),
+        gt_pixels=int(g_area.sum()),
+        n_over_075=sum(1 for i, j in matched if f_matrix[i, j] > 0.75),
+        n_predictions=len(preds),
+        n_gt_regions=len(gt_ids),
+    )
+
+
+def _dense_prf(tally):
+    num, den_c, den_g = tally.matched_intersection, tally.pred_pixels, tally.gt_pixels
     p = num / den_c if den_c else 0.0
     r = num / den_g if den_g else 0.0
     return p, r, (2 * p * r / (p + r) if p + r else 0.0)
+
+
+@st.composite
+def _labelled_sequences(draw):
+    """A small sequence of random label maps and random predictions over it.
+
+    Labels alternate within rows, some are missing on some frames, and the
+    ignore label (when there is one) lies inside objects; some frames are
+    unlabelled.  Predictions are random pixels, a label's own pixels (so
+    their runs start and end on label run ends), or empty, on labelled and
+    unlabelled frames; there may be none.
+    """
+    w, h = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    n_frames = draw(st.integers(1, 4))
+    ignore = draw(st.sampled_from([None, 9, 9, 0]))
+    values = [0, 1, 2, 3, 4, 9]
+    labels = {}
+    for f in range(n_frames):
+        if draw(st.integers(0, 3)) == 0:
+            continue   # an unlabelled frame
+        pool = draw(st.lists(st.sampled_from(values), min_size=1, max_size=4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        labels[f] = rng.choice(pool, (h, w)).astype(np.uint8)
+    gt = GroundTruthSequence(w, h, labels, ignore_value=ignore)
+    preds = []
+    for k in range(draw(st.integers(0, 4))):
+        frames = {}
+        for f in draw(st.sets(st.integers(0, n_frames))):   # frame n_frames is unlabelled
+            kind = draw(st.sampled_from(["random", "label", "label", "empty"]))
+            if kind == "label" and f in labels:
+                grid = labels[f] == draw(st.sampled_from(values))
+            elif kind == "random":
+                rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                grid = rng.random((h, w)) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+            else:
+                grid = np.zeros((h, w), dtype=bool)
+            frames[f] = rle_encode(grid, w, h)
+        preds.append(Region(k + 1, frames))
+    return gt, preds
+
+
+@given(_labelled_sequences(), st.booleans(), st.sampled_from([1, 2, mask_module._CHUNK]))
+@settings(max_examples=400, deadline=None)
+def test_sequence_tally_matches_dense_oracle(case, official, chunk):
+    gt, preds = case
+    with mock.patch.object(mask_module, "_CHUNK", chunk):   # overlaps summed in blocks
+        assert sequence_tally(gt, preds, official) == _dense_oracle(gt, preds, official)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -465,8 +521,8 @@ def test_measures_match_dense_oracle(seed, official):
             _, x, y, w, h = rects[i]
             x, y = max(x + int(rng.integers(-2, 3)), 0), max(y + int(rng.integers(-2, 3)), 0)
         preds.append(region(i + 1, W, H, {f: (x + f, y, w, h) for f in range(4)}))
-    p, r, f = _dense_oracle(gt, preds, official)
-    # tiny chunks make one tally's pair search cross chunk boundaries
+    p, r, f = _dense_prf(_dense_oracle(gt, preds, official))
+    # tiny chunks make one tally's label search cross chunk boundaries
     for chunk in (mask_module._CHUNK, 2, 6):
         with mock.patch.object(mask_module, "_CHUNK", chunk):
             rep = (official_measure if official else proposed_measure)(gt, preds)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from dense_reference import corrupt_reference
 
 from movingseg.mask import area, rle_decode
 from movingseg.metrics import Region, proposed_measure
@@ -115,7 +119,43 @@ class TestGenerate:
             NoiseConfig(fp_rate=1.5)
 
 
+_NONFINITE = [math.nan, math.inf, -math.inf]
+# every float field of the library configs, with a valid value for the others
+_FLOAT_FIELDS = [(TrackerConfig, {}, name) for name in
+                 ("alpha_high", "alpha_low", "min_match_iou", "static_overlap_iou")] + \
+                [(NoiseConfig, {}, name) for name in
+                 ("score_mean", "score_spread", "fp_rate", "fn_rate")] + \
+                [(SynthConfig, dict(seed=0, frames=1, width=8, height=8), "velocity")]
+
+
+@pytest.mark.parametrize("config,kwargs,name", _FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, _, n in _FLOAT_FIELDS])
+@pytest.mark.parametrize("bad", _NONFINITE, ids=["nan", "inf", "-inf"])
+def test_configs_reject_non_finite_floats(config, kwargs, name, bad):
+    values = [(bad, 1.0), (0.0, bad)] if name == "velocity" else [bad]
+    for value in values:
+        with pytest.raises(ValueError, match=name):
+            config(**kwargs, **{name: value})
+    config(**kwargs)   # the defaults are finite
+
+
 class TestCorrupt:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_loop(self, seed):
+        # seed 5's canvas is as high as its objects; jitter as wide as the objects
+        # pushes some masks partly or wholly off the frame
+        height, sides = (3, (3, 3)) if seed == 5 else (20, (3, 9))
+        cfg = base_cfg(seed=seed, frames=6, width=30, height=height, objects=8,
+                       shape="ellipse" if seed % 2 else "rectangle", object_size=sides,
+                       occlusions=(OcclusionEvent(2, 1, 3),))
+        gt, _ = generate(cfg)
+        for noise in (NoiseConfig(),
+                      NoiseConfig(jitter_px=1, score_mean=0.8, score_spread=0.3,
+                                  fp_rate=0.5, fn_rate=0.2),
+                      NoiseConfig(jitter_px=12, fn_rate=0.1, fp_rate=1.0),
+                      NoiseConfig(jitter_px=40, score_spread=0.5)):
+            assert corrupt(gt, noise, seed) == corrupt_reference(gt, noise, seed)
+
     def test_zero_noise_identity(self):
         gt, tracks = generate(base_cfg(objects=2, frames=8, seed=5))
         dets = corrupt(gt, NoiseConfig(), seed=5)
