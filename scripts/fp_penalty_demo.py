@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from movingseg.metrics import Region, delta_obj, official_measure, proposed_measure
+from movingseg.metrics import evaluate
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import TrackerConfig, track_sequence
 
@@ -38,12 +38,10 @@ def main() -> None:
     for rate in (0.0, 0.25, 0.5, 0.75, 1.0):
         dets = corrupt(gt, NoiseConfig(fp_rate=rate), seed=args.seed)
         tracks = track_sequence(dets, TrackerConfig())
-        preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
-        official = official_measure(gt, preds)
-        proposed = proposed_measure(gt, preds)
-        delta = delta_obj({"seq": n_gt}, {"seq": len(tracks)})
+        official, proposed, delta = (evaluate(metric, [("seq", gt, tracks)])
+                                     for metric in ("official", "proposed", "delta-obj"))
         print(f"{rate:>8.2f} {official.f_measure:>11.4f} {official.n_over_075:>11d} "
-              f"{proposed.f_measure:>11.4f} {len(tracks):>7d} {delta:>10.2f}")
+              f"{proposed.f_measure:>11.4f} {len(tracks):>7d} {delta.delta_obj:>10.2f}")
 
 
 if __name__ == "__main__":

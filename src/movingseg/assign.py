@@ -19,13 +19,13 @@ required vertex; a non-tight pair costs more than any tight matching.  The
 minimum is the smallest digit string among the optimal matchings, which is
 the smallest sorted pair list.
 
-`brute_force_assignment` is the independent exhaustive oracle used by the test
-suite; it shares nothing with the solver beyond the input contract.
+The tests check the solver against an exhaustive oracle that shares nothing
+with it beyond the input contract, ``brute_force_assignment`` in
+``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,40 +161,3 @@ def solve_max_assignment(scores) -> Matching:
     kept = tuple((r, c) for r, c in pairs if b[r, c] >= 0.0)
     total = float(sum(b[r, c] for r, c in kept))
     return Matching(kept, total)
-
-
-def brute_force_assignment(scores) -> Matching:
-    """Exhaustive maximum over all one-to-one matchings; min(rows, cols) <= 8.
-
-    Test oracle: enumerates every injection of the smaller side into the
-    larger and keeps the best total.  Negative entries are never matched.
-    """
-    b = _validated(scores)
-    n_rows, n_cols = b.shape
-    if n_rows == 0 or n_cols == 0:
-        return Matching((), 0.0)
-    if min(n_rows, n_cols) > 8:
-        raise ValueError(f"brute force limited to min dimension 8, got {min(n_rows, n_cols)}")
-    bc = np.maximum(b, 0.0)
-    best_total = -_INF
-    best: tuple[tuple[int, int], ...] = ()
-    if n_rows <= n_cols:
-        rows = bc.tolist()
-        for perm in itertools.permutations(range(n_cols), n_rows):
-            total = 0.0
-            for i, c in enumerate(perm):
-                total += rows[i][c]
-            if total > best_total:
-                best_total = total
-                best = tuple((i, c) for i, c in enumerate(perm))
-    else:
-        cols = bc.T.tolist()
-        for perm in itertools.permutations(range(n_rows), n_cols):
-            total = 0.0
-            for j, r in enumerate(perm):
-                total += cols[j][r]
-            if total > best_total:
-                best_total = total
-                best = tuple(sorted((r, j) for j, r in enumerate(perm)))
-    kept = tuple((r, c) for r, c in best if b[r, c] >= 0.0)
-    return Matching(kept, float(sum(b[r, c] for r, c in kept)))

@@ -11,14 +11,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from . import io as fileio
 from .mask import MaskError
-from .metrics import (MetricReport, Region, aggregate, average_precision,
-                      binarize_detections, boundary_f, combine_tallies, davis_j,
-                      default_boundary_tolerance, delta_obj, sequence_tally)
+# the two halves of metrics.evaluate, so that sequences load in the --jobs pool
+from .metrics import MetricReport, _report, _score
 from .synth import NoiseConfig, OcclusionEvent, SynthConfig, corrupt, generate
 from .tracker import (Detection, TrackerConfig, bidirectional_track,
                       merge_moving_static, track_sequence)
@@ -212,81 +210,10 @@ def _parallel(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-# Each metric is a per-sequence score, (gt, tracks, args) -> payload, run in the
-# --jobs pool, and a combine, ([(name, payload)], args) -> MetricReport.  The
-# aggregate combines every sequence and each sequence's report combines it alone;
-# a report over sequences without a single track is flagged no_predictions.
-
-def _tally(gt, tracks, args, official):
-    preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
-    return sequence_tally(gt, preds, official=official)
-
-
-def _pool_tallies(items, args, official):
-    return combine_tallies([tally for _, tally in items], official=official)
-
-
-def _object_counts(gt, tracks, args):
-    return len(gt.region_ids()), len(tracks)
-
-
-def _count_error(items, args):
-    return MetricReport(delta_obj=delta_obj({name: n_gt for name, (n_gt, _) in items},
-                                            {name: n_pred for name, (_, n_pred) in items}))
-
-
-def _detections_by_frame(gt, tracks):
-    """Track entries on evaluated frames, keyed by frame in track order."""
-    by_frame = {f: [] for f in gt.eval_frames()}
-    for t in tracks:
-        for d in t.entries:
-            if d.frame in by_frame:
-                by_frame[d.frame].append(d)
-    return by_frame
-
-
-def _ap_frames(gt, tracks, args):
-    return ({f: gt.instance_masks(f) for f in gt.eval_frames()},
-            _detections_by_frame(gt, tracks))
-
-
-def _pooled_ap(items, args):
-    # (name, frame) keys sort like frame keys within one sequence
-    pooled_gt = {(name, f): ms for name, (gt_frames, _) in items for f, ms in gt_frames.items()}
-    pooled_det = {(name, f): ds for name, (_, det_frames) in items
-                  for f, ds in det_frames.items()}
-    ap = average_precision(pooled_gt, pooled_det, mode=args.map_mode)
-    return MetricReport(**{"ap_" + args.map_mode: ap},
-                        flags=() if ap is not None else ("degenerate",))
-
-
-_DAVIS_FIELDS = ("j_mean", "j_recall", "j_decay", "f_boundary")
-
-
-def _davis_scores(gt, tracks, args):
-    gtb = {f: gt.foreground(f) for f in gt.eval_frames()}
-    prb = binarize_detections(_detections_by_frame(gt, tracks), args.binarize_threshold,
-                              width=gt.width, height=gt.height)
-    tol = default_boundary_tolerance(gt.width, gt.height, args.boundary_tolerance)
-    return (*davis_j(gtb, prb), boundary_f(gtb, prb, tolerance_px=tol))
-
-
-def _mean_davis(items, args):
-    return MetricReport(**{field: sum(p[k] for _, p in items) / len(items)
-                           for k, field in enumerate(_DAVIS_FIELDS)})
-
-
-_METRICS = {
-    "proposed": (partial(_tally, official=False), partial(_pool_tallies, official=False)),
-    "official": (partial(_tally, official=True), partial(_pool_tallies, official=True)),
-    "delta-obj": (_object_counts, _count_error),
-    "map": (_ap_frames, _pooled_ap),
-    "davis": (_davis_scores, _mean_davis),
-}
-
-
 def _evaluate_pairs(args, pairs) -> MetricReport:
-    score, combine = _METRICS[args.metric]
+    """``metrics.evaluate`` over (manifest, tracks file) pairs, loaded in the --jobs pool."""
+    options = dict(map_mode=args.map_mode, binarize_threshold=args.binarize_threshold,
+                   boundary_tolerance=args.boundary_tolerance)
 
     def run(pair):
         gt_path, pred_path = pair
@@ -297,15 +224,9 @@ def _evaluate_pairs(args, pairs) -> MetricReport:
                 f"{pred_path}: dimensions {width}x{height} do not match manifest "
                 f"{gt_path} ({gt.width}x{gt.height})"
             )
-        return name, (len(tracks), score(gt, tracks, args))
+        return name, _score(args.metric, gt, tracks, **options)
 
-    def report(items):
-        rep = combine([(name, payload) for name, (_, payload) in items], args)
-        if not any(n for _, (n, _) in items) and "no_predictions" not in rep.flags:
-            rep.flags += ("no_predictions",)
-        return rep
-
-    return aggregate(_parallel(run, pairs, args.jobs), report)
+    return _report(args.metric, _parallel(run, pairs, args.jobs), **options)
 
 
 def _format_line(name: str, report: MetricReport) -> str:

@@ -342,16 +342,10 @@ def _sweep(cut_arrays, depth: int) -> np.ndarray:
     return _interleave(starts[keep], ends[keep])
 
 
-def intersection_area(a: Mask, b: Mask) -> int:
-    """Pixels set in both masks."""
-    _require_same_dims(a, b)
-    return intersect_cuts(a.foreground_cuts, b.foreground_cuts)
-
-
 def iou(a: Mask, b: Mask) -> float:
     """Intersection over union; 0.0 when both masks are empty."""
     _require_same_dims(a, b)
-    inter = intersection_area(a, b)
+    inter = intersect_cuts(a.foreground_cuts, b.foreground_cuts)
     union = area(a) + area(b) - inter
     if union == 0:
         return 0.0
@@ -424,11 +418,6 @@ def _boxes(masks) -> np.ndarray:
     out[full, 2] = np.maximum.reduceat(np.where(wraps, w - 1, x_e), first)
     out[full, 3] = row_e[first + n[full] - 1]
     return out
-
-
-def bbox(mask: Mask) -> tuple[int, int, int, int] | None:
-    """Tight (x0, y0, x1, y1) inclusive bounds of the foreground, None if empty."""
-    return None if mask.is_empty else tuple(_boxes([mask])[0].tolist())
 
 
 def boxes_meet(a, b) -> np.ndarray:

@@ -9,13 +9,16 @@ down, and it counts every pixel including ignore-labeled ones.
 
 Also here: per-sequence object-count error (delta_obj), single-category
 average precision at an IoU threshold, binary-mask J statistics, and a
-boundary F-measure with a distance tolerance.
+boundary F-measure with a distance tolerance.  ``evaluate`` is the one entry
+to all five metrics, for the library and the CLI alike: it scores each named
+sequence and combines the scores into a report with its flags.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -25,7 +28,7 @@ from . import mask as mask_module
 from .assign import solve_max_assignment
 from .mask import (DimensionMismatchError, Mask, _boxes, _cuts_area, _frame_pixels, _from_cuts,
                    _label_runs, _overlaps, _tagged_overlaps, _value_cuts, boundary_pixels,
-                   intersect_cuts, iou_matrix, mask_from_cuts, union_merge)
+                   iou_matrix, mask_from_cuts, union_merge)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
@@ -140,11 +143,6 @@ class GroundTruthSequence:
         ends = np.concatenate([b[1:] for b in bounds])[hit]
         return starts, ends, tags[at[hit]]
 
-    def ignore_masks(self) -> dict[int, Mask]:
-        if self.ignore_value is None:
-            return {}
-        return dict(self.region(self.ignore_value).frames)
-
 
 @dataclass
 class MetricReport:
@@ -211,22 +209,6 @@ def _f_matrix(inter: np.ndarray, c_areas, g_areas) -> np.ndarray:
     return np.divide(2 * p * r, p + r, out=np.zeros(inter.shape), where=p + r != 0)
 
 
-def pairwise_prf(pred: Region, gt: Region, eval_frames: Sequence[int],
-                 ignore_masks: Mapping[int, Mask] | None = None):
-    """Precision/recall/F of one prediction against one ground-truth region.
-
-    Pixel counts pool over ``eval_frames`` only.  When ``ignore_masks`` is
-    given, ignore-labeled pixels are removed from the prediction before its
-    area is counted (they never overlap ground-truth regions).
-    """
-    sample = next(iter(gt.frames.values()), None) or next(iter(pred.frames.values()), None)
-    if sample is None:
-        return 0.0, 0.0, 0.0
-    c, g, ig = _region_cuts([pred, gt, Region(-1, dict(ignore_masks or {}))],
-                            sorted(eval_frames), sample.width, sample.height)
-    return _prf(intersect_cuts(c, g), _cuts_area(c) - intersect_cuts(c, ig), _cuts_area(g))
-
-
 @dataclass(frozen=True)
 class SequenceTally:
     matched_intersection: int
@@ -272,75 +254,6 @@ def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
         n_predictions=len(preds),
         n_gt_regions=len(gt_ids),
     )
-
-
-def combine_tallies(tallies: Sequence[SequenceTally], official: bool) -> MetricReport:
-    inter = sum(t.matched_intersection for t in tallies)
-    c_pool = sum(t.pred_pixels for t in tallies)
-    g_pool = sum(t.gt_pixels for t in tallies)
-    n_preds = sum(t.n_predictions for t in tallies)
-    n_gts = sum(t.n_gt_regions for t in tallies)
-    flags: list[str] = []
-    if n_gts == 0:
-        flags.append("degenerate")
-        if n_preds == 0:
-            flags.append("no_predictions")
-        return MetricReport(n_over_075=0 if official else None, flags=tuple(flags))
-    if n_preds == 0:
-        flags.append("no_predictions")
-    precision, recall, f = _prf(inter, c_pool, g_pool)
-    return MetricReport(
-        precision=precision,
-        recall=recall,
-        f_measure=f,
-        n_over_075=sum(t.n_over_075 for t in tallies) if official else None,
-        flags=tuple(flags),
-    )
-
-
-def official_measure(gt: GroundTruthSequence, preds: Sequence[Region]) -> MetricReport:
-    """Hungarian-matched F-measure that ignores unmatched predictions.
-
-    Precision divides by matched prediction pixels only, with ignore-labeled
-    pixels excluded; N counts ground-truth regions whose matched F exceeds
-    0.75.
-    """
-    return combine_tallies([sequence_tally(gt, preds, official=True)], official=True)
-
-
-def proposed_measure(gt: GroundTruthSequence, preds: Sequence[Region]) -> MetricReport:
-    """F-measure in which unmatched predictions count as false positives.
-
-    Precision divides by the pixels of all predictions; every pixel counts,
-    including ignore-labeled ones.
-    """
-    return combine_tallies([sequence_tally(gt, preds, official=False)], official=False)
-
-
-def aggregate(scored, combine) -> MetricReport:
-    """Report over named per-sequence payloads, with each sequence's own report.
-
-    ``scored`` lists (name, payload) pairs and ``combine`` turns such a list
-    into a MetricReport; a sequence's own report is ``combine`` of it alone.
-    """
-    names = [name for name, _ in scored]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate sequence names: {sorted(names)}")
-    report = combine(scored)
-    report.per_sequence = {name: combine([(name, payload)]) for name, payload in scored}
-    return report
-
-
-def evaluate_dataset(named_inputs, official: bool) -> MetricReport:
-    """Micro-averaged report over (name, gt, predictions) triples.
-
-    Matching runs per sequence; the aggregate pools raw pixel counts across
-    sequences before forming ratios.  Sequence names must be unique.
-    """
-    scored = [(name, sequence_tally(gt, preds, official=official))
-              for name, gt, preds in named_inputs]
-    return aggregate(scored, lambda items: combine_tallies(
-        [tally for _, tally in items], official=official))
 
 
 def delta_obj(gt_counts: Mapping[str, int], pred_counts: Mapping[str, int]) -> float:
@@ -544,3 +457,140 @@ def binarize_detections(dets_by_frame, threshold: float = 0.7, *,
         masks = [d.mask for d in dets_by_frame[f] if d.score > threshold]
         out[f] = union_merge(masks, width=width, height=height)
     return out
+
+
+@dataclass(frozen=True)
+class _Options:
+    """``evaluate``'s options, with the defaults of the CLI flags of the same names."""
+
+    map_mode: str = "mask"              # map: "box" or "mask" IoU
+    binarize_threshold: float = 0.7     # davis: keep masks scoring strictly above it
+    boundary_tolerance: float = 0.8     # davis: percent of the image diagonal
+
+
+# Each metric is a per-sequence score, (gt, tracks, options) -> payload, and a
+# combine, ([(name, (n_objects, n_tracks, payload))], options) -> MetricReport,
+# that sets the values; the flags are the report's, the same for every metric.
+
+def _tally(gt, tracks, options, official):
+    preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
+    return sequence_tally(gt, preds, official=official)
+
+
+def _pool_tallies(items, options, official):
+    tallies = [tally for _, (_, _, tally) in items]
+    n_over = sum(t.n_over_075 for t in tallies) if official else None
+    g_pool = sum(t.gt_pixels for t in tallies)
+    if not g_pool:   # no ground-truth object, so no ratio
+        return MetricReport(n_over_075=n_over)
+    precision, recall, f = _prf(sum(t.matched_intersection for t in tallies),
+                                sum(t.pred_pixels for t in tallies), g_pool)
+    return MetricReport(precision=precision, recall=recall, f_measure=f, n_over_075=n_over)
+
+
+def _count_error(items, options):
+    return MetricReport(delta_obj=delta_obj({name: n_gt for name, (n_gt, _, _) in items},
+                                            {name: n_pred for name, (_, n_pred, _) in items}))
+
+
+def _detections_by_frame(gt, tracks):
+    """Track entries on evaluated frames, keyed by frame in track order."""
+    by_frame = {f: [] for f in gt.eval_frames()}
+    for t in tracks:
+        for d in t.entries:
+            if d.frame in by_frame:
+                by_frame[d.frame].append(d)
+    return by_frame
+
+
+def _ap_frames(gt, tracks, options):
+    return ({f: gt.instance_masks(f) for f in gt.eval_frames()},
+            _detections_by_frame(gt, tracks))
+
+
+def _pooled_ap(items, options):
+    # (name, frame) keys sort like frame keys within one sequence
+    pooled_gt = {(name, f): ms for name, (_, _, (gt_frames, _)) in items
+                 for f, ms in gt_frames.items()}
+    pooled_det = {(name, f): ds for name, (_, _, (_, det_frames)) in items
+                  for f, ds in det_frames.items()}
+    mode = options.map_mode
+    return MetricReport(**{"ap_" + mode: average_precision(pooled_gt, pooled_det, mode=mode)})
+
+
+_DAVIS_FIELDS = ("j_mean", "j_recall", "j_decay", "f_boundary")
+
+
+def _davis_scores(gt, tracks, options):
+    gtb = {f: gt.foreground(f) for f in gt.eval_frames()}
+    prb = binarize_detections(_detections_by_frame(gt, tracks), options.binarize_threshold,
+                              width=gt.width, height=gt.height)
+    tol = default_boundary_tolerance(gt.width, gt.height, options.boundary_tolerance)
+    return (*davis_j(gtb, prb), boundary_f(gtb, prb, tolerance_px=tol))
+
+
+def _mean_davis(items, options):
+    return MetricReport(**{field: sum(p[k] for _, (_, _, p) in items) / len(items)
+                           for k, field in enumerate(_DAVIS_FIELDS)})
+
+
+_METRICS = {
+    "proposed": (partial(_tally, official=False), partial(_pool_tallies, official=False)),
+    "official": (partial(_tally, official=True), partial(_pool_tallies, official=True)),
+    "delta-obj": (lambda gt, tracks, options: None, _count_error),
+    "map": (_ap_frames, _pooled_ap),
+    "davis": (_davis_scores, _mean_davis),
+}
+
+
+def _metric(name: str):
+    if name not in _METRICS:
+        raise ValueError(f"unknown metric {name!r}, expected one of {sorted(_METRICS)}")
+    return _METRICS[name]
+
+
+def _score(metric: str, gt: GroundTruthSequence, tracks, **options):
+    """``evaluate``'s per-sequence half: (ground-truth objects, tracks, the metric's payload)."""
+    score, _ = _metric(metric)
+    return len(gt.region_ids()), len(tracks), score(gt, tracks, _Options(**options))
+
+
+def _report(metric: str, scored, **options) -> MetricReport:
+    """``evaluate``'s report half, over (name, ``_score`` result) pairs.
+
+    The aggregate combines every sequence and each ``per_sequence`` entry
+    combines its sequence alone.  A report is flagged ``degenerate`` when none
+    of its sequences has a ground-truth object and ``no_predictions`` when none
+    has a track.
+    """
+    _, combine = _metric(metric)
+    opts = _Options(**options)
+    if not scored:
+        raise ValueError("no sequences")
+    names = [name for name, _ in scored]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate sequence names: {sorted(names)}")
+
+    def report(items):
+        rep = combine(items, opts)
+        rep.flags = (("degenerate",) * (not any(n_gt for _, (n_gt, _, _) in items))
+                     + ("no_predictions",) * (not any(n for _, (_, n, _) in items)))
+        return rep
+
+    rep = report(scored)
+    rep.per_sequence = {name: report([(name, result)]) for name, result in scored}
+    return rep
+
+
+def evaluate(metric: str, sequences, **options) -> MetricReport:
+    """Score ``metric`` over (name, ground truth, tracks) triples; names must be unique.
+
+    ``metric`` is one of ``proposed``, ``official``, ``delta-obj``, ``map`` and
+    ``davis``; the options are ``map_mode`` ("mask"), ``binarize_threshold``
+    (0.7) and ``boundary_tolerance`` (0.8, percent of the image diagonal), as
+    the CLI's flags of the same names.  Tracks are ``tracker.Track``s.  The
+    CLI runs the two halves, ``_score`` per sequence and ``_report`` over
+    their results, itself, so that it can load sequences in its pool.
+    """
+    return _report(metric, [(name, _score(metric, gt, tracks, **options))
+                            for name, gt, tracks in sequences], **options)

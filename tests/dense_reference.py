@@ -1,14 +1,18 @@
 """Dense reference implementations that the run-space fast paths are tested against.
 
 Each one decodes masks into full pixel grids and works on those, sharing no
-arithmetic with the interval kernels in ``movingseg.mask``.
+arithmetic with the interval kernels in ``movingseg.mask``.  The assignment
+oracle enumerates every matching, sharing nothing with ``movingseg.assign``'s
+solver beyond the input contract.
 """
 
+import itertools
 from itertools import groupby
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
+from movingseg.assign import Matching, _validated
 from movingseg.mask import Mask, rle_decode, rle_encode
 from movingseg.synth import _place_spurious
 from movingseg.tracker import Detection
@@ -180,3 +184,40 @@ def average_precision_dense(gt_by_frame, dets_by_frame, iou_threshold, mode) -> 
         mpre[i] = max(mpre[i], mpre[i + 1])
     moved = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(np.sum((mrec[moved] - mrec[moved - 1]) * mpre[moved]))
+
+
+def brute_force_assignment(scores) -> Matching:
+    """Exhaustive maximum over all one-to-one matchings; min(rows, cols) <= 8.
+
+    Test oracle: enumerates every injection of the smaller side into the
+    larger and keeps the best total.  Negative entries are never matched.
+    """
+    b = _validated(scores)
+    n_rows, n_cols = b.shape
+    if n_rows == 0 or n_cols == 0:
+        return Matching((), 0.0)
+    if min(n_rows, n_cols) > 8:
+        raise ValueError(f"brute force limited to min dimension 8, got {min(n_rows, n_cols)}")
+    bc = np.maximum(b, 0.0)
+    best_total = -float("inf")
+    best: tuple[tuple[int, int], ...] = ()
+    if n_rows <= n_cols:
+        rows = bc.tolist()
+        for perm in itertools.permutations(range(n_cols), n_rows):
+            total = 0.0
+            for i, c in enumerate(perm):
+                total += rows[i][c]
+            if total > best_total:
+                best_total = total
+                best = tuple((i, c) for i, c in enumerate(perm))
+    else:
+        cols = bc.T.tolist()
+        for perm in itertools.permutations(range(n_rows), n_cols):
+            total = 0.0
+            for j, r in enumerate(perm):
+                total += cols[j][r]
+            if total > best_total:
+                best_total = total
+                best = tuple(sorted((r, j) for j, r in enumerate(perm)))
+    kept = tuple((r, c) for r, c in best if b[r, c] >= 0.0)
+    return Matching(kept, float(sum(b[r, c] for r, c in kept)))

@@ -4,7 +4,7 @@ import numpy as np
 
 from movingseg.mask import rle_encode
 from movingseg.metrics import GroundTruthSequence, Region
-from movingseg.tracker import Detection
+from movingseg.tracker import Detection, Track
 
 
 def rect_mask(width, height, x, y, w, h):
@@ -33,3 +33,9 @@ def region(rid, width, height, frame_rects):
 
 def det(frame, score, width, height, x, y, w, h, kind="moving"):
     return Detection(frame, score, rect_mask(width, height, x, y, w, h), kind)
+
+
+def tracks_of(regions):
+    """Each region as a track of score-1 detections, the form ``metrics.evaluate`` scores."""
+    return [Track(r.id, tuple(Detection(f, 1.0, m) for f, m in sorted(r.frames.items())))
+            for r in regions]

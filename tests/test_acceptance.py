@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import det, rect_labels, rect_mask, region, single_frame_gt
+from dense_reference import brute_force_assignment
+from helpers import det, rect_labels, rect_mask, region, single_frame_gt, tracks_of
 from movingseg import io as fileio
-from movingseg.assign import brute_force_assignment, solve_max_assignment
+from movingseg.assign import solve_max_assignment
 from movingseg.cli import main
 from movingseg.mask import rle_decode, rle_encode
-from movingseg.metrics import (Region, average_precision, official_measure,
-                               pairwise_prf, proposed_measure)
+from movingseg.metrics import average_precision, evaluate
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import (Detection, Track, TrackerConfig,
                                bidirectional_track, gate, step, track_sequence)
@@ -67,11 +67,14 @@ def test_criterion_2_metric_contrast():
                                      w, h)}))
         extra = region(99, width, height,
                        {0: (int(rng.integers(20, 26)), int(rng.integers(0, 16)), 5, 5)})
-        off_before = official_measure(gt, preds).f_measure
-        off_after = official_measure(gt, preds + [extra]).f_measure
+        def f_of(metric, regions):
+            return evaluate(metric, [("s", gt, tracks_of(regions))]).f_measure
+
+        off_before = f_of("official", preds)
+        off_after = f_of("official", preds + [extra])
         assert abs(off_after - off_before) < 1e-12, seed
-        prop_before = proposed_measure(gt, preds).f_measure
-        prop_after = proposed_measure(gt, preds + [extra]).f_measure
+        prop_before = f_of("proposed", preds)
+        prop_after = f_of("proposed", preds + [extra])
         if prop_before > 0:
             assert prop_after < prop_before, seed
             checked_decrease += 1
@@ -88,13 +91,14 @@ def test_criterion_3_golden_hand_cases():
     gt = single_frame_gt(width, height, [(1, 0, 0, 10, 10)])
     preds = [region(1, width, height, {0: (0, 0, 10, 10)}),
              region(2, width, height, {0: (20, 0, 5, 10)})]
-    rep = proposed_measure(gt, preds)
+    rep = evaluate("proposed", [("s", gt, tracks_of(preds))])
     ok = (abs(rep.precision - 2 / 3) < 1e-9 and abs(rep.recall - 1.0) < 1e-9
           and abs(rep.f_measure - 0.8) < 1e-9)
 
     gt2 = single_frame_gt(width, height, [(1, 0, 0, 10, 5)])
-    p, r, f = pairwise_prf(region(1, width, height, {0: (0, 0, 10, 10)}),
-                           gt2.region(1), gt2.eval_frames())
+    pred = region(1, width, height, {0: (0, 0, 10, 10)})
+    one = evaluate("proposed", [("s", gt2, tracks_of([pred]))])
+    p, r, f = one.precision, one.recall, one.f_measure
     ok = ok and abs(p - 0.5) < 1e-9 and abs(r - 1.0) < 1e-9 and abs(f - 2 / 3) < 1e-9
 
     ap_gt = {0: [rect_mask(width, height, 0, 0, 6, 6),
@@ -133,8 +137,7 @@ def test_criterion_4_tracker_lifecycle():
     gt, _ = generate(synth_cfg)
     dets = corrupt(gt, NoiseConfig(), seed=77)
     tracks = track_sequence(dets, cfg)
-    preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
-    f_value = proposed_measure(gt, preds).f_measure
+    f_value = evaluate("proposed", [("s", gt, tracks)]).f_measure
     ok = ok and f_value == 1.0
     assert _verdict(4, ok,
                     f"gap<=t_inactive: {len(keep)} track(s); gap>t_inactive: "
@@ -237,9 +240,8 @@ def test_criterion_8_runtime_1080p():
     cfg = SynthConfig(seed=3, frames=100, width=1920, height=1080, objects=10,
                       velocity=(2.0, 6.0))
     gt, tracks = generate(cfg)
-    preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
     started = time.perf_counter()
-    rep = proposed_measure(gt, preds)
+    rep = evaluate("proposed", [("s", gt, tracks)])
     elapsed = time.perf_counter() - started
     ok = elapsed < 5.0 and rep.f_measure == 1.0
     assert _verdict(8, ok,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingseg.assign import Matching, brute_force_assignment, solve_max_assignment
+from dense_reference import brute_force_assignment
+from movingseg.assign import Matching, solve_max_assignment
 
 
 def test_identity_benefit():

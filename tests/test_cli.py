@@ -157,6 +157,33 @@ class TestExitCodes:
         assert "no_predictions" not in report["per_sequence"]["found"]["flags"]
 
 
+    # the values a report over sequences without a ground-truth object keeps, without a
+    # track and with one; the flags are the same for every metric
+    @pytest.mark.parametrize("metric,values", [
+        ("proposed", {"precision": (None, None), "f_measure": (None, None)}),
+        ("official", {"f_measure": (None, None), "n_over_075": (0, 0)}),
+        ("delta-obj", {"delta_obj": (0.0, 1.0)}),
+        ("map", {"ap_mask": (None, None)}),
+        ("davis", {"j_mean": (1.0, 0.0), "f_boundary": (1.0, 0.0)})])
+    @pytest.mark.parametrize("n_tracks", [0, 1])
+    def test_no_ground_truth_flags_degenerate(self, tmp_path, metric, values, n_tracks):
+        gt = GroundTruthSequence(16, 8, {0: np.zeros((8, 16), dtype=np.int32)})
+        fileio.write_sequence("empty", gt, tmp_path / "g")
+        tracks = [Track(1, (det(0, 0.9, 16, 8, 2, 2, 4, 4),))][:n_tracks]
+        fileio.write_tracks(tmp_path / "t.json", 16, 8, tracks)
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--gt", str(tmp_path / "g" / "manifest.json"),
+                "--pred", str(tmp_path / "t.json"), "--metric", metric, "--out", str(out)]
+        assert main(argv) == 0
+        assert main(argv + ["--fail-on-degenerate"]) == 3
+        report = json.loads(out.read_text())
+        flags = ["degenerate"] + ["no_predictions"] * (not n_tracks)
+        for rep in (report["aggregate"], report["per_sequence"]["empty"]):
+            assert rep["flags"] == flags
+            assert {field: rep[field] for field in values} == \
+                {field: pair[n_tracks] for field, pair in values.items()}
+
+
 _FLOAT_OPTIONS = {"synth": ["--score-mean", "--score-spread", "--fp-rate", "--fn-rate"],
                   "track": ["--alpha-high", "--alpha-low", "--min-match-iou",
                             "--static-overlap-iou"],
@@ -344,24 +371,26 @@ class TestEvaluateCommand:
         assert "aggregate:" in out
 
 
+@pytest.fixture(scope="module")
+def two_sequences(tmp_path_factory):
+    """Two noisy synthesized sequences, tracked: their root and each one's CLI pair flags."""
+    root = tmp_path_factory.mktemp("pair")
+    pairs = {}
+    for seed in (4, 7):
+        out = root / f"s{seed}"
+        noise = ["--jitter", "2", "--fp-rate", "0.5", "--fn-rate", "0.1",
+                 "--score-mean", "0.85", "--score-spread", "0.15",
+                 "--name", f"seq{seed}"]
+        assert main(synth_args(out, seed=seed, frames=10, objects=3, extra=noise)) == 0
+        assert main(["track", "--detections", str(out / "detections.json"),
+                     "--out", str(out / "t.json")]) == 0
+        pairs[f"seq{seed}"] = ["--gt", str(out / "manifest.json"),
+                               "--pred", str(out / "t.json")]
+    return root, pairs
+
+
 class TestPerSequenceRule:
     """A sequence's per_sequence entry is what evaluating it alone reports."""
-
-    @pytest.fixture(scope="class")
-    def two_sequences(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("pair")
-        pairs = {}
-        for seed in (4, 7):
-            out = root / f"s{seed}"
-            noise = ["--jitter", "2", "--fp-rate", "0.5", "--fn-rate", "0.1",
-                     "--score-mean", "0.85", "--score-spread", "0.15",
-                     "--name", f"seq{seed}"]
-            assert main(synth_args(out, seed=seed, frames=10, objects=3, extra=noise)) == 0
-            assert main(["track", "--detections", str(out / "detections.json"),
-                         "--out", str(out / "t.json")]) == 0
-            pairs[f"seq{seed}"] = ["--gt", str(out / "manifest.json"),
-                                   "--pred", str(out / "t.json")]
-        return root, pairs
 
     @pytest.mark.parametrize("metric", [
         ["proposed"], ["official"], ["delta-obj"], ["map", "--map-mode", "box"],
@@ -379,6 +408,26 @@ class TestPerSequenceRule:
         assert sorted(both["per_sequence"]) == ["seq4", "seq7"]
         for name, pair in pairs.items():
             assert both["per_sequence"][name] == evaluate(name, *pair)["aggregate"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("metric,options", [
+    ("proposed", {}), ("official", {}), ("delta-obj", {}), ("map", {}),
+    ("map", {"map_mode": "box"}), ("davis", {}), ("davis", {"boundary_tolerance": 3.0})])
+def test_library_report_equals_cli(two_sequences, metric, options, jobs):
+    root, pairs = two_sequences
+    flags = [x for key, value in options.items() for x in ("--" + key.replace("_", "-"),
+                                                           str(value))]
+    report = root / f"cli-{metric}-{'-'.join(flags)}-{jobs}.json"
+    assert main(["evaluate", *pairs["seq4"], *pairs["seq7"], "--metric", metric, *flags,
+                 "--jobs", jobs, "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    sequences = []
+    for pair in pairs.values():
+        name, gt = fileio.load_sequence(pair[1])
+        sequences.append((name, gt, fileio.read_tracks(pair[3])[2]))
+    assert movingseg.evaluate(metric, sequences, **options).to_dict() == \
+        {**doc["aggregate"], "per_sequence": doc["per_sequence"]}
 
 
 # A malformed file is rejected before anything of its declared size exists: the

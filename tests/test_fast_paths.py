@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from dense_reference import (average_precision_dense, boundary_f_edt, boundary_map,
                              grid_box, grid_iou, interval_grid, translate_dense)
 from movingseg import mask as mask_module
-from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, bbox,
-                            boundary_pixels, intersect_cuts, iou, iou_matrix,
-                            mask_from_cuts, rle_decode, rle_encode, translate_many,
-                            union_merge)
+from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, boundary_pixels,
+                            intersect_cuts, iou, iou_matrix, mask_from_cuts, rle_decode,
+                            rle_encode, translate_many, union_merge)
 from movingseg.metrics import average_precision, boundary_f, davis_j
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
 from movingseg.tracker import (Detection, TrackerConfig, bidirectional_track, gate,
@@ -361,8 +360,6 @@ def test_boxes_match_dense(grids_):
     masks = [rle_encode(g, g.shape[1], g.shape[0]) for g in grids_]   # frame sizes may differ
     expected = [grid_box(g) for g in grids_]
     assert [tuple(box) for box in _boxes(masks).tolist()] == expected
-    assert [bbox(m) for m in masks] == [None if m.is_empty else box
-                                        for m, box in zip(masks, expected)]
 
 
 def test_encode_accepts_every_binary_dtype():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, _label_runs,
-                            _value_cuts, area, bbox, intersection_area, iou, mask_from_cuts,
-                            rle_decode, rle_encode, translate_many, union_merge)
+from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, _boxes,
+                            _label_runs, _value_cuts, area, intersect_cuts, iou,
+                            mask_from_cuts, rle_decode, rle_encode, translate_many,
+                            union_merge)
 from movingseg.metrics import GroundTruthSequence
 
 
@@ -69,13 +70,14 @@ def test_area_hand_cases():
 def test_intersection_hand_cases():
     a = rle_encode(grid([[0, 1, 1]]), 3, 1)
     b = rle_encode(grid([[1, 1, 0]]), 3, 1)
-    assert intersection_area(a, b) == 1
-    assert intersection_area(a, a) == 2
+    assert intersect_cuts(a.foreground_cuts, b.foreground_cuts) == 1
+    assert intersect_cuts(a.foreground_cuts, a.foreground_cuts) == 2
+    assert iou(a, b) == 1 / 3
     disjoint = rle_encode(grid([[1, 0, 0]]), 3, 1)
     other = rle_encode(grid([[0, 0, 1]]), 3, 1)
-    assert intersection_area(disjoint, other) == 0
+    assert intersect_cuts(disjoint.foreground_cuts, other.foreground_cuts) == 0
     with pytest.raises(DimensionMismatchError):
-        intersection_area(a, Mask(2, 2, (4,)))
+        iou(a, Mask(2, 2, (4,)))
 
 
 def test_iou_hand_cases():
@@ -142,12 +144,13 @@ def test_ops_match_dense_oracle(data, seed):
     a, b = rle_encode(dense, w, h), rle_encode(other, w, h)
     inter_dense = int((dense.astype(bool) & other.astype(bool)).sum())
     union_dense = int((dense.astype(bool) | other.astype(bool)).sum())
-    assert intersection_area(a, b) == inter_dense
-    assert intersection_area(a, b) == intersection_area(b, a)
+    inter = intersect_cuts(a.foreground_cuts, b.foreground_cuts)
+    assert inter == inter_dense
+    assert inter == intersect_cuts(b.foreground_cuts, a.foreground_cuts)
     assert area(a) == int(dense.sum())
     assert iou(a, b) == iou(b, a)
     assert 0.0 <= iou(a, b) <= 1.0
-    assert intersection_area(a, b) <= min(area(a), area(b))
+    assert inter <= min(area(a), area(b))
     assert (rle_decode(union_merge([a, b])) == (dense.astype(bool) | other.astype(bool))).all()
     assert iou(a, b) == (inter_dense / union_dense if union_dense else 0.0)
 
@@ -285,7 +288,7 @@ def test_mask_from_cuts_roundtrip():
 def test_bbox():
     g = np.zeros((6, 8), dtype=np.uint8)
     g[2:4, 3:6] = 1
-    assert bbox(rle_encode(g, 8, 6)) == (3, 2, 5, 3)
-    assert bbox(Mask(8, 6, (48,))) is None
     full = Mask(8, 6, (0, 48))
-    assert bbox(full) == (0, 0, 7, 5)
+    # an empty mask gets a box that meets nothing
+    assert _boxes([rle_encode(g, 8, 6), Mask(8, 6, (48,)), full]).tolist() == \
+        [[3, 2, 5, 3], [0, 0, -1, -1], [0, 0, 7, 5]]

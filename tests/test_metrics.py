@@ -5,18 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import det, rect_labels, rect_mask, region, single_frame_gt
+from dense_reference import brute_force_assignment
+from helpers import det, rect_labels, rect_mask, region, single_frame_gt, tracks_of
 from movingseg import mask as mask_module
-from movingseg.assign import brute_force_assignment
 from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rle_encode,
                             union_merge)
 from movingseg.metrics import (GroundTruthSequence, Region, SequenceTally, _f_matrix, _prf,
                                average_precision, binarize_detections, boundary_f,
-                               davis_j, delta_obj,
-                               evaluate_dataset, official_measure, pairwise_prf,
-                               proposed_measure, sequence_tally)
+                               davis_j, delta_obj, evaluate, sequence_tally)
 
 W, H = 40, 20
+
+
+def report_of(metric, gt, preds):
+    """``evaluate``'s report of ``metric`` on one sequence, with regions as tracks."""
+    return evaluate(metric, [("s", gt, tracks_of(preds))])
+
+
+def prf(metric, gt, preds):
+    rep = report_of(metric, gt, preds)
+    return rep.precision, rep.recall, rep.f_measure
 
 
 def test_instance_masks_skip_background_and_ignore():
@@ -53,45 +61,46 @@ def test_foreground_matches_union_merge(width, height, seed):
 
 
 class TestPairwisePrf:
+    """One prediction against a one-object sequence: its P/R/F with that object."""
+
     def test_identity(self):
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
         pred = region(1, W, H, {0: (0, 0, 10, 10)})
-        assert pairwise_prf(pred, gt.region(1), gt.eval_frames()) == (1.0, 1.0, 1.0)
+        assert prf("proposed", gt, [pred]) == (1.0, 1.0, 1.0)
 
     def test_half_overlap(self):
         # |c|=100, |g|=50, inter=50
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 5)])
         pred = region(1, W, H, {0: (0, 0, 10, 10)})
-        p, r, f = pairwise_prf(pred, gt.region(1), gt.eval_frames())
+        p, r, f = prf("proposed", gt, [pred])
         assert (p, r) == (0.5, 1.0)
         assert f == pytest.approx(2 / 3, abs=1e-15)
 
     def test_disjoint(self):
         gt = single_frame_gt(W, H, [(1, 0, 0, 5, 5)])
         pred = region(1, W, H, {0: (20, 10, 5, 5)})
-        assert pairwise_prf(pred, gt.region(1), gt.eval_frames()) == (0.0, 0.0, 0.0)
+        assert prf("proposed", gt, [pred]) == (0.0, 0.0, 0.0)
 
     def test_frames_outside_eval_are_invisible(self):
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
         pred = Region(1, {0: rect_mask(W, H, 0, 0, 10, 10),
                           5: rect_mask(W, H, 20, 10, 10, 5)})
-        assert pairwise_prf(pred, gt.region(1), gt.eval_frames()) == (1.0, 1.0, 1.0)
+        assert prf("proposed", gt, [pred]) == (1.0, 1.0, 1.0)
 
     def test_ignore_pixels_removed_from_prediction(self):
         labels = rect_labels(W, H, [(1, 0, 0, 10, 10), (9, 10, 0, 10, 10)])
         gt = GroundTruthSequence(W, H, {0: labels}, ignore_value=9)
         pred = region(1, W, H, {0: (0, 0, 20, 10)})   # covers gt + ignore
-        p, _, _ = pairwise_prf(pred, gt.region(1), gt.eval_frames(),
-                               ignore_masks=gt.ignore_masks())
+        p, _, _ = prf("official", gt, [pred])   # ignore pixels leave the prediction
         assert p == 1.0
-        p_raw, _, _ = pairwise_prf(pred, gt.region(1), gt.eval_frames())
+        p_raw, _, _ = prf("proposed", gt, [pred])
         assert p_raw == 0.5
 
 
 class TestOfficialMeasure:
     def test_perfect_prediction(self):
         gt = single_frame_gt(W, H, [(1, 2, 2, 10, 10)])
-        rep = official_measure(gt, [region(1, W, H, {0: (2, 2, 10, 10)})])
+        rep = report_of("official", gt, [region(1, W, H, {0: (2, 2, 10, 10)})])
         assert (rep.precision, rep.recall, rep.f_measure) == (1.0, 1.0, 1.0)
         assert rep.n_over_075 == 1
 
@@ -99,14 +108,14 @@ class TestOfficialMeasure:
         gt = single_frame_gt(W, H, [(1, 2, 2, 10, 10)])
         preds = [region(1, W, H, {0: (2, 2, 10, 10)}),
                  region(2, W, H, {0: (25, 5, 8, 8)})]
-        rep = official_measure(gt, preds)
+        rep = report_of("official", gt, preds)
         assert rep.f_measure == 1.0
         assert rep.n_over_075 == 1
 
     def test_half_cover(self):
         # gt 100 px, matched pred covers half of it and nothing else
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
-        rep = official_measure(gt, [region(1, W, H, {0: (0, 0, 10, 5)})])
+        rep = report_of("official", gt, [region(1, W, H, {0: (0, 0, 10, 5)})])
         assert rep.precision == 1.0
         assert rep.recall == 0.5
         assert rep.f_measure == pytest.approx(2 / 3, abs=1e-15)
@@ -115,12 +124,12 @@ class TestOfficialMeasure:
     def test_ignore_pixels_omitted(self):
         labels = rect_labels(W, H, [(1, 0, 0, 10, 10), (9, 10, 0, 10, 10)])
         gt = GroundTruthSequence(W, H, {0: labels}, ignore_value=9)
-        rep = official_measure(gt, [region(1, W, H, {0: (0, 0, 20, 10)})])
+        rep = report_of("official", gt, [region(1, W, H, {0: (0, 0, 20, 10)})])
         assert rep.precision == 1.0
 
     def test_no_ground_truth_degenerate(self):
         gt = single_frame_gt(W, H, [])
-        rep = official_measure(gt, [region(1, W, H, {0: (0, 0, 4, 4)})])
+        rep = report_of("official", gt, [region(1, W, H, {0: (0, 0, 4, 4)})])
         assert "degenerate" in rep.flags
         assert rep.f_measure is None
 
@@ -128,7 +137,7 @@ class TestOfficialMeasure:
 class TestProposedMeasure:
     def test_perfect_prediction(self):
         gt = single_frame_gt(W, H, [(1, 2, 2, 10, 10)])
-        rep = proposed_measure(gt, [region(1, W, H, {0: (2, 2, 10, 10)})])
+        rep = report_of("proposed", gt, [region(1, W, H, {0: (2, 2, 10, 10)})])
         assert (rep.precision, rep.recall, rep.f_measure) == (1.0, 1.0, 1.0)
         assert rep.n_over_075 is None
 
@@ -137,7 +146,7 @@ class TestProposedMeasure:
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
         preds = [region(1, W, H, {0: (0, 0, 10, 10)}),
                  region(2, W, H, {0: (20, 0, 5, 10)})]
-        rep = proposed_measure(gt, preds)
+        rep = report_of("proposed", gt, preds)
         assert rep.precision == pytest.approx(2 / 3, abs=1e-15)
         assert rep.recall == 1.0
         assert rep.f_measure == pytest.approx(0.8, abs=1e-15)
@@ -145,7 +154,7 @@ class TestProposedMeasure:
     def test_oversized_prediction(self):
         # pred covers gt (100 px) plus 100 background px
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
-        rep = proposed_measure(gt, [region(1, W, H, {0: (0, 0, 20, 10)})])
+        rep = report_of("proposed", gt, [region(1, W, H, {0: (0, 0, 20, 10)})])
         assert rep.precision == 0.5
         assert rep.recall == 1.0
         assert rep.f_measure == pytest.approx(2 / 3, abs=1e-15)
@@ -153,15 +162,15 @@ class TestProposedMeasure:
     def test_ignore_pixels_still_count(self):
         labels = rect_labels(W, H, [(1, 0, 0, 10, 10), (9, 10, 0, 10, 10)])
         gt = GroundTruthSequence(W, H, {0: labels}, ignore_value=9)
-        rep = proposed_measure(gt, [region(1, W, H, {0: (0, 0, 20, 10)})])
+        rep = report_of("proposed", gt, [region(1, W, H, {0: (0, 0, 20, 10)})])
         assert rep.precision == 0.5
 
     def test_empty_prediction_set(self):
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
-        rep = proposed_measure(gt, [])
+        rep = report_of("proposed", gt, [])
         assert (rep.precision, rep.recall, rep.f_measure) == (0.0, 0.0, 0.0)
         assert "no_predictions" in rep.flags
-        official = official_measure(gt, [])   # both measures agree on no predictions
+        official = report_of("official", gt, [])   # both measures agree on no predictions
         assert (official.precision, official.recall, official.f_measure) == (0.0, 0.0, 0.0)
         assert rep.flags == official.flags == ("no_predictions",)
 
@@ -199,11 +208,11 @@ class TestMeasureInvariants:
     def test_fp_contrast(self, seed):
         gt, preds = self._random_instance(seed)
         extra = region(99, W, H, {0: (30, 5, 6, 6)})   # right half: gt stays left
-        off_before = official_measure(gt, preds).f_measure
-        off_after = official_measure(gt, preds + [extra]).f_measure
+        off_before = report_of("official", gt, preds).f_measure
+        off_after = report_of("official", gt, preds + [extra]).f_measure
         assert off_before == off_after
-        prop_before = proposed_measure(gt, preds).f_measure
-        prop_after = proposed_measure(gt, preds + [extra]).f_measure
+        prop_before = report_of("proposed", gt, preds).f_measure
+        prop_after = report_of("proposed", gt, preds + [extra]).f_measure
         assert prop_after <= prop_before
         if prop_before > 0:
             assert prop_after < prop_before
@@ -211,15 +220,15 @@ class TestMeasureInvariants:
     @pytest.mark.parametrize("seed", range(10))
     def test_relabeling_invariance(self, seed):
         gt, preds = self._random_instance(seed)
-        rep = proposed_measure(gt, preds)
+        rep = report_of("proposed", gt, preds)
         relabeled = [Region(1000 - i, p.frames) for i, p in enumerate(preds)]
-        rep2 = proposed_measure(gt, relabeled)
+        rep2 = report_of("proposed", gt, relabeled)
         assert rep.values() == rep2.values()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ranges(self, seed):
         gt, preds = self._random_instance(seed)
-        for rep in (official_measure(gt, preds), proposed_measure(gt, preds)):
+        for rep in (report_of("official", gt, preds), report_of("proposed", gt, preds)):
             for v in (rep.precision, rep.recall, rep.f_measure):
                 assert 0.0 <= v <= 1.0
 
@@ -227,11 +236,7 @@ class TestMeasureInvariants:
     def test_matching_maximizes_f_sum(self, seed):
         rng = np.random.default_rng(seed + 500)
         gt, preds = self._random_instance(seed)
-        gt_regions = gt.regions()
-        f_matrix = np.zeros((len(preds), len(gt_regions)))
-        for i, p in enumerate(preds):
-            for j, g in enumerate(gt_regions):
-                f_matrix[i, j] = pairwise_prf(p, g, gt.eval_frames())[2]
+        *_, f_matrix = _dense_f_matrix(gt, preds, official=False)
         from movingseg.assign import solve_max_assignment
         total = solve_max_assignment(f_matrix).total_score
         assert total == pytest.approx(brute_force_assignment(f_matrix).total_score,
@@ -241,14 +246,14 @@ class TestMeasureInvariants:
         gt = single_frame_gt(W, H, [(1, 0, 0, 8, 8), (2, 20, 4, 8, 8)])
         exact = [region(1, W, H, {0: (0, 0, 8, 8)}),
                  region(2, W, H, {0: (20, 4, 8, 8)})]
-        assert proposed_measure(gt, exact).f_measure == 1.0
+        assert report_of("proposed", gt, exact).f_measure == 1.0
         off_by_one = [region(1, W, H, {0: (0, 0, 8, 8)}),
                       region(2, W, H, {0: (21, 4, 8, 8)})]
-        assert proposed_measure(gt, off_by_one).f_measure < 1.0
+        assert report_of("proposed", gt, off_by_one).f_measure < 1.0
         missing = [region(1, W, H, {0: (0, 0, 8, 8)})]
-        assert proposed_measure(gt, missing).f_measure < 1.0
+        assert report_of("proposed", gt, missing).f_measure < 1.0
         extra = exact + [region(3, W, H, {0: (32, 0, 4, 4)})]
-        assert proposed_measure(gt, extra).f_measure < 1.0
+        assert report_of("proposed", gt, extra).f_measure < 1.0
 
 
 class TestDatasetAggregation:
@@ -257,8 +262,8 @@ class TestDatasetAggregation:
         gt_b = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])    # 100 px, half covered
         preds_a = [region(1, W, H, {0: (0, 0, 10, 10)})]
         preds_b = [region(1, W, H, {0: (0, 0, 10, 5)})]
-        rep = evaluate_dataset(
-            [("a", gt_a, preds_a), ("b", gt_b, preds_b)], official=False)
+        rep = evaluate("proposed", [("a", gt_a, tracks_of(preds_a)),
+                                    ("b", gt_b, tracks_of(preds_b))])
         assert rep.precision == 1.0                      # 150 / 150
         assert rep.recall == pytest.approx(150 / 200)
         assert set(rep.per_sequence) == {"a", "b"}
@@ -269,7 +274,14 @@ class TestDatasetAggregation:
         exact = [region(1, W, H, {0: (0, 0, 10, 10)})]
         half = [region(1, W, H, {0: (0, 0, 10, 5)})]
         with pytest.raises(ValueError, match="duplicate sequence names"):
-            evaluate_dataset([("a", gt, exact), ("a", gt, half)], official=False)
+            evaluate("proposed", [("a", gt, tracks_of(exact)), ("a", gt, tracks_of(half))])
+
+
+def test_evaluate_rejects_unknown_metric_and_no_sequences():
+    with pytest.raises(ValueError, match="unknown metric 'recall'"):
+        evaluate("recall", [("s", single_frame_gt(W, H, []), [])])
+    with pytest.raises(ValueError, match="no sequences"):
+        evaluate("proposed", [])
 
 
 def test_delta_obj():
@@ -399,8 +411,8 @@ class TestBinarize:
         assert out[0] == union_merge([a.mask, b.mask])
 
 
-def _dense_oracle(gt, preds, official):
-    """``sequence_tally``'s counts recomputed from dense pixel arrays + the brute-force matcher."""
+def _dense_f_matrix(gt, preds, official):
+    """Per (prediction, region) overlaps, prediction and region areas and F, from dense pixels."""
     from movingseg.mask import rle_decode
 
     frames = sorted(gt.labeled_frames)
@@ -432,6 +444,12 @@ def _dense_oracle(gt, preds, official):
             p = inter[i, j] / c_area[i] if c_area[i] else 0.0
             r = inter[i, j] / g_area[j] if g_area[j] else 0.0
             f_matrix[i, j] = 2 * p * r / (p + r) if p + r else 0.0
+    return inter, c_area, g_area, f_matrix
+
+
+def _dense_oracle(gt, preds, official):
+    """``sequence_tally``'s counts recomputed from dense pixel arrays + the brute-force matcher."""
+    inter, c_area, g_area, f_matrix = _dense_f_matrix(gt, preds, official)
     matched = [(i, j) for i, j in brute_force_assignment(f_matrix).pairs
                if f_matrix[i, j] > 0]
     return SequenceTally(
@@ -440,7 +458,7 @@ def _dense_oracle(gt, preds, official):
         gt_pixels=int(g_area.sum()),
         n_over_075=sum(1 for i, j in matched if f_matrix[i, j] > 0.75),
         n_predictions=len(preds),
-        n_gt_regions=len(gt_ids),
+        n_gt_regions=len(g_area),
     )
 
 
@@ -525,7 +543,7 @@ def test_measures_match_dense_oracle(seed, official):
     # tiny chunks make one tally's label search cross chunk boundaries
     for chunk in (mask_module._CHUNK, 2, 6):
         with mock.patch.object(mask_module, "_CHUNK", chunk):
-            rep = (official_measure if official else proposed_measure)(gt, preds)
+            rep = report_of("official" if official else "proposed", gt, preds)
         assert rep.precision == pytest.approx(p, abs=1e-12)
         assert rep.recall == pytest.approx(r, abs=1e-12)
         assert rep.f_measure == pytest.approx(f, abs=1e-12)
@@ -539,5 +557,5 @@ def test_official_never_drops_with_disjoint_extra(seed):
     gt = single_frame_gt(W, H, [(1, x, y, 8, 8)])
     pred = region(1, W, H, {0: (x, y, 8, 8)})
     extra = region(2, W, H, {0: (28, 8, 6, 6)})
-    assert official_measure(gt, [pred, extra]).f_measure == \
-        official_measure(gt, [pred]).f_measure
+    assert report_of("official", gt, [pred, extra]).f_measure == \
+        report_of("official", gt, [pred]).f_measure

@@ -6,10 +6,10 @@ import pytest
 from dense_reference import corrupt_reference
 
 from movingseg.mask import area, rle_decode
-from movingseg.metrics import Region, proposed_measure
+from movingseg.metrics import evaluate
 from movingseg.synth import (NoiseConfig, OcclusionEvent, PlacementError, _advance,
                              SynthConfig, corrupt, generate)
-from movingseg.tracker import TrackerConfig, track_sequence
+from movingseg.tracker import Track, TrackerConfig, track_sequence
 
 
 def base_cfg(**kw):
@@ -205,8 +205,7 @@ class TestPipelineProperties:
         gt, _ = generate(cfg)
         dets = corrupt(gt, NoiseConfig(), seed=13)
         tracks = track_sequence(dets, TrackerConfig())
-        preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
-        rep = proposed_measure(gt, preds)
+        rep = evaluate("proposed", [("s", gt, tracks)])
         assert rep.f_measure == 1.0
 
     def test_fp_rate_never_raises_precision(self):
@@ -214,12 +213,12 @@ class TestPipelineProperties:
 
         def raw_precision(rate):
             dets = corrupt(gt, NoiseConfig(fp_rate=rate), seed=8)
-            regions, k = [], 0
+            tracks, k = [], 0
             for f in sorted(dets):
                 for d in dets[f]:
-                    regions.append(Region(k, {f: d.mask}))
+                    tracks.append(Track(k, (d,)))
                     k += 1
-            return proposed_measure(gt, regions).precision
+            return evaluate("proposed", [("s", gt, tracks)]).precision
 
         values = [raw_precision(r) for r in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import det, rect_mask
-from movingseg.metrics import Region, proposed_measure
+from movingseg.metrics import evaluate
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import (Detection, Track, TrackerConfig, bidirectional_track,
                                gate, merge_moving_static, step, track_sequence)
@@ -237,8 +237,7 @@ def test_synthetic_identity_agreement():
     gt, _ = generate(cfg)
     dets = corrupt(gt, cfg.noise, seed=21)
     tracks = track_sequence(dets, TrackerConfig())
-    preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
-    rep = proposed_measure(gt, preds)
+    rep = evaluate("proposed", [("s", gt, tracks)])
     assert rep.f_measure >= 0.99
 
 
@@ -248,5 +247,4 @@ def test_zero_jitter_multi_object_identity_exact():
     gt, _ = generate(cfg)
     dets = corrupt(gt, cfg.noise, seed=4)
     tracks = track_sequence(dets, TrackerConfig())
-    preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
-    assert proposed_measure(gt, preds).f_measure == 1.0
+    assert evaluate("proposed", [("s", gt, tracks)]).f_measure == 1.0
