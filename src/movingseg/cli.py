@@ -18,8 +18,8 @@ from .mask import MaskError
 # the two halves of metrics.evaluate, so that sequences load in the --jobs pool
 from .metrics import MetricReport, _report, _score
 from .synth import NoiseConfig, OcclusionEvent, SynthConfig, corrupt, generate
-from .tracker import (Detection, TrackerConfig, bidirectional_track,
-                      merge_moving_static, track_sequence)
+from .tracker import (TrackerConfig, _detection, bidirectional_track, merge_moving_static,
+                      track_sequence)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,7 +190,7 @@ def cmd_track(args) -> int:
                 f"{args.detections} ({width}x{height})"
             )
         for f, ds in s_dets.items():
-            forced = [Detection(d.frame, d.score, d.mask, "static") for d in ds]
+            forced = [_detection(d.frame, d.score, d.mask, "static") for d in ds]
             static.setdefault(f, []).extend(forced)
     if args.bidirectional:
         tracks = bidirectional_track(moving, static, cfg)

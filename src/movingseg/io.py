@@ -4,11 +4,15 @@ Label maps travel as binary PGM (P5) with maxval 255 or 65535.  Everything
 else is JSON with a top-level ``format_version`` of 1, written canonically
 (sorted keys, two-space indent, trailing newline) so identical data always
 produces identical bytes: exactly the bytes of ``json.dumps(obj, indent=2,
-sort_keys=True)`` plus the newline, with every flat list (every RLE) encoded
-by the stdlib's C encoder.  Scores are serialized with Python's shortest
-round-tripping float representation, so write/read is exact.  Readers reject
-malformed input outright instead of repairing it; errors carry the path to the
-offending field.
+sort_keys=True)`` plus the newline.  Manifests and reports go through
+``_canonical``, which hands every flat list to the stdlib's C encoder;
+detections and tracks files are written in their fixed layout, every run list
+from one pass over all masks' cuts and formatted by one ``%d`` format.  Scores
+are serialized with Python's shortest round-tripping float representation, so
+write/read is exact.  Readers reject malformed input outright instead of
+repairing it; errors carry the path to the offending field.  The detections
+and tracks readers check a whole parsed document in one batch pass and read it
+entry by entry only when a check fails, to name the first bad field.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .mask import MAX_PIXELS, MalformedMaskError, _from_cuts, _run_lists, _split_runs
+from .mask import MAX_PIXELS, MalformedMaskError, _run_lists, _split_runs
 from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport
-from .tracker import Detection, Track
+from .tracker import Detection, Track, _detection, _track
 
 FORMAT_VERSION = 1
 # write_sequence puts the label maps here, relative to the manifest
@@ -125,6 +129,33 @@ def _key_prefix(key: str) -> str:
     return _SCALAR.encode(key) + ": "
 
 
+def _object(fields: dict[str, str], newline: str) -> str:
+    """The canonical JSON object of ``fields``, encoded values by ``str`` key.
+
+    ``newline`` is the line break plus the indent of the object's own depth;
+    the values must be encoded one level deeper.
+    """
+    if not fields:
+        return "{}"
+    inner = newline + "  "
+    sep = "," + inner
+    # one join over every piece copies a long value once
+    parts = [part for k in sorted(fields) for part in (sep, _key_prefix(k), fields[k])]
+    parts[0] = "{" + inner
+    return "".join((*parts, newline, "}"))
+
+
+def _array(items: list[str], newline: str) -> str:
+    """The canonical JSON array of encoded ``items``, laid out as ``_object``'s values."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    sep = "," + inner
+    parts = [part for item in items for part in (sep, item)]
+    parts[0] = "[" + inner
+    return "".join((*parts, newline, "]"))
+
+
 def _canonical(obj, newline: str = "\n") -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, for ``str`` keys only.
 
@@ -138,26 +169,20 @@ def _canonical(obj, newline: str = "\n") -> str:
         return repr(obj)
     inner = newline + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         if not set(map(type, obj)) <= {str}:
             raise TypeError("canonical JSON keys must be str")
-        body = ("," + inner).join(_key_prefix(k) + _canonical(obj[k], inner)
-                                  for k in sorted(obj))
-        return "{" + inner + body + newline + "}"
+        return _object({k: _canonical(v, inner) for k, v in obj.items()}, newline)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) <= _SCALARS:
-            body = _flat_encoder(inner).encode(obj)[1:-1]
-        else:
-            body = ("," + inner).join(_canonical(x, inner) for x in obj)
-        return "[" + inner + body + newline + "]"
+        if obj and set(map(type, obj)) <= _SCALARS:
+            return _array([_flat_encoder(inner).encode(obj)[1:-1]], newline)
+        return _array([_canonical(x, inner) for x in obj], newline)
     return _SCALAR.encode(obj)
 
 
-def _dump_json(obj, path) -> None:
-    Path(path).write_text(_canonical(obj) + "\n", encoding="utf-8")
+def _write_json(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:   # no copy of text for its newline
+        fh.write(text)
+        fh.write("\n")
 
 
 def _load_json(path):
@@ -202,9 +227,8 @@ def _frame_size(doc, path) -> tuple[int, int]:
 def _detections_from_fields(fields, width, height) -> list[Detection]:
     """Detections from (frame, score, kind, rle, where) tuples, all run lists checked at once."""
     try:
-        cuts = _split_runs([f[3] for f in fields], width * height)
-        return [Detection(f[0], f[1], _from_cuts(width, height, c), f[2])
-                for f, c in zip(fields, cuts)]
+        masks = _split_runs([f[3] for f in fields], width, height)
+        return [Detection(f[0], f[1], m, f[2]) for f, m in zip(fields, masks)]
     except ValueError as e:
         for f in fields[:-1]:   # the first offending entry raises, with its own message
             _detections_from_fields([f], width, height)
@@ -215,10 +239,44 @@ def _detections_from_fields(fields, width, height) -> list[Detection]:
 def _score_from_field(raw, where) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise SchemaError(f"{where}: score must be a number")
-    score = float(raw)
-    if not math.isfinite(score) or not 0.0 <= score <= 1.0:
+    if not 0 <= raw <= 1:   # nan too; an int is compared before float() could overflow
         raise SchemaError(f"{where}: score {raw} outside [0, 1]")
-    return score
+    return float(raw)
+
+
+# The batch readers check a whole parsed document at once and build through the
+# unchecked constructors.  They accept only what the entry-by-entry readers accept
+# and return None otherwise; the entry-by-entry reader then names the first bad field.
+
+def _rising(values: list, counts) -> bool:
+    """Whether ``values``, ints, strictly increase within each run of ``counts`` of them."""
+    try:
+        v = np.fromiter(values, np.int64, len(values))
+    except OverflowError:   # beyond int64: left to the entry-by-entry check
+        return False
+    rises = v[1:] > v[:-1]
+    rises[np.cumsum(counts, dtype=np.int64)[:-1] - 1] = True   # each run's first value
+    return bool(rises.all())
+
+
+def _batch_entries(entries: list, frames, kinds, width, height) -> list[Detection] | None:
+    """Detections of parsed entries, each a dict with a score in [0, 1] and the run list
+    of a non-empty mask; ``frames`` and ``kinds`` give each entry's frame and kind."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    scores = [e.get("score") for e in entries]
+    rles = [e.get("rle") for e in entries]
+    if not (set(map(type, scores)) <= {int, float} and set(map(type, rles)) <= {list}
+            and min(map(len, rles), default=2) > 1):   # one run: no foreground
+        return None
+    try:
+        values = np.fromiter(scores, np.float64, len(scores))
+        masks = _split_runs(rles, width, height)
+    except (OverflowError, MalformedMaskError):
+        return None
+    if not ((values >= 0) & (values <= 1)).all():   # nan too
+        return None
+    return list(map(_detection, frames, values.tolist(), masks, kinds))
 
 
 # ---------------------------------------------------------------- manifests
@@ -244,19 +302,14 @@ def read_manifest(path) -> Manifest:
 
 
 def write_manifest(manifest: Manifest, path) -> None:
-    _dump_json(
-        {
-            "format_version": FORMAT_VERSION,
-            "sequence": manifest.sequence,
-            "width": manifest.width,
-            "height": manifest.height,
-            "ignore_value": manifest.ignore_value,
-            "frames": [
-                {"index": idx, "labelmap": rel} for idx, rel in manifest.frames
-            ],
-        },
-        path,
-    )
+    _write_json(_canonical({
+        "format_version": FORMAT_VERSION,
+        "sequence": manifest.sequence,
+        "width": manifest.width,
+        "height": manifest.height,
+        "ignore_value": manifest.ignore_value,
+        "frames": [{"index": idx, "labelmap": rel} for idx, rel in manifest.frames],
+    }), path)
 
 
 def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
@@ -301,10 +354,39 @@ def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
     doc = _load_json(path)
     _check_version(doc, path)
     width, height = _frame_size(doc, path)
-    raw_frames = _get(doc, "frames", list, str(path))
+    items = _get(doc, "frames", list, str(path))
+    dets = _batch_detections(items, width, height)
+    if dets is None:
+        dets = _checked_detections(items, width, height, path)
+    return width, height, dets
+
+
+def _batch_detections(items: list, width, height) -> dict[int, list[Detection]] | None:
+    """``read_detections``' frames from its parsed ``frames`` list, or None."""
+    if not set(map(type, items)) <= {dict}:
+        return None
+    indices = [item.get("index") for item in items]
+    groups = [item.get("detections") for item in items]
+    if not (set(map(type, indices)) <= {int} and set(map(type, groups)) <= {list}
+            and _rising(indices, [len(indices)])):
+        return None
+    counts = list(map(len, groups))
+    entries = list(chain.from_iterable(groups))
+    kinds = [e.get("kind") if type(e) is dict else None for e in entries]
+    if not (set(map(type, kinds)) <= {str} and set(kinds) <= {"moving", "static"}):
+        return None
+    frames = chain.from_iterable(map(repeat, indices, counts))
+    dets = _batch_entries(entries, frames, kinds, width, height)
+    if dets is None:
+        return None
+    it = iter(dets)
+    return {idx: list(islice(it, n)) for idx, n in zip(indices, counts)}
+
+
+def _checked_detections(items: list, width, height, path) -> dict[int, list[Detection]]:
     fields, counts = [], {}
     last = None
-    for k, item in enumerate(raw_frames):
+    for k, item in enumerate(items):
         where = f"{path}.frames[{k}]"
         idx = _get(item, "index", int, where)
         if last is not None and idx <= last:
@@ -320,27 +402,41 @@ def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
             fields.append((idx, score, kind, _get(dd, "rle", list, dwhere), dwhere))
         counts[idx] = len(raw_dets)
     dets = iter(_detections_from_fields(fields, width, height))
-    return width, height, {idx: list(islice(dets, n)) for idx, n in counts.items()}
+    return {idx: list(islice(dets, n)) for idx, n in counts.items()}
+
+
+# The writers' fixed layouts: a detection or a tracks file entry is an object at
+# depth 4 of its document, each "%s" one of its values in sorted key order, and
+# its runs lie at depth 6
+_NEWLINE = ["\n" + "  " * depth for depth in range(7)]
+_DETECTION = _object({"kind": "%s", "rle": _array(["%s"], _NEWLINE[5]), "score": "%s"},
+                     _NEWLINE[4])
+_TRACK_ENTRY = _object({"index": "%s", "rle": _array(["%s"], _NEWLINE[5]), "score": "%s"},
+                       _NEWLINE[4])
+
+
+def _run_texts(masks) -> list[str]:
+    """Each mask's run list, encoded at the fixed layouts' depth 6."""
+    # one %-format per list converts its ints in C, where str() is a call per run
+    return [("," + _NEWLINE[6]).join(["%d"] * len(runs)) % tuple(runs)
+            for runs in _run_lists(masks)]
 
 
 def write_detections(path, width: int, height: int, dets_by_frame) -> None:
     order = sorted(dets_by_frame)
-    rles = iter(_run_lists([d.mask for idx in order for d in dets_by_frame[idx]]))
-    frames = [
-        {
-            "index": idx,
-            "detections": [
-                {"score": d.score, "kind": d.kind, "rle": next(rles)}
-                for d in dets_by_frame[idx]
-            ],
-        }
+    runs = iter(_run_texts([d.mask for idx in order for d in dets_by_frame[idx]]))
+    frames = _array([
+        _object({
+            "detections": _array([_DETECTION % (_canonical(d.kind), next(runs),
+                                                _canonical(d.score))
+                                  for d in dets_by_frame[idx]], _NEWLINE[3]),
+            "index": _canonical(idx),
+        }, _NEWLINE[2])
         for idx in order
-    ]
-    _dump_json(
-        {"format_version": FORMAT_VERSION, "width": width, "height": height,
-         "frames": frames},
-        path,
-    )
+    ], _NEWLINE[1])
+    _write_json(_object({"format_version": _canonical(FORMAT_VERSION), "frames": frames,
+                         "height": _canonical(height), "width": _canonical(width)}, "\n"),
+                path)
 
 
 # ---------------------------------------------------------------- tracks
@@ -349,8 +445,37 @@ def read_tracks(path) -> tuple[int, int, list[Track]]:
     doc = _load_json(path)
     _check_version(doc, path)
     width, height = _frame_size(doc, path)
+    items = _get(doc, "tracks", list, str(path))
+    tracks = _batch_tracks(items, width, height)
+    if tracks is None:
+        tracks = _checked_tracks(items, width, height, path)
+    return width, height, tracks
+
+
+def _batch_tracks(items: list, width, height) -> list[Track] | None:
+    """``read_tracks``' tracks from its parsed ``tracks`` list, or None."""
+    if not set(map(type, items)) <= {dict}:
+        return None
+    ids = [item.get("id") for item in items]
+    groups = [item.get("frames") for item in items]
+    if not (set(map(type, ids)) <= {int} and set(map(type, groups)) <= {list}
+            and len(set(ids)) == len(ids) and all(groups)):
+        return None
+    counts = list(map(len, groups))
+    entries = list(chain.from_iterable(groups))
+    frames = [e.get("index") if type(e) is dict else None for e in entries]
+    if not (set(map(type, frames)) <= {int} and _rising(frames, counts)):
+        return None
+    dets = _batch_entries(entries, frames, repeat("moving"), width, height)
+    if dets is None:
+        return None
+    it = iter(dets)
+    return [_track(tid, tuple(islice(it, n))) for tid, n in zip(ids, counts)]
+
+
+def _checked_tracks(items: list, width, height, path) -> list[Track]:
     fields, counts = [], {}
-    for k, item in enumerate(_get(doc, "tracks", list, str(path))):
+    for k, item in enumerate(items):
         where = f"{path}.tracks[{k}]"
         tid = _get(item, "id", int, where)
         if tid in counts:
@@ -369,32 +494,27 @@ def read_tracks(path) -> tuple[int, int, list[Track]]:
             fields.append((idx, score, "moving", _get(ff, "rle", list, fwhere), fwhere))
         counts[tid] = len(raw_entries)
     entries = iter(_detections_from_fields(fields, width, height))
-    return width, height, [Track(tid, tuple(islice(entries, n))) for tid, n in counts.items()]
+    return [Track(tid, tuple(islice(entries, n))) for tid, n in counts.items()]
 
 
 def write_tracks(path, width: int, height: int, tracks) -> None:
     ids = [t.id for t in tracks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate track ids")
-    rles = iter(_run_lists([d.mask for t in tracks for d in t.entries]))
-    _dump_json(
-        {
-            "format_version": FORMAT_VERSION,
-            "width": width,
-            "height": height,
-            "tracks": [
-                {
-                    "id": t.id,
-                    "frames": [
-                        {"index": d.frame, "score": d.score, "rle": next(rles)}
-                        for d in t.entries
-                    ],
-                }
-                for t in tracks
-            ],
-        },
-        path,
-    )
+    runs = iter(_run_texts([d.mask for t in tracks for d in t.entries]))
+    items = _array([
+        _object({
+            "frames": _array([_TRACK_ENTRY % (_canonical(d.frame), next(runs),
+                                              _canonical(d.score))
+                              for d in t.entries], _NEWLINE[3]),
+            "id": _canonical(t.id),
+        }, _NEWLINE[2])
+        for t in tracks
+    ], _NEWLINE[1])
+    _write_json(_object({"format_version": _canonical(FORMAT_VERSION),
+                         "height": _canonical(height), "tracks": items,
+                         "width": _canonical(width)}, "\n"),
+                path)
 
 
 # ---------------------------------------------------------------- reports
@@ -402,11 +522,8 @@ def write_tracks(path, width: int, height: int, tracks) -> None:
 def write_report(report: MetricReport, path) -> None:
     body = report.to_dict()
     per_seq = body.pop("per_sequence", {})
-    _dump_json(
-        {"format_version": FORMAT_VERSION, "aggregate": body,
-         "per_sequence": per_seq},
-        path,
-    )
+    _write_json(_canonical({"format_version": FORMAT_VERSION, "aggregate": body,
+                            "per_sequence": per_seq}), path)
 
 
 def write_report_csv(report: MetricReport, path) -> None:

@@ -8,9 +8,11 @@ A Mask stores only its sorted foreground interval boundaries (a read-only int64
 ``foreground_cuts``).  Run lists are checked once, by ``Mask(width, height, runs)``
 or, a file's all together, by ``_split_runs``.  Cuts that are canonical by
 construction, such as label runs from the one run finder ``_label_runs``
-(grouped by value in ``_value_cuts``), ``_sweep`` output and ``translate_many``
-output, go unchecked to ``_from_cuts``, which alone makes cuts read-only and
-applies the frame-size rule; ``mask_from_cuts`` checks any other cuts once.
+(grouped by value in ``_value_cuts``) and ``_sweep`` output, go unchecked to
+``_from_cuts``, which applies the frame-size rule and makes them read-only;
+``mask_from_cuts`` checks any other cuts once.  ``_split_runs`` and
+``translate_many`` make one read-only array per call and build each Mask over
+a slice of it with ``_mask``, the one constructor that checks nothing.
 Every other operation works on the cuts and never touches a dense pixel grid,
 as pycocotools' ``maskApi.c`` does; this is what keeps evaluation over long
 high-resolution sequences cheap.  Binary searches and prefix sums carry all of it:
@@ -34,7 +36,7 @@ split runs at row ends.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -69,8 +71,8 @@ class Mask:
     """
 
     def __init__(self, width: int, height: int, runs) -> None:
-        (cuts,) = _split_runs([[int(r) for r in runs]], _frame_pixels(width, height))
-        self.__dict__.update(vars(_from_cuts(width, height, cuts)))
+        (mask,) = _split_runs([[int(r) for r in runs]], width, height)
+        self.__dict__.update(vars(mask))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Mask is immutable: cannot set {name!r}")
@@ -115,6 +117,12 @@ def _from_cuts(width: int, height: int, cuts: np.ndarray) -> Mask:
     """A Mask over int64 cuts that are canonical for the frame; it makes them read-only."""
     _frame_pixels(width, height)
     cuts.flags.writeable = False
+    return _mask(width, height, cuts)
+
+
+def _mask(width: int, height: int, cuts: np.ndarray) -> Mask:
+    """The Mask of read-only int64 cuts canonical for a frame size ``_frame_pixels``
+    accepts, built unchecked."""
     mask = object.__new__(Mask)
     mask.__dict__.update(width=width, height=height, foreground_cuts=cuts)
     return mask
@@ -142,12 +150,13 @@ def _run_lists(masks) -> list[list[int]]:
     return [diffs[a:b] for a, b in zip(first.tolist(), last.tolist())]
 
 
-def _split_runs(rles, total: int) -> list[np.ndarray]:
-    """Check lists of runs over ``total`` pixels, all in one int64 array.
+def _split_runs(rles, width: int, height: int) -> list[Mask]:
+    """Check lists of runs over a width x height frame, all in one int64 array.
 
-    Returns each list's foreground cuts, views of one cumulative sum.
-    An error does not say which list failed: check a list alone for that.
+    Returns each list's Mask; their cuts are views of one read-only cumulative
+    sum.  An error does not say which list failed: check a list alone for that.
     """
+    total = _frame_pixels(width, height)
     if not rles:
         return []
     lengths = np.fromiter(map(len, rles), np.int64, len(rles))
@@ -157,12 +166,15 @@ def _split_runs(rles, total: int) -> list[np.ndarray]:
     flat = list(chain.from_iterable(rles))
     if not set(map(type, flat)) <= {int}:   # JSON's 1.5, true and "4" are not runs
         raise MalformedMaskError("runs must be integers")
-    # bounds first, with Python ints, so that the int64 array below is exact
-    if min(flat) < 0:
+    try:
+        runs = np.fromiter(flat, np.int64, len(flat))
+        lo, hi = runs.min(), runs.max()
+    except OverflowError:   # some run is beyond int64: the bounds, exactly, from Python ints
+        lo, hi = min(flat), max(flat)
+    if lo < 0:
         raise MalformedMaskError("negative run length")
-    if max(flat) > total:
+    if hi > total:
         raise MalformedMaskError("run length outside the frame")
-    runs = np.fromiter(flat, np.int64, len(flat))
     if np.count_nonzero(runs == 0) > np.count_nonzero(runs[starts] == 0):   # only as a first run
         raise MalformedMaskError("zero-length interior run")
     sums = np.add.reduceat(runs, starts)
@@ -171,8 +183,10 @@ def _split_runs(rles, total: int) -> list[np.ndarray]:
     # every list sums to total: taking it off each later list's first run restarts the sum
     runs[starts[1:]] -= total
     cuts = np.cumsum(runs, out=runs)
+    cuts.flags.writeable = False   # and so is every slice of it
     stops = ends - (lengths & 1)   # an odd list ends in background, closing at total
-    return [cuts[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+    views = map(cuts.__getitem__, map(slice, starts.tolist(), stops.tolist()))
+    return list(map(_mask, repeat(width), repeat(height), views))
 
 
 def rle_encode(dense, width: int, height: int) -> Mask:
@@ -477,7 +491,8 @@ def translate_many(masks, shifts) -> list[Mask]:
     pieces = (np.bincount(owner, minlength=len(masks))
               - np.bincount(owner[seam], minlength=len(masks)))
     edges = np.concatenate(([0], np.cumsum(2 * pieces))).tolist()
-    return [_from_cuts(w, h, cuts[a:b]) for a, b in zip(edges, edges[1:])]
+    cuts.flags.writeable = False   # and so is every slice of it
+    return [_mask(w, h, cuts[a:b]) for a, b in zip(edges, edges[1:])]
 
 
 def boundary_pixels(mask: Mask) -> np.ndarray:

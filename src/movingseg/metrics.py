@@ -291,38 +291,48 @@ def average_precision(gt_by_frame, dets_by_frame, iou_threshold: float = 0.5,
     there is no ground truth at all.  Score ties break by frame then input
     order.
     """
+    matches = _greedy_matches(gt_by_frame, dets_by_frame, iou_threshold, mode)
+    return _interpolated_ap([tp for *_, tp in sorted(matches)],
+                            sum(map(len, gt_by_frame.values())))
+
+
+def _greedy_matches(gt_by_frame, dets_by_frame, iou_threshold: float, mode: str):
+    """(-score, frame, input index, true positive) of every detection.
+
+    Within a frame, detections by descending score, then input order, each
+    take the first of their best-overlapping objects left, if its IoU is at
+    least ``iou_threshold`` and above 0.  A frame's flags depend on that frame
+    alone, so they equal the flags of matching all frames in one score order.
+    """
     if mode not in ("box", "mask"):
         raise ValueError(f"unknown AP mode {mode!r}")
-    frames = sorted(set(gt_by_frame) | set(dets_by_frame))
-    n_gt = sum(len(gt_by_frame.get(f, ())) for f in frames)
+    overlap = iou_matrix if mode == "mask" else _box_ious
+    matches = []
+    for f, dets in dets_by_frame.items():
+        # one detections x ground-truth matrix per frame; a taken object's column is zeroed
+        ious = overlap([d.mask for d in dets], gt_by_frame.get(f, ()))
+        for idx in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+            row = ious[idx]
+            j = int(row.argmax()) if len(row) else -1   # the first of the best overlaps
+            tp = j >= 0 and row[j] > 0 and row[j] >= iou_threshold   # 0 matches nothing
+            if tp:
+                ious[:, j] = 0.0
+            matches.append((-dets[idx].score, f, idx, tp))
+    return matches
+
+
+def _interpolated_ap(tp, n_gt: int) -> float | None:
+    """All-points interpolated AP of the true-positive flags ``tp`` in score order;
+    None without ground truth."""
     if n_gt == 0:
         return None
-    frame_order = {f: k for k, f in enumerate(frames)}
-    dets = []
-    for f in frames:
-        for idx, d in enumerate(dets_by_frame.get(f, ())):
-            dets.append((-d.score, frame_order[f], idx, f))
-    dets.sort(key=lambda t: t[:3])
-
-    overlap = iou_matrix if mode == "mask" else _box_ious
-    # one detections x ground-truth matrix per frame; a taken object's column is zeroed
-    ious = {f: overlap([d.mask for d in dets_by_frame.get(f, ())], gt_by_frame.get(f, ()))
-            for f in frames}
-    tp = np.zeros(len(dets), dtype=bool)
-    for k, (_, _, idx, f) in enumerate(dets):
-        row = ious[f][idx]
-        j = int(row.argmax()) if len(row) else -1   # the first of the best overlaps
-        if j >= 0 and row[j] > 0 and row[j] >= iou_threshold:   # 0 matches nothing
-            ious[f][:, j] = 0.0
-            tp[k] = True
+    tp = np.array(tp, dtype=bool)
     tp_cum = np.cumsum(tp)
     fp_cum = np.cumsum(~tp)
     rec = tp_cum / n_gt
     prec = tp_cum / np.maximum(tp_cum + fp_cum, 1)
     mrec = np.concatenate(([0.0], rec, [1.0]))
-    mpre = np.concatenate(([0.0], prec, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], prec, [0.0]))[::-1])[::-1]
     moved = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(np.sum((mrec[moved] - mrec[moved - 1]) * mpre[moved]))
 
@@ -467,6 +477,15 @@ class _Options:
     binarize_threshold: float = 0.7     # davis: keep masks scoring strictly above it
     boundary_tolerance: float = 0.8     # davis: percent of the image diagonal
 
+    def __post_init__(self) -> None:
+        if self.map_mode not in ("box", "mask"):
+            raise ValueError(f"map_mode must be 'box' or 'mask', got {self.map_mode!r}")
+        if not math.isfinite(self.binarize_threshold):
+            raise ValueError(f"binarize_threshold must be finite, got {self.binarize_threshold!r}")
+        if not (math.isfinite(self.boundary_tolerance) and self.boundary_tolerance >= 0):
+            raise ValueError("boundary_tolerance must be finite and >= 0, "
+                             f"got {self.boundary_tolerance!r}")
+
 
 # Each metric is a per-sequence score, (gt, tracks, options) -> payload, and a
 # combine, ([(name, (n_objects, n_tracks, payload))], options) -> MetricReport,
@@ -503,19 +522,18 @@ def _detections_by_frame(gt, tracks):
     return by_frame
 
 
-def _ap_frames(gt, tracks, options):
-    return ({f: gt.instance_masks(f) for f in gt.eval_frames()},
-            _detections_by_frame(gt, tracks))
+def _ap_matches(gt, tracks, options):
+    gt_frames = {f: gt.instance_masks(f) for f in gt.eval_frames()}
+    return (_greedy_matches(gt_frames, _detections_by_frame(gt, tracks), 0.5, options.map_mode),
+            sum(map(len, gt_frames.values())))
 
 
 def _pooled_ap(items, options):
-    # (name, frame) keys sort like frame keys within one sequence
-    pooled_gt = {(name, f): ms for name, (_, _, (gt_frames, _)) in items
-                 for f, ms in gt_frames.items()}
-    pooled_det = {(name, f): ds for name, (_, _, (_, det_frames)) in items
-                  for f, ds in det_frames.items()}
-    mode = options.map_mode
-    return MetricReport(**{"ap_" + mode: average_precision(pooled_gt, pooled_det, mode=mode)})
+    # (name, frame) keys order the detections of one score as frame keys do within a sequence
+    matches = sorted((neg_score, name, *rest) for name, (_, _, (ms, _)) in items
+                     for neg_score, *rest in ms)
+    ap = _interpolated_ap([tp for *_, tp in matches], sum(n for _, (_, _, (_, n)) in items))
+    return MetricReport(**{"ap_" + options.map_mode: ap})
 
 
 _DAVIS_FIELDS = ("j_mean", "j_recall", "j_decay", "f_boundary")
@@ -538,7 +556,7 @@ _METRICS = {
     "proposed": (partial(_tally, official=False), partial(_pool_tallies, official=False)),
     "official": (partial(_tally, official=True), partial(_pool_tallies, official=True)),
     "delta-obj": (lambda gt, tracks, options: None, _count_error),
-    "map": (_ap_frames, _pooled_ap),
+    "map": (_ap_matches, _pooled_ap),
     "davis": (_davis_scores, _mean_davis),
 }
 

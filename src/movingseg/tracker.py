@@ -12,7 +12,7 @@ detections of an object be attached before it starts moving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .assign import solve_max_assignment
@@ -93,6 +93,30 @@ class Track:
         return self.entries[-1].mask
 
 
+# The unchecked constructors set each field as the dataclass __init__ does, so their
+# objects keep the checked ones' compact layout; filling __dict__ would double a
+# Detection's size.
+
+def _detection(frame: int, score: float, mask: Mask, kind: str = "moving") -> Detection:
+    """A Detection of fields that already pass ``Detection``'s checks, built unchecked."""
+    det, set_field = object.__new__(Detection), object.__setattr__
+    set_field(det, "frame", frame)
+    set_field(det, "score", score)
+    set_field(det, "mask", mask)
+    set_field(det, "kind", kind)
+    return det
+
+
+def _track(id: int, entries: tuple[Detection, ...], state: str = "active") -> Track:
+    """A Track of entries already known non-empty and in strictly increasing frames,
+    built unchecked."""
+    track, set_field = object.__new__(Track), object.__setattr__
+    set_field(track, "id", id)
+    set_field(track, "entries", entries)
+    set_field(track, "state", state)
+    return track
+
+
 def gate(dets: Sequence[Detection], cfg: TrackerConfig) -> list[Detection]:
     """Drop detections scoring below alpha_low (boundary scores survive)."""
     return [d for d in dets if d.score >= cfg.alpha_low]
@@ -132,14 +156,15 @@ def step(tracks: Sequence[Track], frame_dets: Sequence[Detection],
             candidates.append(t)
             updated[t.id] = t
         else:
-            updated[t.id] = t if t.state == "inactive" else replace(t, state="inactive")
+            updated[t.id] = t if t.state == "inactive" else _track(t.id, t.entries, "inactive")
 
     benefit = iou_matrix([t.last_mask for t in candidates], [d.mask for d in frame_dets])
     matched_dets: set[int] = set()
     for i, j in solve_max_assignment(benefit).pairs:
         if benefit[i, j] > cfg.min_match_iou:
             t = candidates[i]
-            updated[t.id] = replace(t, entries=(*t.entries, frame_dets[j]))
+            # every entry precedes ``frame``, checked above
+            updated[t.id] = _track(t.id, (*t.entries, frame_dets[j]), t.state)
             matched_dets.add(j)
 
     result = [updated[t.id] for t in tracks]
@@ -230,5 +255,6 @@ def bidirectional_track(moving: Mapping[int, Sequence[Detection]],
     out = []
     for t in forward:
         extra = sorted(additions[t.id], key=lambda d: d.frame)
-        out.append(replace(t, entries=(*extra, *t.entries)) if extra else t)
+        # one addition per frame, each frame before the track's first
+        out.append(_track(t.id, (*extra, *t.entries), t.state) if extra else t)
     return out

@@ -330,6 +330,43 @@ def test_writers_match_per_mask_runs(w, h, data):
             assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _detections_doc(dets_by_frame, w=W, h=H):
+    return {"format_version": 1, "width": w, "height": h, "frames": [
+        {"index": f, "detections": [{"score": d.score, "kind": d.kind, "rle": list(d.mask.runs)}
+                                    for d in dets_by_frame[f]]} for f in sorted(dets_by_frame)]}
+
+
+def _tracks_doc(tracks, w=W, h=H):
+    return {"format_version": 1, "width": w, "height": h, "tracks": [
+        {"id": t.id, "frames": [{"index": d.frame, "score": d.score, "rle": list(d.mask.runs)}
+                                for d in t.entries]} for t in tracks]}
+
+
+@pytest.mark.parametrize("score", [0, 1, True, False, np.float64(0.25), 1 / 3],
+                         ids=["int-0", "int-1", "true", "false", "float64", "float"])
+def test_fixed_layouts_equal_stdlib_encoder(tmp_path, score):
+    dets = {4: [det(4, score, W, H, 1, 1, 3, 3), det(4, 0.5, W, H, 5, 2, 4, 4, kind="static")],
+            0: [], 9: [det(9, score, W, H, 0, 0, W, H)], 11: []}
+    tracks = [Track(7, (det(0, score, W, H, 1, 1, 3, 3), det(3, 0.75, W, H, 0, 0, W, H))),
+              Track(-2, (det(5, score, W, H, 15, 7, 1, 1),))]
+    path = tmp_path / "out.json"
+    for write, arg, doc in ((fileio.write_detections, dets, _detections_doc(dets)),
+                            (fileio.write_detections, {}, _detections_doc({})),
+                            (fileio.write_tracks, tracks, _tracks_doc(tracks)),
+                            (fileio.write_tracks, [], _tracks_doc([]))):
+        write(path, W, H, arg)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_fixed_layouts_reject_numpy_ints(tmp_path):
+    d, at_int64 = det(0, 0.5, W, H, 1, 1, 3, 3), det(np.int64(0), 0.5, W, H, 1, 1, 3, 3)
+    for write, arg in ((fileio.write_tracks, [Track(np.int64(1), (d,))]),
+                       (fileio.write_tracks, [Track(1, (at_int64,))]),
+                       (fileio.write_detections, {np.int64(0): [d]})):
+        with pytest.raises(TypeError):
+            write(tmp_path / "out.json", W, H, arg)
+
+
 class TestDetectionsFile:
     def test_empty_frames_valid(self, tmp_path):
         path = tmp_path / "d.json"
@@ -518,3 +555,178 @@ class TestReport:
         fileio.write_report_csv(rep, tmp_path / "r.csv")
         cell = (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[1]
         assert float(cell) == value
+
+
+# ---------------------------------------------------------------- batch readers
+#
+# Each reader checks a parsed document in one batch pass and, when a check
+# fails, reads it again entry by entry, which names the first bad field.  The
+# batch pass must accept only valid documents, and build what the entry-by-entry
+# reader builds.
+
+_READER_PATHS = {   # reader: (batch pass, entry-by-entry reader, items key, entries key)
+    "read_detections": (fileio._batch_detections, fileio._checked_detections,
+                        "frames", "detections"),
+    "read_tracks": (fileio._batch_tracks, fileio._checked_tracks, "tracks", "frames"),
+}
+
+
+@st.composite
+def _reader_documents(draw, reader, min_items=0, min_entries=0):
+    """A valid detections or tracks document of small masks; some objects carry an extra key.
+
+    It has at least ``min_items`` frames or tracks, each with at least
+    ``min_entries`` detections or entries.
+    """
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def entry(**fields):
+        grid = draw(st.lists(st.integers(0, 1), min_size=w * h, max_size=w * h).filter(any))
+        score = draw(st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 1.0]), st.floats(0, 1)))
+        extra = {"note": None} if draw(st.booleans()) else {}
+        return {**fields, "score": score, "rle": list(rle_encode(np.array(grid), w, h).runs),
+                **extra}
+
+    def frames(least):
+        return sorted(draw(st.sets(st.integers(-3, 2**40), min_size=least, max_size=least + 3)))
+
+    if reader == "read_tracks":
+        ids = draw(st.lists(st.integers(-(2**70), 2**70), unique=True, min_size=min_items,
+                            max_size=min_items + 3))
+        items = [{"id": tid, "frames": [entry(index=f) for f in frames(max(min_entries, 1))]}
+                 for tid in ids]
+    else:
+        kinds = st.sampled_from(["moving", "static"])
+        items = [{"index": f, "detections": [
+            entry(kind=draw(kinds)) for _ in range(draw(st.integers(min_entries, 3)))]}
+            for f in frames(min_items)]
+    return {"format_version": 1, "width": w, "height": h,
+            _READER_PATHS[reader][2]: items}
+
+
+def _entries(result):
+    return [d for ds in result.values() for d in ds] if isinstance(result, dict) \
+        else [d for t in result for d in t.entries]
+
+
+@pytest.mark.parametrize("reader", sorted(_READER_PATHS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_batch_reader_builds_what_the_entry_checker_builds(reader, data):
+    doc = data.draw(_reader_documents(reader))
+    batch, checked, key, _ = _READER_PATHS[reader]
+    w, h, items = doc["width"], doc["height"], doc[key]
+    want = checked(items, w, h, "doc.json")
+    got = batch(items, w, h)
+    assert got == want
+    # equal objects could still differ in a score's type (1 and 1.0) or sign (0.0 and -0.0)
+    assert [repr(d.score) for d in _entries(got)] == [repr(d.score) for d in _entries(want)]
+    assert all(not d.mask.foreground_cuts.flags.writeable for d in _entries(got))
+    with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert getattr(fileio, reader)(path) == (w, h, want)
+
+
+@pytest.mark.parametrize("reader", sorted(_READER_PATHS))
+def test_frames_beyond_int64_are_read_entry_by_entry(tmp_path, reader):
+    doc = _masks_doc(reader, [[0, W * H], [1, W * H - 1]])
+    batch, checked, key, group = _READER_PATHS[reader]
+    first = doc[key][0]
+    if reader == "read_tracks":
+        first[group][1]["index"] = 2**70
+    else:
+        first["index"] = -(2**70)
+    assert batch(doc[key], W, H) is None
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert getattr(fileio, reader)(path) == (W, H, checked(doc[key], W, H, path))
+
+
+_DELETE = object()
+
+
+def _bad_runs(n):
+    """The run-list errors of ``test_bad_rle_names_its_field`` for a frame of n pixels, and
+    the valid runs of an empty mask, which no detection may have."""
+    return [[True, n - 1], [1.5, n - 1.5], ["4", n - 4], [-1, n + 1], [], [1, 0, n - 1],
+            [1, n], [0, n + 1], [0, 2**64], [n]]
+
+
+class _Earlier(str):
+    """A key whose value in the item or entry before the corrupted one is the new value."""
+
+    def __repr__(self):
+        return f"earlier {str(self)}"
+
+
+class _BadRuns(int):
+    """An index into ``_bad_runs`` of the document's frame."""
+
+    def __repr__(self):
+        return f"bad runs {int(self)}"
+
+
+# (reader, or None for both; "item" or "entry"; key, or None for the whole object; the
+# new value, _DELETE, _BadRuns or _Earlier)
+_CORRUPTIONS = [
+    *[(None, "entry", "score", v)
+      for v in (_DELETE, True, "0.5", float("nan"), 1.5, -0.25, 10**400)],
+    *[(None, "entry", "rle", v) for v in (_DELETE, "x", {"a": 1})],
+    *[(None, "entry", "rle", _BadRuns(k)) for k in range(len(_bad_runs(1)))],
+    (None, "entry", None, [1]),
+    (None, "item", None, "x"),
+    *[("read_tracks", "entry", "index", v) for v in (_DELETE, True, "3", 1.5)],
+    ("read_tracks", "entry", "index", _Earlier("index")),
+    *[("read_tracks", "item", "id", v) for v in (_DELETE, True, "1", 1.5)],
+    ("read_tracks", "item", "id", _Earlier("id")),
+    *[("read_tracks", "item", "frames", v) for v in (_DELETE, "x", {}, [])],
+    *[("read_detections", "entry", "kind", v) for v in (_DELETE, "wobbling", 3, ["moving"])],
+    *[("read_detections", "item", "index", v) for v in (_DELETE, True, "3", 1.5)],
+    ("read_detections", "item", "index", _Earlier("index")),
+    *[("read_detections", "item", "detections", v) for v in (_DELETE, "x", {})],
+]
+
+
+@pytest.mark.parametrize("reader,corruption", [
+    (reader, c) for reader in sorted(_READER_PATHS) for c in _CORRUPTIONS if c[0] in (None, reader)
+], ids=lambda c: c if isinstance(c, str) else
+    f"{c[1]}.{c[2]}={'missing' if c[3] is _DELETE else repr(c[3])[:20]}")
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_batch_reader_rejects_every_single_field_corruption(reader, corruption, data):
+    """The batch pass returns None, and the reader's error is the entry checker's, naming
+    the corrupted item."""
+    _, level, field, value = corruption
+    earlier = isinstance(value, _Earlier)
+    doc = data.draw(_reader_documents(
+        reader, min_items=1 + (earlier and level == "item"),
+        min_entries=(level == "entry") + (earlier and level == "entry")))
+    batch, checked, key, group = _READER_PATHS[reader]
+    w, h, items = doc["width"], doc["height"], doc[key]
+    i = data.draw(st.integers(int(earlier and level == "item"), len(items) - 1))
+    if level == "item":
+        container, k = items, i
+    else:
+        container = items[i][group]
+        k = data.draw(st.integers(int(earlier), len(container) - 1))
+    if earlier:
+        value = container[k - 1][value]
+    elif isinstance(value, _BadRuns):
+        value = _bad_runs(w * h)[value]
+    if field is None:
+        container[k] = value
+    elif value is _DELETE:
+        del container[k][field]
+    else:
+        container[k][field] = value
+    assert batch(items, w, h) is None
+    with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.SchemaError) as from_file:
+            getattr(fileio, reader)(path)
+        with pytest.raises(fileio.SchemaError) as entry_by_entry:
+            checked(items, w, h, path)
+    assert str(from_file.value) == str(entry_by_entry.value)
+    assert str(from_file.value).startswith(f"{path}.{key}[{i}]")

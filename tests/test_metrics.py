@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import brute_force_assignment
+from dense_reference import average_precision_dense, brute_force_assignment
 from helpers import det, rect_labels, rect_mask, region, single_frame_gt, tracks_of
 from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rle_encode,
@@ -13,6 +13,8 @@ from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rl
 from movingseg.metrics import (GroundTruthSequence, Region, SequenceTally, _f_matrix, _prf,
                                average_precision, binarize_detections, boundary_f,
                                davis_j, delta_obj, evaluate, sequence_tally)
+from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
+from movingseg.tracker import TrackerConfig, track_sequence
 
 W, H = 40, 20
 
@@ -284,12 +286,47 @@ def test_evaluate_rejects_unknown_metric_and_no_sequences():
         evaluate("proposed", [])
 
 
+@pytest.mark.parametrize("option,value", [
+    ("map_mode", "poly"), ("binarize_threshold", float("nan")),
+    ("binarize_threshold", float("inf")), ("boundary_tolerance", float("nan")),
+    ("boundary_tolerance", float("inf")), ("boundary_tolerance", -5.0),
+])
+def test_evaluate_rejects_bad_options_before_scoring(option, value):
+    gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
+    tracks = tracks_of([region(1, W, H, {0: (0, 0, 10, 10)})])
+    with mock.patch("movingseg.metrics.sequence_tally") as tally:
+        with pytest.raises(ValueError, match=f"^{option} must be"):
+            evaluate("proposed", [("s", gt, tracks)], **{option: value})
+    tally.assert_not_called()
+
+
 def test_delta_obj():
     assert delta_obj({"s": 3}, {"s": 3}) == 0.0
     assert delta_obj({"a": 2, "b": 1}, {"a": 2, "b": 4}) == 1.5
     assert delta_obj({"s": 0}, {"s": 4}) == 4.0
     with pytest.raises(ValueError):
         delta_obj({"a": 1}, {"b": 1})
+
+
+@pytest.mark.parametrize("mode", ["box", "mask"])
+def test_map_matches_each_sequence_alone(mode):
+    """Each sequence's frames are matched alone, in ``evaluate``'s per-sequence half; the
+    reports equal the dense oracle's one score-ordered pass over the pooled frames."""
+    sequences = []
+    for seed in (3, 8):
+        gt, _ = generate(SynthConfig(seed=seed, frames=6, width=48, height=32, objects=3))
+        dets = corrupt(gt, NoiseConfig(jitter_px=1, fp_rate=0.7, score_spread=0.3), seed=seed)
+        sequences.append((f"s{seed}", gt, track_sequence(dets, TrackerConfig(alpha_low=0.0))))
+    rep = evaluate("map", sequences, map_mode=mode)
+    pooled_gt, pooled_det = {}, {}
+    for name, gt, tracks in sequences:
+        for f in gt.eval_frames():
+            pooled_gt[name, f] = gt.instance_masks(f)
+            pooled_det[name, f] = [d for t in tracks for d in t.entries if d.frame == f]
+        alone = {k: v for k, v in pooled_gt.items() if k[0] == name}
+        assert getattr(rep.per_sequence[name], "ap_" + mode) == average_precision_dense(
+            alone, {k: pooled_det[k] for k in alone}, 0.5, mode)
+    assert getattr(rep, "ap_" + mode) == average_precision_dense(pooled_gt, pooled_det, 0.5, mode)
 
 
 class TestAveragePrecision:
