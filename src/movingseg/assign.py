@@ -17,7 +17,9 @@ digit, its column or C when unmatched, a tight pair (r, c) costs
 -(C - c) * W**(R - 1 - r), less a bonus above all digit terms if it covers a
 required vertex; a non-tight pair costs more than any tight matching.  The
 minimum is the smallest digit string among the optimal matchings, which is
-the smallest sorted pair list.
+the smallest sorted pair list.  A matrix with no positive entry needs neither
+pass: every matching is worth 0, so the answer is the diagonal less its
+negative entries.
 
 The tests check the solver against an exhaustive oracle that shares nothing
 with it beyond the input contract, ``brute_force_assignment`` in
@@ -114,6 +116,9 @@ def solve_max_assignment(scores) -> Matching:
     n_rows, n_cols = b.shape
     if n_rows == 0 or n_cols == 0:
         return Matching((), 0.0)
+    if not (b > 0.0).any():
+        diagonal = range(min(n_rows, n_cols))
+        return Matching(tuple((i, i) for i in diagonal if b[i, i] >= 0.0), 0.0)
     bc = np.maximum(b, 0.0)
     scale = float(bc.max())
     eps = 1e-12 * max(1.0, scale)

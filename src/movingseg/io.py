@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mask import MAX_PIXELS, MalformedMaskError, _run_lists, _split_runs
+from .mask import MAX_PIXELS, MalformedMaskError, _label_runs, _run_lists, _split_runs
 from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport
 from .tracker import Detection, Track, _detection, _track
 
@@ -99,15 +99,20 @@ def read_labelmap(path) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype, offset=i + 1).reshape(height, width)
 
 
+def _sample_type(lo, hi) -> str:
+    """The PGM sample type for labels from ``lo`` to ``hi``: one byte up to 255, else two."""
+    if lo < 0 or hi > 65535:
+        raise ValueError("label values must lie in [0, 65535]")
+    return ">u1" if hi <= 255 else ">u2"
+
+
 def write_labelmap(arr: np.ndarray, path) -> None:
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("label map must be 2-D")
-    lo, hi = (arr.min(), arr.max()) if arr.size else (0, 0)
-    if lo < 0 or hi > 65535:
-        raise ValueError("label values must lie in [0, 65535]")
-    maxval = 255 if hi <= 255 else 65535
-    payload = np.ascontiguousarray(arr, ">u1" if maxval == 255 else ">u2")
+    sample = _sample_type(*((arr.min(), arr.max()) if arr.size else (0, 0)))
+    maxval = 255 if sample == ">u1" else 65535
+    payload = np.ascontiguousarray(arr, sample)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii"))
         fh.write(payload.data)
@@ -316,7 +321,7 @@ def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
     """Read a manifest and its label maps into a GroundTruthSequence."""
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
-    frames = {}
+    runs = {}
     for idx, rel in manifest.frames:
         file = base / rel
         if not file.is_file():
@@ -327,9 +332,9 @@ def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
                 f"{file}: label map is {arr.shape[1]}x{arr.shape[0]}, manifest says "
                 f"{manifest.width}x{manifest.height}"
             )
-        frames[idx] = arr
-    return manifest.sequence, GroundTruthSequence(
-        manifest.width, manifest.height, frames, manifest.ignore_value
+        runs[idx] = _label_runs(arr.ravel())   # no view of arr: its bytes go with it
+    return manifest.sequence, GroundTruthSequence._from_runs(
+        manifest.width, manifest.height, runs, manifest.ignore_value
     )
 
 
@@ -340,7 +345,10 @@ def write_sequence(name: str, gt: GroundTruthSequence, out_dir) -> Path:
     frames = []
     for idx in gt.eval_frames():
         rel = f"{_LABELMAP_DIR}/{idx:06d}.pgm"
-        write_labelmap(gt.labeled_frames[idx], out / rel)
+        bounds, values = gt._runs[idx]
+        labels = values.astype(_sample_type(values.min(), values.max()))
+        write_labelmap(np.repeat(labels, np.diff(bounds)).reshape(gt.height, gt.width),
+                       out / rel)
         frames.append((idx, rel))
     manifest = Manifest(name, gt.width, gt.height, gt.ignore_value, tuple(frames))
     manifest_path = out / "manifest.json"

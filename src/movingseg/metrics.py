@@ -66,31 +66,52 @@ class GroundTruthSequence:
 
     Label 0 is background; ``ignore_value`` marks unlabeled pixels that the
     matched-only measure excludes from prediction areas.  Only frames present
-    in ``labeled_frames`` take part in evaluation.
+    in ``labeled_frames`` take part in evaluation.  Each frame is held as its
+    label runs, not as a dense map: ``labeled_frames`` decodes fresh arrays, in
+    each input map's own dtype, whenever it is read.
     """
 
     def __init__(self, width: int, height: int,
                  labeled_frames: Mapping[int, np.ndarray],
                  ignore_value: int | None = None):
-        self.width = int(width)
-        self.height = int(height)
-        _frame_pixels(self.width, self.height)
-        self.ignore_value = ignore_value
-        self.labeled_frames: dict[int, np.ndarray] = {}
-        self._runs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._cuts: dict[int, dict[int, np.ndarray]] = {}
+        width, height = int(width), int(height)
+        _frame_pixels(width, height)
+        runs = {}
         for idx, arr in labeled_frames.items():
             arr = np.asarray(arr)
-            if arr.shape != (self.height, self.width):
+            if arr.shape != (height, width):
                 raise ValueError(
-                    f"frame {idx} label map shape {arr.shape} != ({self.height}, {self.width})"
+                    f"frame {idx} label map shape {arr.shape} != ({height}, {width})"
                 )
-            self.labeled_frames[int(idx)] = arr
-            self._runs[int(idx)] = _label_runs(arr.ravel())
-            self._cuts[int(idx)] = _value_cuts(*self._runs[int(idx)])
+            runs[int(idx)] = _label_runs(arr.ravel())
+        self._set(width, height, runs, ignore_value)
+
+    @classmethod
+    def _from_runs(cls, width: int, height: int,
+                   runs: dict[int, tuple[np.ndarray, np.ndarray]],
+                   ignore_value: int | None = None) -> GroundTruthSequence:
+        """A sequence from each int frame index's ``_label_runs`` of a width x height
+        map, unchecked."""
+        gt = cls.__new__(cls)
+        gt._set(width, height, runs, ignore_value)
+        return gt
+
+    def _set(self, width: int, height: int,
+             runs: dict[int, tuple[np.ndarray, np.ndarray]], ignore_value) -> None:
+        self.width = width
+        self.height = height
+        self.ignore_value = ignore_value
+        self._runs = runs
+        self._cuts = {idx: _value_cuts(*r) for idx, r in runs.items()}
+
+    @property
+    def labeled_frames(self) -> dict[int, np.ndarray]:
+        """Every frame's label map, decoded afresh from its runs."""
+        return {idx: np.repeat(values, np.diff(bounds)).reshape(self.height, self.width)
+                for idx, (bounds, values) in self._runs.items()}
 
     def eval_frames(self) -> list[int]:
-        return sorted(self.labeled_frames)
+        return sorted(self._runs)
 
     def frame_value_cuts(self, frame: int) -> dict[int, np.ndarray]:
         """Foreground interval boundaries of every label value in one frame."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mask import Mask, _boxes, mask_from_cuts, translate_many
+from .mask import Mask, _boxes, _label_runs, mask_from_cuts, translate_many
 from .metrics import GroundTruthSequence
 from .tracker import Detection, Track, _require_finite
 
@@ -142,9 +142,11 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
             range(ev.start_frame, ev.start_frame + ev.duration)
         )
 
-    labels: dict[int, np.ndarray] = {}
+    runs = {}
+    # one canvas for every frame, as narrow as the labels allow; the runs keep int32 labels
+    label = np.empty((cfg.height, cfg.width), dtype=np.min_scalar_type(cfg.objects))
     for f in range(cfg.frames):
-        label = np.zeros((cfg.height, cfg.width), dtype=np.int32)
+        label.fill(0)
         for i in range(cfg.objects):
             if f in hidden.get(i, ()):
                 continue
@@ -152,7 +154,8 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
             x0 = int(positions[i][0] + 0.5)
             y0 = int(positions[i][1] + 0.5)
             _paint(label, x0, y0, w, h, i + 1, cfg.shape)
-        labels[f] = label
+        bounds, values = _label_runs(label.ravel())
+        runs[f] = bounds, values.astype(np.int32)
         for i in range(cfg.objects):
             w, h = sizes[i]
             positions[i][0], velocities[i][0] = _advance(
@@ -160,7 +163,7 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
             positions[i][1], velocities[i][1] = _advance(
                 positions[i][1], velocities[i][1], cfg.height - h)
 
-    gt = GroundTruthSequence(cfg.width, cfg.height, labels)
+    gt = GroundTruthSequence._from_runs(cfg.width, cfg.height, runs)
     tracks = [Track(r.id, tuple(Detection(f, 1.0, m) for f, m in r.frames.items()))
               for r in gt.regions()]
     return gt, tracks

@@ -76,8 +76,9 @@ def corrupt_reference(gt, noise, seed: int) -> dict:
 
     rng_obj, rng_fp = rng(seed, 1), rng(seed, 2)
     out = {}
-    for f in sorted(gt.labeled_frames):
-        label = gt.labeled_frames[f]
+    labels = gt.labeled_frames
+    for f in sorted(labels):
+        label = labels[f]
         grids = [label == v for v in np.unique(label).tolist() if v != 0]
         dets = []
         for grid in grids:

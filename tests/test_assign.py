@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ def test_zero_matrix_pins_diagonal():
         m = solve_max_assignment(np.zeros(shape))
         assert m.pairs == tuple((i, i) for i in range(min(shape)))
         assert m.total_score == 0.0
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 2, 4]))
+@settings(max_examples=200, deadline=None)
+def test_non_positive_matrices_match_brute_force(rows, cols, seed, levels):
+    # every matching is worth 0: zeros (and -0.0) may pair, negative entries never do
+    rng = np.random.default_rng(seed)
+    mat = -rng.integers(0, levels, size=(rows, cols)) / levels
+    assert solve_max_assignment(mat) == brute_force_assignment(mat)
+
+
+def test_zero_matrix_answers_at_once():
+    start = time.perf_counter()
+    m = solve_max_assignment(np.zeros((150, 150)))
+    assert time.perf_counter() - start < 0.01
+    assert m.pairs == tuple((i, i) for i in range(150))
 
 
 def test_block_ties_pick_diagonal():

@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from helpers import det
 from movingseg import io as fileio
 from movingseg import mask as mask_module
 from movingseg.mask import MAX_PIXELS, Mask, rle_encode
-from movingseg.metrics import MetricReport
+from movingseg.metrics import GroundTruthSequence, MetricReport
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
 
@@ -512,8 +513,9 @@ class TestManifest:
         name, back = fileio.load_sequence(tmp_path / "manifest.json")
         assert name == "seq-a"
         assert back.width == gt.width and back.height == gt.height
-        for f in gt.eval_frames():
-            assert (back.labeled_frames[f] == gt.labeled_frames[f]).all()
+        assert back.eval_frames() == gt.eval_frames()
+        for label, again in zip(gt.labeled_frames.values(), back.labeled_frames.values()):
+            assert (again == label).all()
 
     def test_missing_labelmap_rejected(self, tmp_path):
         gt, _ = generate(SynthConfig(seed=2, frames=2, width=32, height=24))
@@ -531,6 +533,70 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(fileio.SchemaError, match="increasing"):
             fileio.read_manifest(path)
+
+
+_PALETTES = {np.dtype(np.uint8): [0, 1, 2, 255], np.dtype(">u2"): [0, 1, 255, 256, 65535],
+             np.dtype(np.int32): [0, 3, 255, 256, 65535]}
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3), st.sampled_from(list(_PALETTES)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_sequence_runs_match_dense_maps(w, h, n_frames, dtype, with_ignore, seed):
+    """A sequence built from dense maps and its write/load round trip agree on every
+    run-derived view, and a second write reproduces the first's bytes."""
+    rng = np.random.default_rng(seed)
+    palette = _PALETTES[dtype]
+    maps = {2 * k + 1: rng.choice(palette, size=(h, w)).astype(dtype) for k in range(n_frames)}
+    ignore = int(rng.choice(palette[1:])) if with_ignore else None
+    gt = GroundTruthSequence(w, h, maps, ignore_value=ignore)
+    with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
+        first = fileio.write_sequence("s", gt, Path(tmp) / "a")
+        _, back = fileio.load_sequence(first)
+        second = fileio.write_sequence("s", back, Path(tmp) / "b")
+        written = sorted(p.relative_to(first.parent) for p in first.parent.rglob("*.*"))
+        assert written == sorted(p.relative_to(second.parent)
+                                 for p in second.parent.rglob("*.*"))
+        for rel in written:
+            assert (first.parent / rel).read_bytes() == (second.parent / rel).read_bytes()
+    assert back.eval_frames() == gt.eval_frames() == sorted(maps)
+    assert back.region_ids() == gt.region_ids()
+    assert back.ignore_value == ignore
+    decoded = back.labeled_frames
+    for f in gt.eval_frames():
+        a, b = gt.frame_value_cuts(f), back.frame_value_cuts(f)
+        assert list(a) == list(b)
+        assert all(np.array_equal(a[v], b[v]) for v in a)
+        assert np.array_equal(decoded[f], maps[f])
+    columns = {v: j for j, v in enumerate([*gt.region_ids(), ignore])}
+    for x, y in zip(gt._tagged_runs(columns), back._tagged_runs(columns)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("value", [-1, 65536])
+def test_sequence_out_of_range_rejected(tmp_path, value):
+    labels = np.zeros((H, W), dtype=np.int32)
+    labels[2, 3] = value
+    gt = GroundTruthSequence(W, H, {0: labels})
+    with pytest.raises(ValueError, match=re.escape("label values must lie in [0, 65535]")):
+        fileio.write_sequence("s", gt, tmp_path)
+    assert not list((tmp_path / "labelmaps").iterdir())
+
+
+def test_load_sequence_keeps_no_dense_map(tmp_path):
+    # five 1920x1080 maxval-255 maps: 10 MiB of samples, held as label runs instead
+    gt, _ = generate(SynthConfig(seed=3, frames=5, width=1920, height=1080, objects=10,
+                                 object_size=(240, 280)))
+    manifest = fileio.write_sequence("hd", gt, tmp_path)
+    del gt
+    tracemalloc.start()
+    try:
+        _, back = fileio.load_sequence(manifest)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.eval_frames() == [0, 1, 2, 3, 4]
+    assert retained < 2**20
 
 
 class TestReport:

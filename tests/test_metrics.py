@@ -62,6 +62,24 @@ def test_foreground_matches_union_merge(width, height, seed):
     assert gt.foreground(0) == union_merge(gt.instance_masks(0), width=width, height=height)
 
 
+@given(st.integers(1, 12), st.integers(1, 8), st.sampled_from([np.uint8, ">u2", np.int32]),
+       st.sampled_from([None, 0, 255, 256, 65535]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_labeled_frames_decode_the_input_maps(width, height, dtype, ignore, seed):
+    rng = np.random.default_rng(seed)
+    palette = [0, 1, 255] if dtype is np.uint8 else [0, 1, 255, 256, 65535]
+    maps = {f: rng.choice(palette, size=(height, width)).astype(dtype) for f in (4, 0, 9)}
+    gt = GroundTruthSequence(width, height, maps, ignore_value=ignore)
+    decoded = gt.labeled_frames
+    assert list(decoded) == list(maps) and gt.eval_frames() == [0, 4, 9]
+    for f, arr in maps.items():
+        assert decoded[f].dtype == arr.dtype and np.array_equal(decoded[f], arr)
+    decoded[0][...] = 7            # a fresh array each read: the sequence does not change
+    assert np.array_equal(gt.labeled_frames[0], maps[0])
+    with pytest.raises(AttributeError):
+        gt.labeled_frames = {}
+
+
 class TestPairwisePrf:
     """One prediction against a one-object sequence: its P/R/F with that object."""
 
@@ -452,7 +470,8 @@ def _dense_f_matrix(gt, preds, official):
     """Per (prediction, region) overlaps, prediction and region areas and F, from dense pixels."""
     from movingseg.mask import rle_decode
 
-    frames = sorted(gt.labeled_frames)
+    labels = gt.labeled_frames
+    frames = sorted(labels)
     gt_ids = gt.region_ids()
     dense_preds = []
     for p in preds:
@@ -465,7 +484,7 @@ def _dense_f_matrix(gt, preds, official):
     c_area = np.zeros(len(preds), dtype=np.int64)
     g_area = np.zeros(len(gt_ids), dtype=np.int64)
     for f in frames:
-        label = gt.labeled_frames[f]
+        label = labels[f]
         ignore = (label == gt.ignore_value) if gt.ignore_value is not None else \
             np.zeros_like(label, dtype=bool)
         for j, gid in enumerate(gt_ids):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,14 +54,15 @@ class TestGenerate:
         a_gt, a_tracks = generate(base_cfg(seed=42, objects=3, frames=10))
         b_gt, b_tracks = generate(base_cfg(seed=42, objects=3, frames=10))
         assert a_tracks == b_tracks
-        for f in a_gt.labeled_frames:
-            assert (a_gt.labeled_frames[f] == b_gt.labeled_frames[f]).all()
+        b_labels = b_gt.labeled_frames
+        for f, label in a_gt.labeled_frames.items():
+            assert (label == b_labels[f]).all()
 
     def test_different_seeds_differ(self):
         a_gt, _ = generate(base_cfg(seed=1))
         b_gt, _ = generate(base_cfg(seed=2))
-        assert any((a_gt.labeled_frames[f] != b_gt.labeled_frames[f]).any()
-                   for f in a_gt.labeled_frames)
+        b_labels = b_gt.labeled_frames
+        assert any((label != b_labels[f]).any() for f, label in a_gt.labeled_frames.items())
 
     def test_occlusion_event_blanks_frames(self):
         cfg = base_cfg(frames=6, occlusions=(OcclusionEvent(0, 2, 3),))
@@ -107,6 +109,19 @@ class TestGenerate:
         assert len(tracks[0].entries) == 200
         for f, label in gt.labeled_frames.items():
             assert (label >= 0).all()
+
+    def test_frames_share_one_canvas(self):
+        # five 1920x1080 int32 maps would take 40 MiB; one canvas and its runs take under 24
+        cfg = SynthConfig(seed=3, frames=5, width=1920, height=1080, objects=10,
+                          object_size=(240, 280))
+        tracemalloc.start()
+        try:
+            gt, _ = generate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gt.eval_frames() == [0, 1, 2, 3, 4]
+        assert peak < 24 * 2**20
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
@@ -178,8 +193,9 @@ class TestCorrupt:
     def test_spurious_disjoint_from_objects(self):
         gt, _ = generate(base_cfg(objects=2, frames=10, seed=5))
         noisy = corrupt(gt, NoiseConfig(fp_rate=1.0), seed=5)
+        labels = gt.labeled_frames
         for f, dets in noisy.items():
-            occupied = gt.labeled_frames[f] > 0
+            occupied = labels[f] > 0
             spurious = dets[-1]
             assert not (rle_decode(spurious.mask).astype(bool) & occupied).any()
 
