@@ -4,9 +4,10 @@ Files carry a mask as alternating run counts over the row-major pixel order,
 starting with a (possibly zero) count of background pixels.  The encoding is
 canonical: a given pixel set has exactly one valid ``runs`` tuple.
 
-A Mask stores only its sorted foreground interval boundaries (a read-only int64
-``foreground_cuts``).  Run lists are checked once, by ``Mask(width, height, runs)``
-or, a file's all together, by ``_split_runs``.  Cuts that are canonical by
+A Mask stores its sorted foreground interval boundaries (a read-only int64
+``foreground_cuts``), and its area and bounding box once they are computed.
+Run lists are checked once, by ``Mask(width, height, runs)`` or, a file's all
+together, by ``_split_runs``.  Cuts that are canonical by
 construction, such as label runs from the one run finder ``_label_runs``
 (grouped by value in ``_value_cuts``) and ``_sweep`` output, go unchecked to
 ``_from_cuts``, which applies the frame-size rule and makes them read-only;
@@ -65,9 +66,10 @@ class Mask:
 
     It stores ``width``, ``height`` and ``foreground_cuts``, the read-only int64
     flat offsets [s0, e0, s1, e1, ...] of the foreground runs, strictly
-    increasing within [0, width*height].  ``Mask(width, height, runs)`` checks
-    ``runs``: background/foreground counts in row-major order, only the first
-    (leading background) may be zero, summing to ``width * height``.
+    increasing within [0, width*height]; its area and box, once computed, are
+    kept with them.  ``Mask(width, height, runs)`` checks ``runs``:
+    background/foreground counts in row-major order, only the first (leading
+    background) may be zero, summing to ``width * height``.
     """
 
     def __init__(self, width: int, height: int, runs) -> None:
@@ -384,6 +386,7 @@ def iou_matrix(a, b) -> np.ndarray:
     ((w, h),) = sizes
     inter = _overlaps([m.foreground_cuts for m in a], [m.foreground_cuts for m in b],
                       ii, jj, w * h + 1)
+    # boxes_meet has kept every mask's area
     area_a = np.fromiter((m._area for m in a), np.int64, len(a))
     area_b = np.fromiter((m._area for m in b), np.int64, len(b))
     # int64 to float64 is exact below 2**53, so each quotient is iou's
@@ -413,24 +416,42 @@ def union_merge(masks, *, width: int | None = None, height: int | None = None) -
 def _boxes(masks) -> np.ndarray:
     """(len(masks), 4) int64 inclusive (x0, y0, x1, y1) foreground bounds.
 
-    An empty mask gets (0, 0, -1, -1), a box that meets nothing.
+    An empty mask gets (0, 0, -1, -1), a box that meets nothing.  A mask's box
+    and area are computed once in its life: the masks that lack them get both
+    from one ``_cut_bounds`` pass and keep them in ``__dict__``, as ``_area``
+    keeps a lone area.
     """
-    n = np.fromiter((len(m.foreground_cuts) // 2 for m in masks), np.int64, len(masks))
-    out = np.empty((len(masks), 4), dtype=np.int64)
-    out[:] = 0, 0, -1, -1
+    fresh = [m for m in masks if "_box" not in m.__dict__]
+    if fresh:
+        bounds = _cut_bounds([m.foreground_cuts for m in fresh], [m.width for m in fresh])
+        for m, box, area in zip(fresh, map(tuple, bounds[:, :4].tolist()), bounds[:, 4].tolist()):
+            m.__dict__.update(_box=box, _area=area)
+    return np.array([m._box for m in masks], dtype=np.int64).reshape(len(masks), 4)
+
+
+def _cut_bounds(cut_sets, widths) -> np.ndarray:
+    """(len(cut_sets), 5) int64: each interval set's inclusive (x0, y0, x1, y1) bounds
+    in a frame of its entry of ``widths``, then its area.
+
+    An empty set gets (0, 0, -1, -1, 0).
+    """
+    n = np.fromiter(map(len, cut_sets), np.int64, len(cut_sets)) // 2
+    out = np.empty((len(cut_sets), 5), dtype=np.int64)
+    out[:] = 0, 0, -1, -1, 0
     full = np.flatnonzero(n)
     if not len(full):
         return out
-    w = np.repeat([m.width for m in masks], n)
-    cuts = np.concatenate([m.foreground_cuts for m in masks])
+    w = np.repeat(widths, n)
+    cuts = np.concatenate(cut_sets)
     row_s, x_s = np.divmod(cuts[0::2], w)
     row_e, x_e = np.divmod(cuts[1::2] - 1, w)   # ends inclusive
     wraps = row_e > row_s   # a run wrapping rows spans the full width
-    first = (np.cumsum(n) - n)[full]   # each non-empty mask's first run; runs are sorted
+    first = (np.cumsum(n) - n)[full]   # each non-empty set's first run; runs are sorted
     out[full, 0] = np.minimum.reduceat(np.where(wraps, 0, x_s), first)
     out[full, 1] = row_s[first]
     out[full, 2] = np.maximum.reduceat(np.where(wraps, w - 1, x_e), first)
     out[full, 3] = row_e[first + n[full] - 1]
+    out[full, 4] = np.add.reduceat(cuts[1::2] - cuts[0::2], first)
     return out
 
 
@@ -474,25 +495,34 @@ def translate_many(masks, shifts) -> list[Mask]:
     if not masks:
         return []
     ((w, h),) = sizes
-    n = np.fromiter((len(m.foreground_cuts) // 2 for m in masks), np.int64, len(masks))
-    rows, x0, x1, piece = _row_runs(np.concatenate([m.foreground_cuts for m in masks]), w)
-    owner = np.repeat(np.arange(len(masks)), n)[piece]
-    dx, dy = np.array(shifts, dtype=np.int64).reshape(len(masks), 2)[owner].T
+    shifted = _translate_cuts([m.foreground_cuts for m in masks], shifts, w, h)
+    return [_mask(w, h, cuts) for cuts in shifted]
+
+
+def _translate_cuts(cut_sets, shifts, w: int, h: int) -> list[np.ndarray]:
+    """``translate_many`` on the interval sets ``cut_sets`` of a w x h frame: the shifted
+    sets, read-only views of one array."""
+    if not cut_sets:
+        return []
+    n = np.fromiter(map(len, cut_sets), np.int64, len(cut_sets)) // 2
+    rows, x0, x1, piece = _row_runs(np.concatenate(cut_sets), w)
+    owner = np.repeat(np.arange(len(cut_sets)), n)[piece]
+    dx, dy = np.array(shifts, dtype=np.int64).reshape(len(cut_sets), 2)[owner].T
     rows = rows + dy
     x0, x1 = np.clip(x0 + dx, 0, w), np.clip(x1 + dx, 0, w)
     keep = (rows >= 0) & (rows < h) & (x0 < x1)
     row_start, owner = rows[keep] * w, owner[keep]
     cuts = _interleave(row_start + x0[keep], row_start + x1[keep])
-    # a piece ending where the next piece of its mask starts (at a row seam) joins it
+    # a piece ending where the next piece of its set starts (at a row seam) joins it
     seam = np.flatnonzero((cuts[1:-1:2] == cuts[2::2]) & (owner[:-1] == owner[1:]))
     joined = np.ones(len(cuts), dtype=bool)
     joined[2 * seam + 1] = joined[2 * seam + 2] = False
     cuts = cuts[joined]
-    pieces = (np.bincount(owner, minlength=len(masks))
-              - np.bincount(owner[seam], minlength=len(masks)))
+    pieces = (np.bincount(owner, minlength=len(cut_sets))
+              - np.bincount(owner[seam], minlength=len(cut_sets)))
     edges = np.concatenate(([0], np.cumsum(2 * pieces))).tolist()
     cuts.flags.writeable = False   # and so is every slice of it
-    return [_mask(w, h, cuts[a:b]) for a, b in zip(edges, edges[1:])]
+    return [cuts[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def boundary_pixels(mask: Mask) -> np.ndarray:

@@ -259,9 +259,7 @@ def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
     pred_areas = [_cuts_area(c) - int(ig) for c, ig in zip(pred_cuts, overlaps[:, -1])]
     f_matrix = _f_matrix(inter, pred_areas, gt_areas)
 
-    matched = [
-        (i, j) for i, j in solve_max_assignment(f_matrix).pairs if f_matrix[i, j] > 0.0
-    ]
+    matched = solve_max_assignment(f_matrix).pairs
     matched_inter = int(sum(inter[i, j] for i, j in matched))
     n_over = sum(1 for i, j in matched if f_matrix[i, j] > 0.75)
     pred_pixels = (

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mask import Mask, _boxes, _label_runs, mask_from_cuts, translate_many
+from .mask import Mask, _cut_bounds, _label_runs, _mask, _translate_cuts, mask_from_cuts
 from .metrics import GroundTruthSequence
-from .tracker import Detection, Track, _require_finite
+from .tracker import Detection, Track, _detection, _require_finite
 
 
 class PlacementError(ValueError):
@@ -215,12 +215,13 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int
     """
     rng_obj = _rng(seed, 1)
     rng_fp = _rng(seed, 2)
+    w, h = gt.width, gt.height
     out: dict[int, list[Detection]] = {}
     for f in gt.eval_frames():
-        masks = gt.instance_masks(f)
-        true_boxes = _boxes(masks).tolist()
+        objects = gt._instance_cuts(f)
+        true_boxes = _cut_bounds(objects, [w] * len(objects))[:, :4].tolist()
         kept, shifts, scores = [], [], []
-        for mask in masks:
+        for cuts in objects:
             if noise.jitter_px > 0:
                 dx = int(rng_obj.integers(-noise.jitter_px, noise.jitter_px + 1))
                 dy = int(rng_obj.integers(-noise.jitter_px, noise.jitter_px + 1))
@@ -232,20 +233,20 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int
             score = min(1.0, max(0.0, score))
             dropped = noise.fn_rate > 0 and rng_obj.random() < noise.fn_rate
             if not dropped:
-                kept.append(mask)
+                kept.append(cuts)
                 shifts.append((dx, dy))
                 scores.append(score)
-        dets = [Detection(f, score, shifted)
-                for score, shifted in zip(scores, translate_many(kept, shifts))
-                if not shifted.is_empty]
+        # scores are clamped into [0, 1] and empty shifts dropped: Detection's checks hold
+        dets = [_detection(f, score, _mask(w, h, shifted))
+                for score, shifted in zip(scores, _translate_cuts(kept, shifts, w, h))
+                if len(shifted)]
         if noise.fp_rate > 0 and rng_fp.random() < noise.fp_rate:
             rng_place = _rng(seed, 3, f)
-            box = _place_spurious(rng_place, gt.width, gt.height, true_boxes)
+            box = _place_spurious(rng_place, w, h, true_boxes)
             if box is not None:
                 score = noise.score_mean
                 if noise.score_spread > 0:
                     score += float(rng_place.uniform(-noise.score_spread, noise.score_spread))
-                dets.append(Detection(f, min(1.0, max(0.0, score)),
-                                      _box_mask(box, gt.width, gt.height)))
+                dets.append(_detection(f, min(1.0, max(0.0, score)), _box_mask(box, w, h)))
         out[f] = dets
     return out

@@ -7,6 +7,7 @@ solver beyond the input contract.
 """
 
 import itertools
+import math
 from itertools import groupby
 
 import numpy as np
@@ -188,10 +189,14 @@ def average_precision_dense(gt_by_frame, dets_by_frame, iou_threshold, mode) -> 
 
 
 def brute_force_assignment(scores) -> Matching:
-    """Exhaustive maximum over all one-to-one matchings; min(rows, cols) <= 8.
+    """Exhaustive search over all one-to-one matchings; min(rows, cols) <= 8.
 
-    Test oracle: enumerates every injection of the smaller side into the
-    larger and keeps the best total.  Negative entries are never matched.
+    Test oracle of the positive-pairs rule: a matching's pairs are its
+    positive ones, and the answer is the smallest sorted list of them among
+    the matchings of the largest total.  It enumerates every injection of the
+    smaller side into the larger, totals each one's positive entries exactly
+    (``math.fsum``), and counts totals within 1e-9 * max(1, largest) of the
+    largest as tied.
     """
     b = _validated(scores)
     n_rows, n_cols = b.shape
@@ -199,26 +204,13 @@ def brute_force_assignment(scores) -> Matching:
         return Matching((), 0.0)
     if min(n_rows, n_cols) > 8:
         raise ValueError(f"brute force limited to min dimension 8, got {min(n_rows, n_cols)}")
-    bc = np.maximum(b, 0.0)
-    best_total = -float("inf")
-    best: tuple[tuple[int, int], ...] = ()
-    if n_rows <= n_cols:
-        rows = bc.tolist()
-        for perm in itertools.permutations(range(n_cols), n_rows):
-            total = 0.0
-            for i, c in enumerate(perm):
-                total += rows[i][c]
-            if total > best_total:
-                best_total = total
-                best = tuple((i, c) for i, c in enumerate(perm))
-    else:
-        cols = bc.T.tolist()
-        for perm in itertools.permutations(range(n_rows), n_cols):
-            total = 0.0
-            for j, r in enumerate(perm):
-                total += cols[j][r]
-            if total > best_total:
-                best_total = total
-                best = tuple(sorted((r, j) for j, r in enumerate(perm)))
-    kept = tuple((r, c) for r, c in best if b[r, c] >= 0.0)
-    return Matching(kept, float(sum(b[r, c] for r, c in kept)))
+    positive = (b > 0.0).tolist()
+    values = b.tolist()
+    candidates = []
+    for perm in itertools.permutations(range(max(n_rows, n_cols)), min(n_rows, n_cols)):
+        pairs = enumerate(perm) if n_rows <= n_cols else ((r, j) for j, r in enumerate(perm))
+        kept = tuple(sorted((r, c) for r, c in pairs if positive[r][c]))
+        candidates.append((math.fsum(values[r][c] for r, c in kept), kept))
+    best = max(total for total, _ in candidates)
+    pick = min(kept for total, kept in candidates if total >= best - 1e-9 * max(1.0, best))
+    return Matching(pick, float(sum(values[r][c] for r, c in pick)))

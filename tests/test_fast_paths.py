@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (average_precision_dense, boundary_f_edt, boundary_map,
-                             grid_box, grid_iou, interval_grid, translate_dense)
+                             grid_box, grid_iou, grid_runs, interval_grid, translate_dense)
 from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, boundary_pixels,
                             intersect_cuts, iou, iou_matrix, mask_from_cuts, rle_decode,
@@ -247,6 +247,17 @@ class TestDavisJ:
             assert davis_j(gt, pred) == (ious.mean(), (ious > 0.5).mean(), decay)
 
 
+def _shifted(grid, shift):
+    """``grid`` moved by (dx, dy), what leaves it cut off."""
+    dx, dy = shift
+    h, w = grid.shape
+    out = np.zeros_like(grid)
+    ys, xs = np.nonzero(grid)
+    keep = (0 <= xs + dx) & (xs + dx < w) & (0 <= ys + dy) & (ys + dy < h)
+    out[ys[keep] + dy, xs[keep] + dx] = 1
+    return out
+
+
 def _all_pairs(a, b):
     return np.ones((len(a), len(b)), dtype=bool)
 
@@ -331,6 +342,47 @@ class TestIouMatrix:
         for chunk in (2, 6):   # pairs split over several binary searches
             with mock.patch.object(mask_module, "_CHUNK", chunk):
                 assert iou_matrix(a, b).tolist() == expected
+
+    @given(st.data(), st.integers(1, 10), st.integers(1, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_masks_of_every_constructor_reused_across_calls(self, data, w, h):
+        # a mask keeps the box and area of its first call; later calls, with other
+        # masks and in other places, still give the dense IoU
+        grids_ = data.draw(st.lists(frame_grids(w, h), min_size=1, max_size=4))
+        shifts = [data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))) for _ in grids_]
+        runs = [grid_runs(g) for g in grids_]
+        masks = [Mask(w, h, r) for r in runs]
+        # a grid's cuts are where its pixel values change, the frame's ends counting as 0
+        cuts = [np.flatnonzero(np.diff(g.ravel().astype(int), prepend=0, append=0))
+                for g in grids_]
+        pool = [*masks, *mask_module._split_runs(runs, w, h), *translate_many(masks, shifts),
+                *(mask_module._from_cuts(w, h, c) for c in cuts)]
+        dense = [*grids_, *grids_, *map(_shifted, grids_, shifts), *grids_]
+        for _ in range(3):
+            a = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+            b = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+            assert (iou_matrix([pool[i] for i in a], [pool[j] for j in b]).tolist()
+                    == [[grid_iou(dense[i], dense[j]) for j in b] for i in a])
+
+    def test_box_computed_once_per_mask(self):
+        masks = [rle_encode(_seeded_grid(seed, 0.5, 9, 7), 9, 7) for seed in range(6)]
+        with mock.patch.object(mask_module, "_cut_bounds",
+                               wraps=mask_module._cut_bounds) as bounds:
+            first = iou_matrix(masks[:4], masks[2:])
+            again = iou_matrix(masks[2:], masks[:4])
+            iou_matrix(masks[::-1], masks)
+        assert sum(len(c.args[0]) for c in bounds.call_args_list) == len(masks)
+        assert again.tolist() == first.T.tolist()
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_tracker_computes_each_box_once(self, seed):
+        _, moving, static = _crowded_inputs(seed)
+        masks = {id(d.mask) for stream in (moving, static) for ds in stream.values() for d in ds}
+        with mock.patch.object(mask_module, "_cut_bounds",
+                               wraps=mask_module._cut_bounds) as bounds:
+            bidirectional_track(moving, static, TrackerConfig())
+        assert sum(len(c.args[0]) for c in bounds.call_args_list) <= len(masks)
 
     def test_hand_cases(self):
         empty, full = Mask(4, 3, (12,)), Mask(4, 3, (0, 12))
