@@ -9,22 +9,22 @@ positive entry gives the empty matching.
 
 Under this rule the problem splits exactly along the connected components of
 the positive entries, and the best pair list is the union of each
-component's.  A component of one row takes its row's first maximum, one of a
-single column its column's first maximum, and a lone positive pair is both.
-The remaining components are solved together, on their rows and columns,
-while these span at most ``_UNION_CELLS`` cells, and one at a time beyond it,
-each by one Hungarian routine run twice.  Pass 1, on float costs, gives dual
-potentials; by complementary slackness the optimal matchings are exactly
-those that use only tight edges and cover every larger-side vertex with a
-positive dual.  A smaller-side vertex left with one tight edge is pinned to
-it.  Pass 2 solves the rest over exact Python integers, on the R rows and C
-columns left, indexed from 0, with W = C + 1.  Reading each row as one base-W
-digit, its column if it is matched to a positive entry and C otherwise, a
-tight pair (r, c) costs -(C - c) * W**(R - 1 - r) if it is positive and 0 if
-not, less a bonus above all digit terms if it covers a required vertex; a
-non-tight pair costs more than any tight matching.  The minimum is the
-smallest digit string among the optimal matchings, which is the smallest
-sorted list of positive pairs.
+component's.  Entries within ``eps`` = 1e-12 * max(1, largest entry) of each
+other count as tied throughout.  A component of one row takes its row's first
+entry within ``eps`` of the row's maximum, one of a single column its column's
+first, and a lone positive pair is both.  The remaining components are solved
+together, on the union of their rows and columns, by one Hungarian routine
+run twice.  Pass 1, on float costs, gives dual potentials; by complementary
+slackness the optimal matchings are exactly those that use only tight edges
+and cover every larger-side vertex with a positive dual.  A smaller-side
+vertex left with one tight edge is pinned to it.  Pass 2 solves the rest over
+exact Python integers, on the R rows and C columns left, indexed from 0, with
+W = C + 1.  Reading each row as one base-W digit, its column if it is matched
+to a positive entry and C otherwise, a tight pair (r, c) costs
+-(C - c) * W**(R - 1 - r) if it is positive and 0 if not, less a bonus above
+all digit terms if it covers a required vertex; a non-tight pair costs more
+than any tight matching.  The minimum is the smallest digit string among the
+optimal matchings, which is the smallest sorted list of positive pairs.
 
 The tests check the solver against an exhaustive oracle that shares nothing
 with it beyond the input contract, ``brute_force_assignment`` in
@@ -38,10 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _INF = float("inf")
-# components whose rows and columns span at most this many cells are solved together, more
-# one at a time: pass 1 scans every column for every row, so a union costs its sides'
-# product.  On interleaved 3 x 3 tie blocks the two break even near 2,300 cells.
-_UNION_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -130,6 +126,7 @@ def solve_max_assignment(scores) -> Matching:
     col_deg = np.bincount(cols, minlength=n_cols)
     shared_col, shared_row = col_deg[cols] > 1, row_deg[rows] > 1
     if (shared_col | shared_row).any():
+        eps = 1e-12 * max(1.0, float(b.max()))
         # a component of one row has only columns of its own, and one of one column
         # only rows of its own; a lone pair is both and is settled with the rows
         one_row = (np.bincount(rows[shared_col], minlength=n_rows) == 0) & (row_deg > 0)
@@ -137,59 +134,34 @@ def solve_max_assignment(scores) -> Matching:
         # x.nonzero()[0] on these small 1-D arrays: np.flatnonzero's wrapper costs
         # several times the search
         star_rows, star_cols = one_row.nonzero()[0], one_col.nonzero()[0]
-        # each takes its first maximum, a positive entry of its own component
+        # each takes its first positive entry within eps of its maximum
         row_to_col = np.full(n_rows, -1)
-        row_to_col[star_rows] = b[star_rows].argmax(axis=1)
-        row_to_col[b[:, star_cols].argmax(axis=0)] = star_cols
+        row_to_col[star_rows] = _first_best(b[star_rows], eps, axis=1)
+        row_to_col[_first_best(b[:, star_cols], eps, axis=0)] = star_cols
         rest = ~(one_row[rows] | one_col[cols])
         if rest.any():
-            rows, cols = rows[rest], cols[rest]
-            for sub_rows, sub_cols in _groups(rows, cols, n_rows, n_cols):
-                r, c = _solve_components(b[sub_rows][:, sub_cols])
-                row_to_col[sub_rows[r]] = sub_cols[c]
+            # the remaining components, solved together on their rows and columns
+            sub_rows = np.bincount(rows[rest], minlength=n_rows).nonzero()[0]
+            sub_cols = np.bincount(cols[rest], minlength=n_cols).nonzero()[0]
+            r, c = _solve_components(b[np.ix_(sub_rows, sub_cols)], eps)
+            row_to_col[sub_rows[r]] = sub_cols[c]
         rows = (row_to_col >= 0).nonzero()[0]
         cols = row_to_col[rows]
     pairs = tuple(zip(rows.tolist(), cols.tolist()))
     return Matching(pairs, float(sum(b[rows, cols].tolist())))
 
 
-def _groups(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
-    """The rows and columns of the positive entries (rows[k], cols[k]) to solve together:
-    all of them while they span at most _UNION_CELLS cells, else each component's."""
-    sub_rows = np.bincount(rows, minlength=n_rows).nonzero()[0]
-    sub_cols = np.bincount(cols, minlength=n_cols).nonzero()[0]
-    if len(sub_rows) * len(sub_cols) <= _UNION_CELLS:
-        return [(sub_rows, sub_cols)]
-    # label each row by the smallest row of its component: spread the least label
-    # from rows to columns and back, and jump to the label's label, until it settles
-    label = np.arange(n_rows)
-    col_label = np.empty(n_cols, dtype=label.dtype)
-    while True:
-        col_label.fill(n_rows)
-        np.minimum.at(col_label, cols, label[rows])
-        lower = label.copy()
-        np.minimum.at(lower, rows, col_label[cols])
-        lower = lower[lower]
-        if (lower == label).all():
-            break
-        label = lower
-    # each side's rows or columns in order of their component's label, ascending in it
-    row_group, col_group = label[sub_rows], col_label[sub_cols]
-    sub_rows = sub_rows[np.argsort(row_group, kind="stable")]
-    sub_cols = sub_cols[np.argsort(col_group, kind="stable")]
-    row_edges, col_edges = (
-        [0, *(np.flatnonzero(np.diff(np.sort(g))) + 1).tolist(), len(g)]
-        for g in (row_group, col_group))
-    return [(sub_rows[a:z], sub_cols[c:y])
-            for a, z, c, y in zip(row_edges, row_edges[1:], col_edges, col_edges[1:])]
+def _first_best(b: np.ndarray, eps: float, axis: int) -> np.ndarray:
+    """Along ``axis``, the index of the first positive entry within ``eps`` of the maximum."""
+    return ((b >= b.max(axis=axis, keepdims=True) - eps) & (b > 0.0)).argmax(axis=axis)
 
 
-def _solve_components(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_components(b: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The smallest sorted list of positive pairs among the maximum-total matchings of
-    ``b``, as arrays of rows and their columns, by the two passes of the module docstring."""
+    ``b``, as arrays of rows and their columns, by the two passes of the module docstring;
+    totals within ``eps`` of each other count as equal."""
     bc = np.maximum(b, 0.0)
     scale = float(bc.max())
-    eps = 1e-12 * max(1.0, scale)
 
     # pass 1 on the smaller side as rows; "small"/"large" name the two sides
     transposed = b.shape[0] > b.shape[1]

@@ -110,16 +110,14 @@ def write_labelmap(arr: np.ndarray, path) -> None:
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("label map must be 2-D")
-    sample = _sample_type(*((arr.min(), arr.max()) if arr.size else (0, 0)))
-    _write_pgm(np.ascontiguousarray(arr, sample), path)
-
-
-def _write_pgm(samples: np.ndarray, path) -> None:
-    """Write a C-contiguous 2-D array of ``_sample_type`` samples as a binary PGM."""
-    maxval = 255 if samples.itemsize == 1 else 65535
+    # one-byte labels lie in [0, 255] already, so they need no scan for their range
+    sample = (">u1" if arr.dtype == np.uint8 else
+              _sample_type(*((arr.min(), arr.max()) if arr.size else (0, 0))))
+    maxval = 255 if sample == ">u1" else 65535
+    payload = np.ascontiguousarray(arr, sample)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{samples.shape[1]} {samples.shape[0]}\n{maxval}\n".encode("ascii"))
-        fh.write(samples.data)
+        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(payload.data)
 
 
 # ---------------------------------------------------------------- JSON plumbing
@@ -350,9 +348,10 @@ def write_sequence(name: str, gt: GroundTruthSequence, out_dir) -> Path:
     for idx in gt.eval_frames():
         rel = f"{_LABELMAP_DIR}/{idx:06d}.pgm"
         bounds, values = gt._runs[idx]
-        # the run values give the sample type; the decoded map is not scanned again
+        # the run values give the sample type: a one-byte map is not scanned again
         labels = values.astype(_sample_type(values.min(), values.max()))
-        _write_pgm(np.repeat(labels, np.diff(bounds)).reshape(gt.height, gt.width), out / rel)
+        write_labelmap(np.repeat(labels, np.diff(bounds)).reshape(gt.height, gt.width),
+                       out / rel)
         frames.append((idx, rel))
     manifest = Manifest(name, gt.width, gt.height, gt.ignore_value, tuple(frames))
     manifest_path = out / "manifest.json"

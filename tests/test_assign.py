@@ -1,6 +1,5 @@
 import itertools
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import brute_force_assignment
-from movingseg import assign as assign_module
 from movingseg.assign import Matching, solve_max_assignment
 
 
@@ -205,15 +203,33 @@ def structured_matrices(draw, max_side=6):
     return mat[rng.permutation(rows)][:, rng.permutation(cols)]
 
 
-@pytest.mark.parametrize("union_cells", [0, assign_module._UNION_CELLS])
 @given(structured_matrices())
 @settings(max_examples=150, deadline=None)
-def test_structured_matrices_match_brute_force(union_cells, mat):
-    # union_cells 0 solves every component alone, the default all of them together
-    with mock.patch.object(assign_module, "_UNION_CELLS", union_cells):
+def test_structured_matrices_match_brute_force(mat):
+    for m in (mat, mat.T):
+        assert solve_max_assignment(m) == brute_force_assignment(m)
+    assert solve_max_assignment([[0, 1], [0, 1]]).pairs == ((0, 1),)
+
+
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=6),
+       st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_near_ties_resolve_alike_on_every_path(levels, nudges):
+    # entries a few 1e-13 apart are tied whether their row is settled alone, its column
+    # alone, or the row sits in a larger component that goes through the Hungarian passes
+    row = np.array(levels) / 4 + np.array(nudges[:len(levels)]) * 1e-13
+    best = levels.index(max(levels))
+    k = len(levels)
+    # row 1 shares column 0 with row 0 but is worth far more at its own column k
+    joined = np.zeros((2, k + 1))
+    joined[0, :k] = row
+    joined[1, 0], joined[1, k] = 0.01, 2.0
+    cases = [(row[None, :], ((0, best),)), (joined, ((0, best), (1, k)))]
+    for mat, want in cases:
+        assert solve_max_assignment(mat).pairs == want
+        assert solve_max_assignment(mat.T).pairs == tuple((c, r) for r, c in want)
         for m in (mat, mat.T):
             assert solve_max_assignment(m) == brute_force_assignment(m)
-    assert solve_max_assignment([[0, 1], [0, 1]]).pairs == ((0, 1),)
 
 
 @given(st.lists(structured_matrices(max_side=5), min_size=1, max_size=12),
@@ -221,7 +237,7 @@ def test_structured_matrices_match_brute_force(union_cells, mat):
 @settings(max_examples=40, deadline=None)
 def test_block_diagonal_solves_each_block(blocks, seed):
     # the blocks of a block-diagonal matrix are solved as if each stood alone, however
-    # their rows and columns are interleaved, and past _UNION_CELLS one at a time
+    # their rows and columns are interleaved
     rows = np.cumsum([0] + [b.shape[0] for b in blocks])
     cols = np.cumsum([0] + [b.shape[1] for b in blocks])
     mat = np.zeros((rows[-1], cols[-1]))
@@ -240,17 +256,5 @@ def test_block_diagonal_solves_each_block(blocks, seed):
     want_t = tuple(sorted((int(col_of[c + i]), int(row_of[r + j]))
                           for b, r, c in zip(blocks, rows, cols)
                           for i, j in brute_force_assignment(b.T).pairs))
-    for cells in (0, assign_module._UNION_CELLS, 10**9):
-        with mock.patch.object(assign_module, "_UNION_CELLS", cells):
-            assert solve_max_assignment(shuffled).pairs == want
-            assert solve_max_assignment(shuffled.T).pairs == want_t
-
-
-def test_many_tied_components_answer_fast():
-    # 150 components of four tied cells: one Hungarian over the whole 300 x 300 matrix,
-    # both passes, takes 0.12-0.21 s on a 2-vCPU Xeon, and one component at a time 0.02-0.03 s
-    mat = np.kron(np.eye(150), np.ones((2, 2)))
-    start = time.perf_counter()
-    m = solve_max_assignment(mat)
-    assert time.perf_counter() - start < 0.1
-    assert m == Matching(tuple((i, i) for i in range(300)), 300.0)
+    assert solve_max_assignment(shuffled).pairs == want
+    assert solve_max_assignment(shuffled.T).pairs == want_t

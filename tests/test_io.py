@@ -583,6 +583,20 @@ def test_sequence_out_of_range_rejected(tmp_path, value):
     assert not list((tmp_path / "labelmaps").iterdir())
 
 
+def test_sequence_writes_each_map_through_write_labelmap(tmp_path, monkeypatch):
+    # every label map leaves through the public writer, one-byte maps without a range scan
+    labels = {0: np.zeros((H, W), dtype=np.int32), 2: np.full((H, W), 300, dtype=np.int32)}
+    labels[0][1, 2] = 7
+    written = []
+    real = fileio.write_labelmap
+    monkeypatch.setattr(fileio, "write_labelmap",
+                        lambda arr, path: (written.append(arr.dtype.str), real(arr, path)))
+    fileio.write_sequence("s", GroundTruthSequence(W, H, labels), tmp_path)
+    assert written == ["|u1", ">u2"]
+    for idx, want in labels.items():
+        assert np.array_equal(fileio.read_labelmap(tmp_path / f"labelmaps/{idx:06d}.pgm"), want)
+
+
 def test_load_sequence_keeps_no_dense_map(tmp_path):
     # five 1920x1080 maxval-255 maps: 10 MiB of samples, held as label runs instead
     gt, _ = generate(SynthConfig(seed=3, frames=5, width=1920, height=1080, objects=10,
