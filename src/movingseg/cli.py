@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import io as fileio
 from .mask import MaskError
-# the two halves of metrics.evaluate, so that sequences load in the --jobs pool
-from .metrics import MetricReport, _report, _score
+from .metrics import MetricReport, evaluate
 from .synth import NoiseConfig, OcclusionEvent, SynthConfig, corrupt, generate
 from .tracker import (TrackerConfig, _detection, bidirectional_track, merge_moving_static,
                       track_sequence)
@@ -130,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binarize-threshold", type=_finite, default=0.7)
     p.add_argument("--boundary-tolerance", type=_finite, default=0.8, metavar="PCT")
     p.add_argument("--jobs", type=int, default=0,
-                   help="sequence-level parallelism; 0 means all hardware threads")
+                   help="accepted for compatibility; sequences are evaluated one at a time")
     p.add_argument("--fail-on-degenerate", action="store_true")
     p.set_defaults(func=cmd_evaluate)
     return parser
@@ -201,22 +198,9 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
-def _parallel(fn, items, jobs):
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _evaluate_pairs(args, pairs) -> MetricReport:
-    """``metrics.evaluate`` over (manifest, tracks file) pairs, loaded in the --jobs pool."""
-    options = dict(map_mode=args.map_mode, binarize_threshold=args.binarize_threshold,
-                   boundary_tolerance=args.boundary_tolerance)
-
-    def run(pair):
-        gt_path, pred_path = pair
+def _evaluate_pairs(args):
+    """``metrics.evaluate``'s (name, ground truth, tracks) triples, one pair loaded at a time."""
+    for gt_path, pred_path in zip(args.gt, args.pred):
         name, gt = fileio.load_sequence(gt_path)
         width, height, tracks = fileio.read_tracks(pred_path)
         if (width, height) != (gt.width, gt.height):
@@ -224,9 +208,8 @@ def _evaluate_pairs(args, pairs) -> MetricReport:
                 f"{pred_path}: dimensions {width}x{height} do not match manifest "
                 f"{gt_path} ({gt.width}x{gt.height})"
             )
-        return name, _score(args.metric, gt, tracks, **options)
-
-    return _report(args.metric, _parallel(run, pairs, args.jobs), **options)
+        yield name, gt, tracks
+        del gt, tracks  # scored by now: let it go before the next pair loads
 
 
 def _format_line(name: str, report: MetricReport) -> str:
@@ -252,7 +235,9 @@ def cmd_evaluate(args) -> int:
         raise fileio.SchemaError(
             f"{len(args.gt)} ground-truth manifests but {len(args.pred)} track files"
         )
-    report = _evaluate_pairs(args, list(zip(args.gt, args.pred)))
+    report = evaluate(args.metric, _evaluate_pairs(args), map_mode=args.map_mode,
+                      binarize_threshold=args.binarize_threshold,
+                      boundary_tolerance=args.boundary_tolerance)
     fileio.write_report(report, args.out)
     if args.csv:
         fileio.write_report_csv(report, args.csv)

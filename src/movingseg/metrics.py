@@ -586,25 +586,35 @@ def _metric(name: str):
     return _METRICS[name]
 
 
-def _score(metric: str, gt: GroundTruthSequence, tracks, **options):
-    """``evaluate``'s per-sequence half: (ground-truth objects, tracks, the metric's payload)."""
-    score, _ = _metric(metric)
-    return len(gt.region_ids()), len(tracks), score(gt, tracks, _Options(**options))
+def evaluate(metric: str, sequences, **options) -> MetricReport:
+    """Score ``metric`` over (name, ground truth, tracks) triples; names must be unique.
 
-
-def _report(metric: str, scored, **options) -> MetricReport:
-    """``evaluate``'s report half, over (name, ``_score`` result) pairs.
+    ``metric`` is one of ``proposed``, ``official``, ``delta-obj``, ``map`` and
+    ``davis``; the options are ``map_mode`` ("mask"), ``binarize_threshold``
+    (0.7) and ``boundary_tolerance`` (0.8, percent of the image diagonal), as
+    the CLI's flags of the same names.  Tracks are ``tracker.Track``s.
+    ``sequences`` is any iterable, read once: each sequence is scored as it
+    arrives and only its score is kept, so a generator of loads holds one
+    sequence at a time.
 
     The aggregate combines every sequence and each ``per_sequence`` entry
     combines its sequence alone.  A report is flagged ``degenerate`` when none
     of its sequences has a ground-truth object and ``no_predictions`` when none
     has a track.
     """
-    _, combine = _metric(metric)
+    score, combine = _metric(metric)
     opts = _Options(**options)
-    if not scored:
+
+    def scored(triple):
+        name, gt, tracks = triple
+        return name, (len(gt.region_ids()), len(tracks), score(gt, tracks, opts))
+
+    # map lets go of each triple once it is scored; a for loop would keep it bound
+    # while the next one loads
+    scores = list(map(scored, sequences))
+    if not scores:
         raise ValueError("no sequences")
-    names = [name for name, _ in scored]
+    names = [name for name, _ in scores]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate sequence names: {sorted(names)}")
 
@@ -614,20 +624,6 @@ def _report(metric: str, scored, **options) -> MetricReport:
                      + ("no_predictions",) * (not any(n for _, (_, n, _) in items)))
         return rep
 
-    rep = report(scored)
-    rep.per_sequence = {name: report([(name, result)]) for name, result in scored}
+    rep = report(scores)
+    rep.per_sequence = {name: report([(name, result)]) for name, result in scores}
     return rep
-
-
-def evaluate(metric: str, sequences, **options) -> MetricReport:
-    """Score ``metric`` over (name, ground truth, tracks) triples; names must be unique.
-
-    ``metric`` is one of ``proposed``, ``official``, ``delta-obj``, ``map`` and
-    ``davis``; the options are ``map_mode`` ("mask"), ``binarize_threshold``
-    (0.7) and ``boundary_tolerance`` (0.8, percent of the image diagonal), as
-    the CLI's flags of the same names.  Tracks are ``tracker.Track``s.  The
-    CLI runs the two halves, ``_score`` per sequence and ``_report`` over
-    their results, itself, so that it can load sequences in its pool.
-    """
-    return _report(metric, [(name, _score(metric, gt, tracks, **options))
-                            for name, gt, tracks in sequences], **options)

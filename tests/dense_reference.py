@@ -194,9 +194,12 @@ def brute_force_assignment(scores) -> Matching:
     Test oracle of the positive-pairs rule: a matching's pairs are its
     positive ones, and the answer is the smallest sorted list of them among
     the matchings of the largest total.  It enumerates every injection of the
-    smaller side into the larger, totals each one's positive entries exactly
-    (``math.fsum``), and counts totals within 1e-9 * max(1, largest) of the
-    largest as tied.
+    smaller side into the larger and totals each one's positive entries with
+    a plain sum.  The injections whose plain total lies within 1e-8 * max(1,
+    total) of the best are totalled again exactly (``math.fsum``), and exact
+    totals within 1e-9 * max(1, largest) of the largest count as tied.  A
+    plain sum of at most 8 entries is off by far less than the gap between
+    those two tolerances, so no tied matching is left out.
     """
     b = _validated(scores)
     n_rows, n_cols = b.shape
@@ -204,13 +207,23 @@ def brute_force_assignment(scores) -> Matching:
         return Matching((), 0.0)
     if min(n_rows, n_cols) > 8:
         raise ValueError(f"brute force limited to min dimension 8, got {min(n_rows, n_cols)}")
-    positive = (b > 0.0).tolist()
+    flip = n_rows > n_cols
+    gains = np.maximum(b.T if flip else b, 0.0).tolist()   # one row per smaller-side index
     values = b.tolist()
+    near, best, floor = [], 0.0, -1e-8
+    for perm in itertools.permutations(range(len(gains[0])), len(gains)):
+        total = sum(map(list.__getitem__, gains, perm))
+        if total >= floor:
+            near.append((total, perm))
+            if total > best:
+                best = total
+                floor = best - 1e-8 * max(1.0, best)
     candidates = []
-    for perm in itertools.permutations(range(max(n_rows, n_cols)), min(n_rows, n_cols)):
-        pairs = enumerate(perm) if n_rows <= n_cols else ((r, j) for j, r in enumerate(perm))
-        kept = tuple(sorted((r, c) for r, c in pairs if positive[r][c]))
-        candidates.append((math.fsum(values[r][c] for r, c in kept), kept))
-    best = max(total for total, _ in candidates)
-    pick = min(kept for total, kept in candidates if total >= best - 1e-9 * max(1.0, best))
+    for total, perm in near:
+        if total >= floor:
+            pairs = ((r, c) for c, r in enumerate(perm)) if flip else enumerate(perm)
+            kept = tuple(sorted((r, c) for r, c in pairs if values[r][c] > 0.0))
+            candidates.append((math.fsum(values[r][c] for r, c in kept), kept))
+    top = max(total for total, _ in candidates)
+    pick = min(kept for total, kept in candidates if total >= top - 1e-9 * max(1.0, top))
     return Matching(pick, float(sum(values[r][c] for r, c in pick)))

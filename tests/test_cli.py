@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -354,13 +356,63 @@ class TestEvaluateCommand:
             assert main(["track", "--detections", str(out / "detections.json"),
                          "--out", str(tracks)]) == 0
             pairs += ["--gt", str(out / "manifest.json"), "--pred", str(tracks)]
-        reports = []
-        for jobs in ("1", "4"):
-            report = tmp_path / f"r{jobs}.json"
-            assert main(["evaluate", *pairs, "--metric", "proposed",
-                         "--jobs", jobs, "--out", str(report)]) == 0
-            reports.append(report.read_bytes())
-        assert reports[0] == reports[1]
+        outputs = set()
+        for jobs in ("0", "1", "4"):
+            report, csv = tmp_path / f"r{jobs}.json", tmp_path / f"r{jobs}.csv"
+            assert main(["evaluate", *pairs, "--metric", "proposed", "--jobs", jobs,
+                         "--out", str(report), "--csv", str(csv)]) == 0
+            outputs.add((report.read_bytes(), csv.read_bytes()))
+        assert len(outputs) == 1
+
+    def test_negative_jobs_usage_error(self, pipeline, capsys):
+        manifest, tracks_path, tmp = pipeline
+        assert main(["evaluate", "--gt", str(manifest), "--pred", str(tracks_path),
+                     "--metric", "proposed", "--jobs", "-1",
+                     "--out", str(tmp / "r.json")]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp / "r.json").exists()
+
+    def test_second_pair_of_wrong_size_names_its_file(self, tmp_path, capsys):
+        pairs = []
+        for seed, size in ((1, "64x48"), (2, "48x64")):
+            out = tmp_path / f"s{seed}"
+            assert main(synth_args(out, seed=seed, frames=4,
+                                   extra=["--size", size, "--name", f"seq{seed}"])) == 0
+            pairs.append(out)
+        tracks = pairs[1] / "gt_tracks.json"
+        fileio.write_tracks(tracks, 64, 48, [])
+        rc = main(["evaluate", "--gt", str(pairs[0] / "manifest.json"),
+                   "--pred", str(pairs[0] / "gt_tracks.json"),
+                   "--gt", str(pairs[1] / "manifest.json"), "--pred", str(tracks),
+                   "--metric", "proposed", "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert f"{tracks}: dimensions 64x48 do not match" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_one_sequence_loaded_at_a_time(self, tmp_path, monkeypatch):
+        pairs = []
+        for seed in (1, 2, 3):
+            out = tmp_path / f"s{seed}"
+            assert main(synth_args(out, seed=seed, frames=4,
+                                   extra=["--name", f"seq{seed}"])) == 0
+            pairs += ["--gt", str(out / "manifest.json"),
+                      "--pred", str(out / "gt_tracks.json")]
+        loaded = []
+        load_sequence = fileio.load_sequence
+
+        def load_alone(path):
+            gc.collect()
+            assert not any(ref() for ref in loaded), "an earlier sequence is still held"
+            name, gt = load_sequence(path)
+            loaded.append(weakref.ref(gt))
+            return name, gt
+
+        monkeypatch.setattr(fileio, "load_sequence", load_alone)
+        for metric in ("proposed", "official", "delta-obj", "map", "davis"):
+            loaded.clear()
+            assert main(["evaluate", *pairs, "--metric", metric,
+                         "--out", str(tmp_path / f"{metric}.json")]) == 0
+            assert len(loaded) == 3
 
     def test_summary_lines_printed(self, pipeline, capsys):
         manifest, tracks_path, tmp = pipeline
@@ -426,8 +478,10 @@ def test_library_report_equals_cli(two_sequences, metric, options, jobs):
     for pair in pairs.values():
         name, gt = fileio.load_sequence(pair[1])
         sequences.append((name, gt, fileio.read_tracks(pair[3])[2]))
-    assert movingseg.evaluate(metric, sequences, **options).to_dict() == \
-        {**doc["aggregate"], "per_sequence": doc["per_sequence"]}
+    want = {**doc["aggregate"], "per_sequence": doc["per_sequence"]}
+    assert movingseg.evaluate(metric, sequences, **options).to_dict() == want
+    # any iterable, read once: a one-shot generator gives the same report
+    assert movingseg.evaluate(metric, (s for s in sequences), **options).to_dict() == want
 
 
 # A malformed file is rejected before anything of its declared size exists: the

@@ -304,6 +304,33 @@ def test_evaluate_rejects_unknown_metric_and_no_sequences():
         evaluate("proposed", [])
 
 
+def test_evaluate_error_order_over_one_pass():
+    # unknown metric, then bad options, before any sequence is drawn; then the input's
+    # own errors in order; then "no sequences"; then duplicate names
+    gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
+    drawn = []
+
+    def sequences(*items):
+        for item in items:
+            drawn.append(item)
+            if isinstance(item, Exception):
+                raise item
+            yield item, gt, []
+
+    with pytest.raises(ValueError, match="unknown metric"):
+        evaluate("recall", sequences("a"), map_mode="poly")
+    with pytest.raises(ValueError, match="map_mode must be"):
+        evaluate("map", sequences("a"), map_mode="poly")
+    assert drawn == []
+    with pytest.raises(OSError, match="second"):
+        evaluate("proposed", sequences("a", "a", OSError("second"), "b"))
+    assert len(drawn) == 3  # "b" is never drawn
+    with pytest.raises(ValueError, match="no sequences"):
+        evaluate("proposed", sequences())
+    with pytest.raises(ValueError, match="duplicate sequence names"):
+        evaluate("proposed", sequences("a", "b", "a"))
+
+
 @pytest.mark.parametrize("option,value", [
     ("map_mode", "poly"), ("binarize_threshold", float("nan")),
     ("binarize_threshold", float("inf")), ("boundary_tolerance", float("nan")),
