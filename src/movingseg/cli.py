@@ -7,6 +7,7 @@ evaluation (only with --fail-on-degenerate).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -252,10 +253,16 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than most parses, and parsing
+    leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("missing subcommand")
         return args.func(args)

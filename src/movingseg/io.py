@@ -546,7 +546,6 @@ def write_report_csv(report: MetricReport, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("sequence",) + REPORT_FIELDS)
-        for name in sorted(report.per_sequence):
-            rep = report.per_sequence[name]
-            writer.writerow([name] + [cell(rep.values()[f]) for f in REPORT_FIELDS])
-        writer.writerow(["aggregate"] + [cell(report.values()[f]) for f in REPORT_FIELDS])
+        rows = [(name, report.per_sequence[name]) for name in sorted(report.per_sequence)]
+        for name, rep in [*rows, ("aggregate", report)]:
+            writer.writerow([name, *map(cell, rep.values().values())])

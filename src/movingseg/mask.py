@@ -19,7 +19,8 @@ as pycocotools' ``maskApi.c`` does; this is what keeps evaluation over long
 high-resolution sequences cheap.  Binary searches and prefix sums carry all of it:
 
 - Overlap counts of mask pairs come from one pair kernel, ``_overlaps``,
-  behind ``intersect_cuts``, ``iou_matrix`` and ``davis_j``: it takes the
+  behind ``intersect_cuts``, ``iou_matrix``, ``davis_j`` and the IoU of
+  ``average_precision``, over all of a sequence's frames at once: it takes the
   cumulative interval lengths of B, finds A's boundaries in B by binary
   search, and sums the differences of the covered lengths there.
 - The F-measure tally scores predictions against labels, whose intervals are
@@ -409,8 +410,11 @@ def union_merge(masks, *, width: int | None = None, height: int | None = None) -
         raise DimensionMismatchError("stated dimensions disagree with masks")
     for m in masks[1:]:
         _require_same_dims(first, m)
-    return _from_cuts(first.width, first.height,
-                      _sweep([m.foreground_cuts for m in masks], 1))
+    # the masks' frame size was checked when they were made; metrics.binarize_detections
+    # unions a sequence's frames as rows of masks whose size may exceed MAX_PIXELS
+    cuts = _sweep([m.foreground_cuts for m in masks], 1)
+    cuts.flags.writeable = False
+    return _mask(first.width, first.height, cuts)
 
 
 def _boxes(masks) -> np.ndarray:
@@ -460,7 +464,11 @@ def boxes_meet(a, b) -> np.ndarray:
 
     Masks whose boxes are disjoint (or either empty) have an IoU of exactly 0.
     """
-    ba, bb = _boxes(a)[:, None, :], _boxes(b)[None, :, :]
+    return _meet(_boxes(a)[:, None, :], _boxes(b)[None, :, :])
+
+
+def _meet(ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Whether the boxes of ``ba`` and ``bb``, (..., 4) arrays that broadcast, share a pixel."""
     return ((ba[..., 0] <= bb[..., 2]) & (bb[..., 0] <= ba[..., 2])
             & (ba[..., 1] <= bb[..., 3]) & (bb[..., 1] <= ba[..., 3]))
 

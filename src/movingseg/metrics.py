@@ -12,6 +12,12 @@ average precision at an IoU threshold, binary-mask J statistics, and a
 boundary F-measure with a distance tolerance.  ``evaluate`` is the one entry
 to all five metrics, for the library and the CLI alike: it scores each named
 sequence and combines the scores into a report with its flags.
+
+Each metric scores a sequence in passes over all its frames, not one call per
+frame: the F-measure tally pools every track entry with one offset; map's IoU
+of every frame's (detection, object) pairs comes from one box test and one
+overlap count; DAVIS takes each frame's foreground straight from its label
+runs and binarizes the detections of all frames in one union.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ import numpy as np
 from . import mask as mask_module
 from .assign import solve_max_assignment
 from .mask import (DimensionMismatchError, Mask, _boxes, _cuts_area, _frame_pixels, _from_cuts,
-                   _label_runs, _overlaps, _tagged_overlaps, _value_cuts, boundary_pixels,
-                   iou_matrix, mask_from_cuts, union_merge)
+                   _label_runs, _mask, _meet, _overlaps, _tagged_overlaps, _value_cuts,
+                   boundary_pixels, union_merge)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
@@ -141,9 +147,13 @@ class GroundTruthSequence:
 
     def foreground(self, frame: int) -> Mask:
         """The union of one frame's instance masks."""
-        # labels cover disjoint intervals; mask_from_cuts drops their shared seams
-        cuts = np.concatenate([np.empty(0, dtype=np.int64), *self._instance_cuts(frame)])
-        return mask_from_cuts(np.sort(cuts), self.width, self.height)
+        bounds, values = self._runs[frame]
+        inside = values != 0
+        if self.ignore_value is not None:
+            inside &= values != self.ignore_value
+        # its cuts are the run bounds where "instance label" flips, the frame's ends outside
+        flips = np.flatnonzero(np.diff(inside, prepend=False, append=False))
+        return _from_cuts(self.width, self.height, bounds[flips])
 
     def _tagged_runs(self, columns: Mapping[int, int]):
         """The runs of the labels in ``columns`` over the sorted labelled frames, each
@@ -196,22 +206,30 @@ class MetricReport:
         return out
 
 
-def _pooled(per_frame, frame_px: int) -> np.ndarray:
-    """One region's cuts over a sequence, from ``per_frame[k]``, its cuts in the
-    k-th frame (None where it is absent), moved up by k frames."""
-    chunks = [cuts + k * frame_px for k, cuts in enumerate(per_frame) if cuts is not None]
-    return np.concatenate([np.empty(0, dtype=np.int64), *chunks])
+def _pooled(cut_sets, places, frame_px: int) -> np.ndarray:
+    """Every set of ``cut_sets`` moved up by its entry of ``places`` times ``frame_px``,
+    in order, in one array."""
+    lengths = np.fromiter(map(len, cut_sets), np.int64, len(cut_sets))
+    pooled = np.concatenate([np.empty(0, dtype=np.int64), *cut_sets])
+    pooled += np.repeat(np.asarray(places, dtype=np.int64) * frame_px, lengths)
+    return pooled
 
 
 def _region_cuts(regions, frames: Sequence[int], width: int, height: int):
     """Each region's pooled cuts over the sorted ``frames`` of a width x height sequence."""
+    place = {f: k for k, f in enumerate(frames)}
+    entries, sizes = [], []   # each region's (place, cuts) on ``frames``, in frame order
     for r in regions:
         m = next(iter(r.frames.values()), None)   # a Region holds one frame size
         if m is not None and (m.width, m.height) != (width, height):
             raise ValueError(f"region {r.id} is {m.width}x{m.height}, "
                              f"sequence is {width}x{height}")
-    return [_pooled([r.frames[f].foreground_cuts if f in r.frames else None for f in frames],
-                    width * height) for r in regions]
+        mine = sorted((place[f], r.frames[f].foreground_cuts) for f in r.frames if f in place)
+        entries += mine
+        sizes.append(sum(len(c) for _, c in mine))
+    pooled = _pooled([c for _, c in entries], [k for k, _ in entries], width * height)
+    edges = np.cumsum([0, *sizes]).tolist()
+    return [pooled[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def _prf(inter: int, c_area: int, g_area: int) -> tuple[float, float, float]:
@@ -287,9 +305,9 @@ def delta_obj(gt_counts: Mapping[str, int], pred_counts: Mapping[str, int]) -> f
     )
 
 
-def _box_ious(a, b) -> np.ndarray:
-    """len(a) x len(b) IoU of the masks' bounding boxes; 0 where either is empty."""
-    ba, bb = _boxes(a)[:, None, :], _boxes(b)[None, :, :]
+def _box_iou(ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """IoU of the boxes of ``ba`` and ``bb``, (..., 4) arrays that broadcast; 0 where
+    they share no pixel."""
     ix = np.minimum(ba[..., 2], bb[..., 2]) - np.maximum(ba[..., 0], bb[..., 0]) + 1
     iy = np.minimum(ba[..., 3], bb[..., 3]) - np.maximum(ba[..., 1], bb[..., 1]) + 1
     inter = np.maximum(ix, 0) * np.maximum(iy, 0)
@@ -315,6 +333,50 @@ def average_precision(gt_by_frame, dets_by_frame, iou_threshold: float = 0.5,
                             sum(map(len, gt_by_frame.values())))
 
 
+def _frame_ious(gt_by_frame, dets_by_frame, mode: str) -> list[np.ndarray]:
+    """Each frame of ``dets_by_frame``'s detections x ``gt_by_frame``'s objects IoU.
+
+    In "mask" mode each value is ``iou_matrix``'s bit for bit, and in "box"
+    mode the IoU of the two bounding boxes.  The matrices are views of one
+    array: every frame's pairs are box-tested at once, and in mask mode the
+    pairs whose boxes meet are counted by one ``_overlaps`` call.
+    """
+    dets = list(dets_by_frame.values())
+    gts = [list(gt_by_frame.get(f, ())) for f in dets_by_frame]
+    a = [d.mask for ds in dets for d in ds]
+    b = [m for g in gts for m in g]
+    nd = np.fromiter(map(len, dets), np.int64, len(dets))
+    ng = np.fromiter(map(len, gts), np.int64, len(gts))
+    cells = nd * ng
+    block = np.cumsum(cells) - cells   # where each frame's matrix starts
+    ious = np.zeros(int(cells.sum()))
+    # cell k of frame f's matrix pairs detection k // ng[f] with object k % ng[f]
+    frame = np.repeat(np.arange(len(dets)), cells)
+    ii, jj = np.divmod(np.arange(len(ious)) - block[frame], ng[frame])
+    ii += (np.cumsum(nd) - nd)[frame]
+    jj += (np.cumsum(ng) - ng)[frame]
+    boxes = _boxes(a + b)
+    ba, bb = boxes[:len(a)][ii], boxes[len(a):][jj]
+    if mode == "box":
+        ious[:] = _box_iou(ba, bb)
+    else:
+        sizes = {(m.width, m.height) for m in chain(a, b)}
+        if len(sizes) > 1:
+            raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
+        at = np.flatnonzero(_meet(ba, bb))
+        if len(at):
+            ((w, h),) = sizes
+            ii, jj = ii[at], jj[at]
+            inter = _overlaps([m.foreground_cuts for m in a], [m.foreground_cuts for m in b],
+                              ii, jj, w * h + 1)
+            # _boxes has kept every mask's area; int64 to float64 is exact below 2**53
+            area_a = np.fromiter((m._area for m in a), np.int64, len(a))
+            area_b = np.fromiter((m._area for m in b), np.int64, len(b))
+            ious[at] = inter / (area_a[ii] + area_b[jj] - inter)
+    return [ious[k:k + n * m].reshape(n, m)
+            for k, n, m in zip(block.tolist(), nd.tolist(), ng.tolist())]
+
+
 def _greedy_matches(gt_by_frame, dets_by_frame, iou_threshold: float, mode: str):
     """(-score, frame, input index, true positive) of every detection.
 
@@ -325,11 +387,10 @@ def _greedy_matches(gt_by_frame, dets_by_frame, iou_threshold: float, mode: str)
     """
     if mode not in ("box", "mask"):
         raise ValueError(f"unknown AP mode {mode!r}")
-    overlap = iou_matrix if mode == "mask" else _box_ious
     matches = []
-    for f, dets in dets_by_frame.items():
-        # one detections x ground-truth matrix per frame; a taken object's column is zeroed
-        ious = overlap([d.mask for d in dets], gt_by_frame.get(f, ()))
+    for (f, dets), ious in zip(dets_by_frame.items(),
+                               _frame_ious(gt_by_frame, dets_by_frame, mode)):
+        # a taken object's column is zeroed
         for idx in sorted(range(len(dets)), key=lambda i: -dets[i].score):
             row = ious[idx]
             j = int(row.argmax()) if len(row) else -1   # the first of the best overlaps
@@ -467,8 +528,9 @@ def boundary_f(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask],
     both = np.flatnonzero((n_gt > 0) & (n_pr > 0))
     if len(both):
         frame_px = width * height
-        gt_pool = _pooled([gt_b[k] for k in both], frame_px)
-        pr_pool = _pooled([pr_b[k] for k in both], frame_px)
+        places = np.arange(len(both))
+        gt_pool = _pooled([gt_b[k] for k in both], places, frame_px)
+        pr_pool = _pooled([pr_b[k] for k in both], places, frame_px)
         moves = _moves(tolerance_px, width, height)
         n_gt, n_pr = n_gt[both], n_pr[both]
         precision = (n_pr - _far(pr_pool, gt_pool, moves, width, frame_px)) / n_pr
@@ -480,12 +542,32 @@ def boundary_f(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask],
 
 def binarize_detections(dets_by_frame, threshold: float = 0.7, *,
                         width: int, height: int) -> dict[int, Mask]:
-    """Per frame, the union of detection masks scoring strictly above the threshold."""
-    out = {}
-    for f in sorted(dets_by_frame):
-        masks = [d.mask for d in dets_by_frame[f] if d.score > threshold]
-        out[f] = union_merge(masks, width=width, height=height)
-    return out
+    """Per frame, the union of detection masks scoring strictly above the threshold.
+
+    All frames are unioned by one ``union_merge`` call.  The k-th sorted frame
+    becomes row k of one image ``width*height + 1`` pixels wide, whose last
+    column, never covered, keeps each frame's intervals apart from the next's.
+    So the j-th kept mask of every frame, together, is one mask of that image.
+    """
+    frames = sorted(dets_by_frame)
+    kept = [(k, d.mask) for k, f in enumerate(frames) for d in dets_by_frame[f]
+            if d.score > threshold]
+    if {(m.width, m.height) for _, m in kept} - {(width, height)}:
+        raise DimensionMismatchError("stated dimensions disagree with masks")
+    place = np.fromiter((k for k, _ in kept), np.int64, len(kept))
+    rank = np.arange(len(kept)) - np.searchsorted(place, place)   # among its frame's
+    order = np.lexsort((place, rank))   # the first kept of each frame, then the second, ...
+    stride = width * height + 1
+    cut_sets = [kept[i][1].foreground_cuts for i in order.tolist()]
+    pooled = _pooled(cut_sets, place[order], stride)
+    pooled.flags.writeable = False
+    lengths = np.fromiter(map(len, cut_sets), np.int64, len(cut_sets))
+    ends = np.cumsum(lengths)[np.cumsum(np.bincount(rank)) - 1].tolist()   # of each layer
+    rows = [_mask(stride, len(frames), pooled[a:b]) for a, b in zip([0, *ends], ends)]
+    cuts = union_merge(rows).foreground_cuts if rows else pooled
+    edges = [0, *np.searchsorted(cuts, np.arange(1, len(frames) + 1) * stride).tolist()]
+    local = cuts - np.repeat(np.arange(len(frames)) * stride, np.diff(edges))
+    return {f: _from_cuts(width, height, local[a:b]) for f, a, b in zip(frames, edges, edges[1:])}
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import movingseg
 from helpers import det, rect_labels
+from movingseg import cli
 from movingseg import io as fileio
 from movingseg.cli import main
 from movingseg.mask import MAX_PIXELS
@@ -37,6 +38,32 @@ def tree_bytes(root):
         str(p.relative_to(root)): p.read_bytes()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def test_one_parser_per_process_acts_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    def session(root):
+        """Exit codes, output lines and written files of one run of in-process calls."""
+        pair = ["--gt", root / "a" / "manifest.json", "--pred", root / "a" / "gt_tracks.json"]
+        calls = [synth_args(root / "a", seed=3, frames=6),
+                 synth_args(root / "b", seed=4, frames=6, extra=["--occlude", "0:1:3"]),
+                 ["synth", "--frames", "6", "--bogus"],                 # a parser error
+                 synth_args(root / "c", seed=3, frames=6),
+                 *(["evaluate", *pair, "--metric", *metric, "--out", root / f"{k}.json",
+                    "--csv", root / f"{k}.csv"]
+                   for k, metric in enumerate([["proposed"], ["map", "--map-mode", "box"],
+                                               ["map"], ["davis"], ["delta-obj"]])),
+                 ["evaluate", *pair, "--out", root / "none.json"],    # no --metric
+                 ["evaluate", *pair, "--metric", "official", "--out", root / "official.json"]]
+        codes = [main([str(a) for a in argv]) for argv in calls]
+        out, err = capsys.readouterr()
+        return codes, (out + err).replace(str(root), "ROOT"), tree_bytes(root)
+
+    assert cli._parser() is cli._parser()
+    once = session(tmp_path / "once")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)   # a new parser for every call
+    fresh = session(tmp_path / "fresh")
+    assert once[0] == [0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0]
+    assert once == fresh
 
 
 class TestExitCodes:

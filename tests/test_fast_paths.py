@@ -1,6 +1,7 @@
 """Run-space fast paths against the dense references in dense_reference.py."""
 
 import math
+from collections import namedtuple
 from unittest import mock
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import (average_precision_dense, boundary_f_edt, boundary_map,
+from dense_reference import (_box_iou, average_precision_dense, boundary_f_edt, boundary_map,
                              grid_box, grid_iou, grid_runs, interval_grid, translate_dense)
 from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, boundary_pixels,
                             intersect_cuts, iou, iou_matrix, mask_from_cuts, rle_decode,
                             rle_encode, translate_many, union_merge)
-from movingseg.metrics import average_precision, boundary_f, davis_j
+from movingseg import metrics as metrics_module
+from movingseg.metrics import (_frame_ious, average_precision, binarize_detections, boundary_f,
+                               davis_j)
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
 from movingseg.tracker import (Detection, TrackerConfig, bidirectional_track, gate,
                                merge_moving_static, track_sequence)
@@ -274,11 +277,16 @@ def _crowded_inputs(seed):
     return gt, moving, static
 
 
+def _all_meet(ba, bb):
+    return np.ones(np.broadcast_shapes(ba.shape[:-1], bb.shape[:-1]), dtype=bool)
+
+
 class TestBoxSkip:
     """Skipping pairs with disjoint bounding boxes changes no result.
 
-    ``iou_matrix`` finds the pairs to test with ``mask.boxes_meet``; patching
-    that binding to pass every pair gives the unskipped result.
+    ``iou_matrix`` finds the pairs to test with ``mask.boxes_meet``, and
+    ``metrics._frame_ious`` with ``mask._meet``; patching those bindings to
+    pass every pair gives the unskipped result.
     """
 
     @given(st.integers(0, 10_000))
@@ -309,7 +317,7 @@ class TestBoxSkip:
             return [average_precision(gt_frames, moving, t) for t in (0.1, 0.5, 0.75)]
 
         skipped = run()
-        with mock.patch.object(mask_module, "boxes_meet", _all_pairs):
+        with mock.patch.object(metrics_module, "_meet", _all_meet):
             assert run() == skipped
 
 
@@ -323,6 +331,71 @@ def test_average_precision_matches_dense(seed):
         for threshold in (0.1, 0.5, 0.75):
             assert (average_precision(gt_frames, dets, threshold, mode)
                     == average_precision_dense(gt_frames, dets, threshold, mode))
+
+
+# a scored mask as the AP and binarization inputs read it; unlike a Detection, it may be empty
+Scored = namedtuple("Scored", "score mask")
+
+
+@given(st.data(), st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_frame_ious_equal_each_frame_alone(data, w, h):
+    # frames with no detections, with no objects and missing from the ground truth
+    dets_by_frame, gt_by_frame = {}, {}
+    for f in data.draw(st.lists(st.integers(0, 20), unique=True, max_size=5)):
+        dets_by_frame[f] = [Scored(0.5, rle_encode(g, w, h))
+                            for g in data.draw(st.lists(frame_grids(w, h), max_size=4))]
+        objects = data.draw(st.lists(frame_grids(w, h), max_size=4))
+        if objects or data.draw(st.booleans()):
+            gt_by_frame[f] = [rle_encode(g, w, h) for g in objects]
+    for chunk in (2, mask_module._CHUNK):   # pairs split over several binary searches
+        with mock.patch.object(mask_module, "_CHUNK", chunk):
+            masks = _frame_ious(gt_by_frame, dets_by_frame, "mask")
+        boxes = _frame_ious(gt_by_frame, dets_by_frame, "box")
+        for (f, dets), by_mask, by_box in zip(dets_by_frame.items(), masks, boxes):
+            objects = gt_by_frame.get(f, [])
+            assert by_mask.shape == by_box.shape == (len(dets), len(objects))
+            assert by_mask.tolist() == iou_matrix([d.mask for d in dets], objects).tolist()
+            dense_boxes = [grid_box(rle_decode(m)) for m in objects]
+            assert by_box.tolist() == [[_box_iou(grid_box(rle_decode(d.mask)), box)
+                                        for box in dense_boxes] for d in dets]
+
+
+def test_frame_ious_refuse_mixed_frame_sizes_in_mask_mode():
+    dets = {0: [Scored(0.5, Mask(4, 3, (0, 12)))], 1: [Scored(0.5, Mask(3, 4, (0, 12)))]}
+    with pytest.raises(DimensionMismatchError):
+        _frame_ious({}, dets, "mask")
+    assert [m.shape for m in _frame_ious({}, dets, "box")] == [(1, 0), (1, 0)]
+
+
+@given(st.data(), st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_binarize_equals_union_merge_frame_by_frame(data, w, h):
+    dets_by_frame = {}
+    for f in data.draw(st.lists(st.integers(0, 20), unique=True, max_size=5)):
+        grids_ = data.draw(st.lists(frame_grids(w, h), max_size=4))
+        scores = data.draw(st.lists(st.sampled_from([0.5, 0.7, 0.71, 0.9]),
+                                    min_size=len(grids_), max_size=len(grids_)))
+        dets_by_frame[f] = [Scored(s, rle_encode(g, w, h)) for g, s in zip(grids_, scores)]
+    out = binarize_detections(dets_by_frame, width=w, height=h)
+    assert list(out) == sorted(dets_by_frame)
+    for f, dets in dets_by_frame.items():
+        expected = union_merge([d.mask for d in dets if d.score > 0.7], width=w, height=h)
+        assert out[f] == expected and out[f].foreground_cuts.dtype == np.int64
+        assert not out[f].foreground_cuts.flags.writeable
+
+
+def test_binarize_keeps_adjacent_frames_apart():
+    w, h = 5, 4
+    last, first = Mask(w, h, (w * h - 1, 1)), Mask(w, h, (0, 1, w * h - 1))
+    full = Mask(w, h, (0, w * h))
+    dets = {2: [Detection(2, 0.9, last)], 3: [Detection(3, 0.9, first)],
+            4: [Detection(4, 0.9, full), Detection(4, 0.9, first)], 5: [],
+            7: [Detection(7, 0.9, last)]}
+    assert binarize_detections(dets, width=w, height=h) == {
+        2: last, 3: first, 4: full, 5: Mask(w, h, (w * h,)), 7: last}
+    with pytest.raises(DimensionMismatchError):
+        binarize_detections({0: [Detection(0, 0.9, Mask(h, w, (0, w * h)))]}, width=w, height=h)
 
 
 class TestIouMatrix:

@@ -11,7 +11,7 @@ from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rle_encode,
                             union_merge)
 from movingseg.metrics import (GroundTruthSequence, Region, SequenceTally, _f_matrix, _prf,
-                               average_precision, binarize_detections, boundary_f,
+                               _region_cuts, average_precision, binarize_detections, boundary_f,
                                davis_j, delta_obj, evaluate, sequence_tally)
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import TrackerConfig, track_sequence
@@ -54,12 +54,15 @@ def test_ground_truth_frame_size_checked(width, height, frames):
         GroundTruthSequence(width, height, frames)
 
 
-@given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 12), st.integers(1, 8), st.sampled_from([None, 3, 7]),
+       st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_foreground_matches_union_merge(width, height, seed):
+def test_foreground_matches_union_merge(width, height, ignore, seed):
     labels = np.random.default_rng(seed).integers(0, 5, size=(height, width))
-    gt = GroundTruthSequence(width, height, {0: labels}, ignore_value=3)
-    assert gt.foreground(0) == union_merge(gt.instance_masks(0), width=width, height=height)
+    gt = GroundTruthSequence(width, height, {0: labels}, ignore_value=ignore)
+    fg = gt.foreground(0)
+    assert fg == union_merge(gt.instance_masks(0), width=width, height=height)
+    assert fg.foreground_cuts.dtype == np.int64 and not fg.foreground_cuts.flags.writeable
 
 
 @given(st.integers(1, 12), st.integers(1, 8), st.sampled_from([np.uint8, ">u2", np.int32]),
@@ -589,6 +592,22 @@ def _labelled_sequences(draw):
             frames[f] = rle_encode(grid, w, h)
         preds.append(Region(k + 1, frames))
     return gt, preds
+
+
+@given(_labelled_sequences(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_region_cuts_equal_frame_by_frame(case, reverse):
+    gt, preds = case
+    if reverse:   # a region's frames in any order
+        preds = [Region(r.id, dict(reversed(r.frames.items()))) for r in preds]
+    frames, frame_px = gt.eval_frames(), gt.width * gt.height
+    expected = [np.concatenate([np.empty(0, dtype=np.int64)]
+                               + [r.frames[f].foreground_cuts + k * frame_px
+                                  for k, f in enumerate(frames) if f in r.frames])
+                for r in preds]
+    got = _region_cuts(preds, frames, gt.width, gt.height)
+    assert [c.dtype for c in got] == [np.int64] * len(preds)
+    assert [c.tolist() for c in got] == [c.tolist() for c in expected]
 
 
 @given(_labelled_sequences(), st.booleans(), st.sampled_from([1, 2, mask_module._CHUNK]))
