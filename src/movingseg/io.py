@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -58,7 +59,8 @@ def read_labelmap(path) -> np.ndarray:
     The array keeps the file's own sample type: ``uint8`` for maxval 255 and
     big-endian ``>u2`` for maxval 65535.
     """
-    data = Path(path).read_bytes()
+    with open(os.fspath(path), "rb") as fh:   # fspath: a file descriptor is no path
+        data = fh.read()
     tokens: list[bytes] = []
     i, n = 0, len(data)
     while len(tokens) < 4 and i < n:
@@ -322,11 +324,13 @@ def write_manifest(manifest: Manifest, path) -> None:
 def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
     """Read a manifest and its label maps into a GroundTruthSequence."""
     manifest = read_manifest(manifest_path)
-    base = Path(manifest_path).parent
+    # names are joined as strings onto the parent as pathlib renders it once; beside a
+    # manifest in the working directory a map is named bare, as pathlib names it
+    base = str(Path(manifest_path).parent)
     runs = {}
     for idx, rel in manifest.frames:
-        file = base / rel
-        if not file.is_file():
+        file = rel if base == "." else os.path.join(base, rel)
+        if not os.path.isfile(file):   # missing, a directory, or a FIFO that open would wait on
             raise SchemaError(f"{manifest_path}: labelmap {rel} does not exist")
         arr = read_labelmap(file)
         if arr.shape != (manifest.height, manifest.width):

@@ -7,13 +7,14 @@ canonical: a given pixel set has exactly one valid ``runs`` tuple.
 A Mask stores its sorted foreground interval boundaries (a read-only int64
 ``foreground_cuts``), and its area and bounding box once they are computed.
 Run lists are checked once, by ``Mask(width, height, runs)`` or, a file's all
-together, by ``_split_runs``.  Cuts that are canonical by
-construction, such as label runs from the one run finder ``_label_runs``
-(grouped by value in ``_value_cuts``) and ``_sweep`` output, go unchecked to
-``_from_cuts``, which applies the frame-size rule and makes them read-only;
-``mask_from_cuts`` checks any other cuts once.  ``_split_runs`` and
-``translate_many`` make one read-only array per call and build each Mask over
-a slice of it with ``_mask``, the one constructor that checks nothing.
+together, by ``_split_runs``, which converts every run of them in one
+``array`` pass.  Cuts that are canonical by construction, such as ``_sweep``
+output, go unchecked to ``_from_cuts``, which applies the frame-size rule and
+makes them read-only; ``mask_from_cuts`` checks any other cuts once.
+``_split_runs``, ``translate_many`` and ``_value_cuts`` (which groups the runs
+of the one run finder ``_label_runs`` by value) make one read-only array per
+call, and each Mask over a slice of it is built with ``_mask``, the one
+constructor that checks nothing.
 Every other operation works on the cuts and never touches a dense pixel grid,
 as pycocotools' ``maskApi.c`` does; this is what keeps evaluation over long
 high-resolution sequences cheap.  Binary searches and prefix sums carry all of it:
@@ -37,6 +38,7 @@ split runs at row ends.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -167,13 +169,20 @@ def _split_runs(rles, width: int, height: int) -> list[Mask]:
     if not lengths.all():
         raise MalformedMaskError("empty runs list")
     flat = list(chain.from_iterable(rles))
-    if not set(map(type, flat)) <= {int}:   # JSON's 1.5, true and "4" are not runs
-        raise MalformedMaskError("runs must be integers")
     try:
-        runs = np.fromiter(flat, np.int64, len(flat))
-        lo, hi = runs.min(), runs.max()
-    except OverflowError:   # some run is beyond int64: the bounds, exactly, from Python ints
+        # one pass converts every run and refuses JSON's 1.5, "4", null, [] and {}
+        runs = np.frombuffer(array("q", flat), np.int64)
+    except TypeError:
+        raise MalformedMaskError("runs must be integers") from None
+    except OverflowError:   # some run is beyond int64: the types, then the bounds, exactly
+        if not set(map(type, flat)) <= {int}:
+            raise MalformedMaskError("runs must be integers") from None
         lo, hi = min(flat), max(flat)
+    else:
+        # JSON's true and false pass it as 1 and 0, so only runs up to 1 may be bools
+        if any(type(flat[i]) is not int for i in np.flatnonzero(runs <= 1).tolist()):
+            raise MalformedMaskError("runs must be integers")
+        lo, hi = runs.min(), runs.max()
     if lo < 0:
         raise MalformedMaskError("negative run length")
     if hi > total:
@@ -223,12 +232,13 @@ def _value_cuts(bounds: np.ndarray, values: np.ndarray) -> dict[int, np.ndarray]
     """The cuts of every value's runs, by ascending value, from ``_label_runs``' output.
 
     One stable sort groups the runs by value and keeps each group in position
-    order; each value's cuts are a slice of one interleaved array.
+    order; each value's cuts are a read-only slice of one interleaved array.
     """
     order = np.argsort(values, kind="stable")
     grouped = values[order]
     first = np.concatenate(([0], np.flatnonzero(grouped[1:] != grouped[:-1]) + 1))
     cuts = _interleave(bounds[:-1][order], bounds[1:][order])
+    cuts.flags.writeable = False   # and so is every slice of it
     edges = [*(2 * first).tolist(), len(cuts)]
     return {int(v): cuts[a:b] for v, a, b in zip(grouped[first].tolist(), edges, edges[1:])}
 
@@ -306,21 +316,21 @@ def _overlaps(a_sets, b_sets, ii, jj, stride: int) -> np.ndarray:
     return out
 
 
-def _tagged_overlaps(a_sets, starts, ends, tags, n_tags: int) -> np.ndarray:
-    """len(a_sets) x n_tags int64 overlap, in pixels, of each set with the intervals of each tag.
+def _tagged_overlaps(cuts, counts, starts, ends, tags, n_tags: int) -> np.ndarray:
+    """len(counts) x n_tags int64 overlap, in pixels, of each set with the intervals of each tag.
 
-    ``starts`` and ``ends`` bound disjoint, non-empty intervals in ascending
-    order; the k-th has the tag ``tags[k]`` in [0, n_tags).  Two binary
-    searches find the first and the last of them that each interval of the
-    sets meets; the overlaps with those and the ones between are summed per
-    (set, tag), at most about ``_CHUNK`` of them at a time.
+    The sets lie one after another in the interval boundaries ``cuts``, set i
+    with ``counts[i]`` intervals.  ``starts`` and ``ends`` bound disjoint,
+    non-empty intervals in ascending order; the k-th has the tag ``tags[k]``
+    in [0, n_tags).  Two binary searches find the first and the last of them
+    that each interval of the sets meets; the overlaps with those and the ones
+    between are summed per (set, tag), at most about ``_CHUNK`` of them at a time.
     """
-    out = np.zeros(len(a_sets) * n_tags, dtype=np.int64)
-    cuts = np.concatenate([np.empty(0, dtype=np.int64), *a_sets])
+    out = np.zeros(len(counts) * n_tags, dtype=np.int64)
     if not len(cuts) or not len(starts):
-        return out.reshape(len(a_sets), n_tags)
+        return out.reshape(len(counts), n_tags)
     lo_at, hi_at = cuts[0::2], cuts[1::2]
-    row = np.repeat(np.arange(len(a_sets)) * n_tags, [len(c) // 2 for c in a_sets])
+    row = np.repeat(np.arange(len(counts)) * n_tags, counts)
     # from the first interval ending after lo_at to the last starting before hi_at
     first = np.searchsorted(ends, lo_at, side="right")
     n = np.maximum(np.searchsorted(starts, hi_at) - first, 0)
@@ -332,7 +342,7 @@ def _tagged_overlaps(a_sets, starts, ends, tags, n_tags: int) -> np.ndarray:
         k = first[q] + np.arange(len(q)) - (start[q] - start[lo])
         np.add.at(out, row[q] + tags[k],
                   np.minimum(hi_at[q], ends[k]) - np.maximum(lo_at[q], starts[k]))
-    return out.reshape(len(a_sets), n_tags)
+    return out.reshape(len(counts), n_tags)
 
 
 def intersect_cuts(a: np.ndarray, b: np.ndarray) -> int:

@@ -14,17 +14,23 @@ to all five metrics, for the library and the CLI alike: it scores each named
 sequence and combines the scores into a report with its flags.
 
 Each metric scores a sequence in passes over all its frames, not one call per
-frame: the F-measure tally pools every track entry with one offset; map's IoU
-of every frame's (detection, object) pairs comes from one box test and one
-overlap count; DAVIS takes each frame's foreground straight from its label
-runs and binarizes the detections of all frames in one union.
+frame: the F-measure tally pools every track entry with one offset, and takes
+every prediction's area from one sum; map's IoU of every frame's (detection,
+object) pairs comes from one box test and one overlap count; DAVIS takes each
+frame's foreground straight from its label runs and binarizes the detections
+of all frames in one union.
+
+A ground-truth sequence keeps each frame's label runs.  The label values that
+occur are taken from them once, and a frame's cuts per label value are
+grouped on first use and kept; of the metrics only map reads those, for its
+instance masks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -32,7 +38,7 @@ import numpy as np
 
 from . import mask as mask_module
 from .assign import solve_max_assignment
-from .mask import (DimensionMismatchError, Mask, _boxes, _cuts_area, _frame_pixels, _from_cuts,
+from .mask import (DimensionMismatchError, Mask, _boxes, _frame_pixels, _from_cuts,
                    _label_runs, _mask, _meet, _overlaps, _tagged_overlaps, _value_cuts,
                    boundary_pixels, union_merge)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
@@ -108,7 +114,14 @@ class GroundTruthSequence:
         self.height = height
         self.ignore_value = ignore_value
         self._runs = runs
-        self._cuts = {idx: _value_cuts(*r) for idx, r in runs.items()}
+        self._cuts = {}   # each frame's per-label cuts, once frame_value_cuts has built them
+
+    @cached_property
+    def _values(self) -> list[int]:
+        """The label values that occur, ascending and as ints, from one pass over all
+        frames' runs."""
+        values = [v for _, v in self._runs.values()]
+        return list(map(int, np.unique(np.concatenate(values)).tolist())) if values else []
 
     @property
     def labeled_frames(self) -> dict[int, np.ndarray]:
@@ -120,18 +133,22 @@ class GroundTruthSequence:
         return sorted(self._runs)
 
     def frame_value_cuts(self, frame: int) -> dict[int, np.ndarray]:
-        """Foreground interval boundaries of every label value in one frame."""
-        return self._cuts[frame]
+        """Foreground interval boundaries of every label value in one frame, as read-only
+        arrays; built on the frame's first call and kept."""
+        cuts = self._cuts.get(frame)
+        if cuts is None:
+            cuts = self._cuts[frame] = _value_cuts(*self._runs[frame])
+        return cuts
 
     def region_ids(self) -> list[int]:
-        return sorted(set().union(*self._cuts.values()) - {0, self.ignore_value})
+        return [v for v in self._values if v != 0 and v != self.ignore_value]
 
     def region(self, region_id: int) -> Region:
         frames = {}
         for frame in self.eval_frames():
             cuts = self.frame_value_cuts(frame).get(region_id)
             if cuts is not None:
-                frames[frame] = _from_cuts(self.width, self.height, cuts)
+                frames[frame] = _mask(self.width, self.height, cuts)
         return Region(region_id, frames)
 
     def regions(self) -> list[Region]:
@@ -143,7 +160,7 @@ class GroundTruthSequence:
 
     def instance_masks(self, frame: int) -> list[Mask]:
         """One frame's masks in label order, without background or the ignore label."""
-        return [_from_cuts(self.width, self.height, cuts) for cuts in self._instance_cuts(frame)]
+        return [_mask(self.width, self.height, cuts) for cuts in self._instance_cuts(frame)]
 
     def foreground(self, frame: int) -> Mask:
         """The union of one frame's instance masks."""
@@ -160,7 +177,7 @@ class GroundTruthSequence:
         frame moved up by its place among them as ``_pooled`` moves cuts: their starts,
         ends and ``columns`` entries, in ascending order."""
         frames = self.eval_frames()
-        keys = sorted(set().union(*(self._cuts[f] for f in frames)).intersection(columns))
+        keys = [v for v in self._values if v in columns]
         if not keys:
             return (np.empty(0, dtype=np.int64),) * 3
         frame_px = self.width * self.height
@@ -216,9 +233,10 @@ def _pooled(cut_sets, places, frame_px: int) -> np.ndarray:
 
 
 def _region_cuts(regions, frames: Sequence[int], width: int, height: int):
-    """Each region's pooled cuts over the sorted ``frames`` of a width x height sequence."""
+    """The regions' pooled cuts over the sorted ``frames`` of a width x height sequence,
+    one region after another in one array, and each region's count of intervals."""
     place = {f: k for k, f in enumerate(frames)}
-    entries, sizes = [], []   # each region's (place, cuts) on ``frames``, in frame order
+    entries, counts = [], []   # each region's (place, cuts) on ``frames``, in frame order
     for r in regions:
         m = next(iter(r.frames.values()), None)   # a Region holds one frame size
         if m is not None and (m.width, m.height) != (width, height):
@@ -226,10 +244,9 @@ def _region_cuts(regions, frames: Sequence[int], width: int, height: int):
                              f"sequence is {width}x{height}")
         mine = sorted((place[f], r.frames[f].foreground_cuts) for f in r.frames if f in place)
         entries += mine
-        sizes.append(sum(len(c) for _, c in mine))
+        counts.append(sum(len(c) for _, c in mine) // 2)
     pooled = _pooled([c for _, c in entries], [k for k, _ in entries], width * height)
-    edges = np.cumsum([0, *sizes]).tolist()
-    return [pooled[a:b] for a, b in zip(edges, edges[1:])]
+    return pooled, np.array(counts, dtype=np.int64)
 
 
 def _prf(inter: int, c_area: int, g_area: int) -> tuple[float, float, float]:
@@ -270,11 +287,14 @@ def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
     gt_areas = np.zeros(len(gt_ids) + 1, dtype=np.int64)
     np.add.at(gt_areas, tags, ends - starts)
     gt_areas = gt_areas[:-1].tolist()
-    pred_cuts = _region_cuts(preds, frames, gt.width, gt.height)
+    pred_cuts, counts = _region_cuts(preds, frames, gt.width, gt.height)
     # the regions are disjoint, so each prediction interval is searched for once
-    overlaps = _tagged_overlaps(pred_cuts, starts, ends, tags, len(gt_ids) + 1)
+    overlaps = _tagged_overlaps(pred_cuts, counts, starts, ends, tags, len(gt_ids) + 1)
     inter = overlaps[:, :-1]
-    pred_areas = [_cuts_area(c) - int(ig) for c, ig in zip(pred_cuts, overlaps[:, -1])]
+    # each prediction's length sum; a trailing 0 serves predictions without an interval
+    lengths = np.append(pred_cuts[1::2] - pred_cuts[0::2], 0)
+    areas = np.add.reduceat(lengths, np.cumsum(counts) - counts) * (counts > 0)
+    pred_areas = (areas - overlaps[:, -1]).tolist()
     f_matrix = _f_matrix(inter, pred_areas, gt_areas)
 
     matched = solve_max_assignment(f_matrix).pairs

@@ -1,4 +1,6 @@
+import inspect
 import json
+import os
 import re
 import tempfile
 import tracemalloc
@@ -13,6 +15,7 @@ from dense_reference import grid_runs
 from helpers import det
 from movingseg import io as fileio
 from movingseg import mask as mask_module
+from movingseg import metrics
 from movingseg.mask import MAX_PIXELS, Mask, rle_encode
 from movingseg.metrics import GroundTruthSequence, MetricReport
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
@@ -262,6 +265,33 @@ def test_bad_rle_names_its_field(tmp_path, reader, bad, message, position):
     field = f"frames[{k}].detections[{m}]" if reader == "read_detections" \
         else f"tracks[{k}].frames[{m}]"
     with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.{field}.rle: {message}")):
+        getattr(fileio, reader)(path)
+
+
+@pytest.mark.parametrize("reader", ["read_detections", "read_tracks"])
+@pytest.mark.parametrize("bad", [True, False, 1.0, "4", None, [], {}], ids=repr)
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("beside", [(), (2**64, 0), (2**64, 1), (-2**64, 0), (-2**64, 1)],
+                         ids=["alone", "huge-after", "huge-before", "-huge-after", "-huge-before"])
+@pytest.mark.parametrize("position", [0, 3])
+def test_non_integer_run_names_its_field(tmp_path, reader, bad, at, beside, position):
+    """A run that is no integer, first, in the middle or last of its list, alone or beside
+    a run beyond int64 in either order, is refused with the message of a lone one."""
+    runs = [2, 3, W * H - 5]
+    if beside:
+        huge, before = beside
+        runs[at:at + 1] = [huge, bad] if before else [bad, huge]
+    else:
+        runs[at] = bad
+    rles = [[0, W * H], [1, W * H - 1], [2, 3, W * H - 5], [0, 5, 1, W * H - 6]]
+    rles[position] = runs
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_masks_doc(reader, rles)))
+    k, m = divmod(position, 2)
+    field = f"frames[{k}].detections[{m}]" if reader == "read_detections" \
+        else f"tracks[{k}].frames[{m}]"
+    with pytest.raises(fileio.SchemaError,
+                       match=re.escape(f"{path}.{field}.rle: runs must be integers")):
         getattr(fileio, reader)(path)
 
 
@@ -517,12 +547,43 @@ class TestManifest:
         for label, again in zip(gt.labeled_frames.values(), back.labeled_frames.values()):
             assert (again == label).all()
 
-    def test_missing_labelmap_rejected(self, tmp_path):
+    @pytest.mark.parametrize("instead", [None, "directory", "broken symlink"])
+    def test_missing_labelmap_rejected(self, tmp_path, instead):
         gt, _ = generate(SynthConfig(seed=2, frames=2, width=32, height=24))
         fileio.write_sequence("seq-a", gt, tmp_path)
-        (tmp_path / "labelmaps" / "000001.pgm").unlink()
+        pgm = tmp_path / "labelmaps" / "000001.pgm"
+        pgm.unlink()
+        if instead == "directory":
+            pgm.mkdir()
+        elif instead == "broken symlink":
+            pgm.symlink_to(tmp_path / "nowhere.pgm")
         with pytest.raises(fileio.SchemaError, match="does not exist"):
             fileio.load_sequence(tmp_path / "manifest.json")
+
+    def test_load_reads_each_labelmap_once_by_path(self, tmp_path, monkeypatch):
+        gt, _ = generate(SynthConfig(seed=2, frames=3, width=32, height=24))
+        manifest = fileio.write_sequence("seq-a", gt, tmp_path)
+        real, paths = fileio.read_labelmap, []
+
+        def spy(*args, **kwargs):
+            paths.append(inspect.signature(real).bind(*args, **kwargs).arguments["path"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fileio, "read_labelmap", spy)
+        fileio.load_sequence(manifest)
+        assert list(map(os.path.normpath, paths)) == \
+            [str(tmp_path / f"labelmaps/{idx:06d}.pgm") for idx in gt.eval_frames()]
+
+    def test_labelmap_path_is_no_file_descriptor(self, tmp_path):
+        fileio.write_labelmap(np.zeros((2, 3), dtype=np.uint8), tmp_path / "a.pgm")
+        read, write = os.pipe()
+        with open(write, "wb") as fh:
+            fh.write((tmp_path / "a.pgm").read_bytes())
+        try:
+            with pytest.raises(TypeError):
+                fileio.read_labelmap(read)
+        finally:
+            os.close(read)
 
     def test_unsorted_frames_rejected(self, tmp_path):
         doc = {"format_version": 1, "sequence": "x", "width": 4, "height": 4,
@@ -571,6 +632,46 @@ def test_sequence_runs_match_dense_maps(w, h, n_frames, dtype, with_ignore, seed
     columns = {v: j for j, v in enumerate([*gt.region_ids(), ignore])}
     for x, y in zip(gt._tagged_runs(columns), back._tagged_runs(columns)):
         assert np.array_equal(x, y)
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 3), st.sampled_from(list(_PALETTES)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_label_values_equal_per_label_cuts(w, h, n_frames, dtype, with_ignore, seed):
+    """region_ids and _tagged_runs, from the label values taken once, equal their forms
+    over every frame's per-label cuts, also for a sequence with no frames."""
+    rng = np.random.default_rng(seed)
+    palette = _PALETTES[dtype]
+    maps = {2 * k + 1: rng.choice(palette, size=(h, w)).astype(dtype) for k in range(n_frames)}
+    ignore = int(rng.choice(palette[1:])) if with_ignore else None
+    gt = GroundTruthSequence(w, h, maps, ignore_value=ignore)
+    tables = {f: mask_module._value_cuts(*runs) for f, runs in gt._runs.items()}
+    assert gt.region_ids() == sorted(set().union(*tables.values()) - {0, ignore})
+    # a label that occurs nowhere, too, takes a column
+    columns = {v: j for j, v in enumerate([*gt.region_ids(), ignore, 70000])}
+    runs = sorted((int(s) + k * w * h, int(e) + k * w * h, columns[v])
+                  for k, f in enumerate(sorted(tables)) for v, cuts in tables[f].items()
+                  if v in columns for s, e in zip(cuts[0::2], cuts[1::2]))
+    assert [x.tolist() for x in gt._tagged_runs(columns)] == \
+        [[r[i] for r in runs] for i in range(3)]
+
+
+def test_per_label_cuts_only_where_a_metric_reads_them(tmp_path, monkeypatch):
+    """Loading a sequence groups no frame's runs by label; of the metrics only map does,
+    once per frame."""
+    gt, tracks = generate(SynthConfig(seed=4, frames=4, width=48, height=32, objects=3))
+    manifest = fileio.write_sequence(
+        "s", GroundTruthSequence._from_runs(gt.width, gt.height, gt._runs, ignore_value=2),
+        tmp_path)
+    real, calls = metrics._value_cuts, []
+    monkeypatch.setattr(metrics, "_value_cuts", lambda *runs: calls.append(runs) or real(*runs))
+    for metric, options, expected in [
+            ("proposed", {}, 0), ("official", {}, 0), ("davis", {}, 0), ("delta-obj", {}, 0),
+            ("map", {}, 4), ("map", {"map_mode": "box"}, 4)]:
+        calls.clear()
+        _, loaded = fileio.load_sequence(manifest)
+        metrics.evaluate(metric, [("s", loaded, tracks)], **options)
+        assert len(calls) == expected, (metric, options)
 
 
 @pytest.mark.parametrize("value", [-1, 65536])

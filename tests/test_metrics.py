@@ -605,9 +605,12 @@ def test_region_cuts_equal_frame_by_frame(case, reverse):
                                + [r.frames[f].foreground_cuts + k * frame_px
                                   for k, f in enumerate(frames) if f in r.frames])
                 for r in preds]
-    got = _region_cuts(preds, frames, gt.width, gt.height)
-    assert [c.dtype for c in got] == [np.int64] * len(preds)
-    assert [c.tolist() for c in got] == [c.tolist() for c in expected]
+    pooled, counts = _region_cuts(preds, frames, gt.width, gt.height)
+    assert pooled.dtype == np.int64
+    assert counts.tolist() == [len(c) // 2 for c in expected]
+    edges = np.cumsum([0, *(2 * counts).tolist()]).tolist()
+    assert [pooled[a:b].tolist() for a, b in zip(edges, edges[1:])] == \
+        [c.tolist() for c in expected]
 
 
 @given(_labelled_sequences(), st.booleans(), st.sampled_from([1, 2, mask_module._CHUNK]))
