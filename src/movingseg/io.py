@@ -4,15 +4,15 @@ Label maps travel as binary PGM (P5) with maxval 255 or 65535.  Everything
 else is JSON with a top-level ``format_version`` of 1, written canonically
 (sorted keys, two-space indent, trailing newline) so identical data always
 produces identical bytes: exactly the bytes of ``json.dumps(obj, indent=2,
-sort_keys=True)`` plus the newline.  Manifests and reports go through
-``_canonical``, which hands every flat list to the stdlib's C encoder;
-detections and tracks files are written in their fixed layout, every run list
-from one pass over all masks' cuts and formatted by one ``%d`` format.  Scores
-are serialized with Python's shortest round-tripping float representation, so
-write/read is exact.  Readers reject malformed input outright instead of
-repairing it; errors carry the path to the offending field.  The detections
-and tracks readers check a whole parsed document in one batch pass and read it
-entry by entry only when a check fails, to name the first bad field.
+sort_keys=True)`` plus the newline.  Manifests and reports are written by
+that very call; detections and tracks files are written in their fixed
+layout, each scalar by ``_scalar`` and every run list from one pass over all
+masks' cuts and formatted by one ``%d`` format.  Scores are serialized with
+Python's shortest round-tripping float representation, so write/read is
+exact.  Readers reject malformed input outright instead of repairing it;
+errors carry the path to the offending field.  The detections and tracks
+readers check a whole parsed document in one batch pass and read it entry by
+entry only when a check fails, to name the first bad field.
 """
 
 from __future__ import annotations
@@ -124,13 +124,15 @@ def write_labelmap(arr: np.ndarray, path) -> None:
 
 # ---------------------------------------------------------------- JSON plumbing
 
-_SCALARS = {str, int, float, bool, type(None)}
 _SCALAR = json.JSONEncoder()
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(inner: str) -> json.JSONEncoder:
-    return json.JSONEncoder(separators=("," + inner, ": "))
+def _scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` encodes it; ints and finite floats by ``repr``."""
+    t = type(value)
+    if t is int or t is float and math.isfinite(value):
+        return repr(value)
+    return _SCALAR.encode(value)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -163,29 +165,6 @@ def _array(items: list[str], newline: str) -> str:
     parts = [part for item in items for part in (sep, item)]
     parts[0] = "[" + inner
     return "".join((*parts, newline, "]"))
-
-
-def _canonical(obj, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, for ``str`` keys only.
-
-    ``indent`` turns off the stdlib's C encoder, so this walks dicts and
-    nested lists itself and hands each list of scalars (every RLE) to the C
-    encoder whole, with the indented item separator.  ``newline`` is the line
-    break plus the indent of ``obj``'s own depth.
-    """
-    t = type(obj)
-    if t is int or t is float and math.isfinite(obj):
-        return repr(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not set(map(type, obj)) <= {str}:
-            raise TypeError("canonical JSON keys must be str")
-        return _object({k: _canonical(v, inner) for k, v in obj.items()}, newline)
-    if isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) <= _SCALARS:
-            return _array([_flat_encoder(inner).encode(obj)[1:-1]], newline)
-        return _array([_canonical(x, inner) for x in obj], newline)
-    return _SCALAR.encode(obj)
 
 
 def _write_json(text: str, path) -> None:
@@ -296,6 +275,8 @@ def read_manifest(path) -> Manifest:
     name = _get(doc, "sequence", str, str(path))
     width, height = _frame_size(doc, path)
     ignore = _get(doc, "ignore_value", int, str(path), allow_none=True)
+    if ignore == 0:
+        raise SchemaError(f"{path}.ignore_value: 0 is the background label")
     raw_frames = _get(doc, "frames", list, str(path))
     frames = []
     last = None
@@ -311,14 +292,14 @@ def read_manifest(path) -> Manifest:
 
 
 def write_manifest(manifest: Manifest, path) -> None:
-    _write_json(_canonical({
+    _write_json(json.dumps({
         "format_version": FORMAT_VERSION,
         "sequence": manifest.sequence,
         "width": manifest.width,
         "height": manifest.height,
         "ignore_value": manifest.ignore_value,
         "frames": [{"index": idx, "labelmap": rel} for idx, rel in manifest.frames],
-    }), path)
+    }, indent=2, sort_keys=True), path)
 
 
 def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
@@ -442,15 +423,15 @@ def write_detections(path, width: int, height: int, dets_by_frame) -> None:
     runs = iter(_run_texts([d.mask for idx in order for d in dets_by_frame[idx]]))
     frames = _array([
         _object({
-            "detections": _array([_DETECTION % (_canonical(d.kind), next(runs),
-                                                _canonical(d.score))
+            "detections": _array([_DETECTION % (_scalar(d.kind), next(runs),
+                                                _scalar(d.score))
                                   for d in dets_by_frame[idx]], _NEWLINE[3]),
-            "index": _canonical(idx),
+            "index": _scalar(idx),
         }, _NEWLINE[2])
         for idx in order
     ], _NEWLINE[1])
-    _write_json(_object({"format_version": _canonical(FORMAT_VERSION), "frames": frames,
-                         "height": _canonical(height), "width": _canonical(width)}, "\n"),
+    _write_json(_object({"format_version": _scalar(FORMAT_VERSION), "frames": frames,
+                         "height": _scalar(height), "width": _scalar(width)}, "\n"),
                 path)
 
 
@@ -519,26 +500,36 @@ def write_tracks(path, width: int, height: int, tracks) -> None:
     runs = iter(_run_texts([d.mask for t in tracks for d in t.entries]))
     items = _array([
         _object({
-            "frames": _array([_TRACK_ENTRY % (_canonical(d.frame), next(runs),
-                                              _canonical(d.score))
+            "frames": _array([_TRACK_ENTRY % (_scalar(d.frame), next(runs),
+                                              _scalar(d.score))
                               for d in t.entries], _NEWLINE[3]),
-            "id": _canonical(t.id),
+            "id": _scalar(t.id),
         }, _NEWLINE[2])
         for t in tracks
     ], _NEWLINE[1])
-    _write_json(_object({"format_version": _canonical(FORMAT_VERSION),
-                         "height": _canonical(height), "tracks": items,
-                         "width": _canonical(width)}, "\n"),
+    _write_json(_object({"format_version": _scalar(FORMAT_VERSION),
+                         "height": _scalar(height), "tracks": items,
+                         "width": _scalar(width)}, "\n"),
                 path)
 
 
 # ---------------------------------------------------------------- reports
 
 def write_report(report: MetricReport, path) -> None:
+    _require_str_names(report)
     body = report.to_dict()
     per_seq = body.pop("per_sequence", {})
-    _write_json(_canonical({"format_version": FORMAT_VERSION, "aggregate": body,
-                            "per_sequence": per_seq}), path)
+    _write_json(json.dumps({"format_version": FORMAT_VERSION, "aggregate": body,
+                            "per_sequence": per_seq}, indent=2, sort_keys=True), path)
+
+
+def _require_str_names(report: MetricReport) -> None:
+    """Refuse sequence names that are not ``str``: ``json.dumps`` would write int keys
+    as text, sorted as numbers."""
+    for name, rep in report.per_sequence.items():
+        if type(name) is not str:
+            raise TypeError(f"sequence names must be str, got {name!r}")
+        _require_str_names(rep)
 
 
 def write_report_csv(report: MetricReport, path) -> None:

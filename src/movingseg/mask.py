@@ -19,15 +19,15 @@ Every other operation works on the cuts and never touches a dense pixel grid,
 as pycocotools' ``maskApi.c`` does; this is what keeps evaluation over long
 high-resolution sequences cheap.  Binary searches and prefix sums carry all of it:
 
-- Overlap counts of mask pairs come from one pair kernel, ``_overlaps``,
-  behind ``intersect_cuts``, ``iou_matrix``, ``davis_j`` and the IoU of
-  ``average_precision``, over all of a sequence's frames at once: it takes the
-  cumulative interval lengths of B, finds A's boundaries in B by binary
-  search, and sums the differences of the covered lengths there.
-- The F-measure tally scores predictions against labels, whose intervals are
-  disjoint, with ``_tagged_overlaps``: two binary searches find the first and
-  the last labelled interval that each prediction interval meets, and the
-  overlaps with those and the ones between are summed per (prediction, label).
+- Overlap counts come from one kernel, ``_tagged_overlaps``: given sets of
+  intervals and a sorted list of disjoint, tagged intervals, two binary
+  searches find the first and the last tagged interval that each interval of
+  the sets meets, and the overlaps with those and the ones between are summed
+  per (set, tag).  The F-measure tally scores predictions against the labels'
+  runs with it; ``_overlaps``, behind ``intersect_cuts``, ``iou_matrix``,
+  ``davis_j`` and the IoU of ``average_precision``, stacks the masks of one
+  side into one such list under a single tag, one block per mask, and moves
+  each pair's other mask into its block.
 - New interval sets (``union_merge``, the interior behind
   ``boundary_pixels``) come from a running sum of +1 at every interval start
   and -1 at every end over the sorted boundaries of all operands.
@@ -45,10 +45,10 @@ from itertools import chain, repeat
 import numpy as np
 
 # The largest frame, in pixels: offsets stay within 2**31, so each int64 intermediate is
-# exact (doubled in _sweep, pooled over < 2**31 frames and strided in _overlaps)
+# exact (doubled in _sweep, and pooled or strided by _pooled over < 2**31 frames)
 MAX_PIXELS = 2**31
-# query points per binary search in _overlaps, and overlaps per block in _tagged_overlaps,
-# which bounds their working memory: at 2**14 each int64 temporary is 128 KiB
+# overlaps per block in _tagged_overlaps, which bounds its working memory: at 2**14
+# each int64 temporary is 128 KiB
 _CHUNK = 1 << 14
 
 
@@ -106,7 +106,7 @@ class Mask:
 
     @cached_property
     def _area(self) -> int:
-        return _cuts_area(self.foreground_cuts)
+        return int(np.sum(self.foreground_cuts[1::2] - self.foreground_cuts[0::2]))
 
 
 def _frame_pixels(width: int, height: int) -> int:
@@ -255,11 +255,6 @@ def area(mask: Mask) -> int:
     return mask._area
 
 
-def _cuts_area(cuts: np.ndarray) -> int:
-    """Pixels in an interval set: summing lengths, not ends, stays exact on pooled cuts."""
-    return int(np.sum(cuts[1::2] - cuts[0::2]))
-
-
 def _require_same_dims(a: Mask, b: Mask) -> None:
     if a.width != b.width or a.height != b.height:
         raise DimensionMismatchError(
@@ -273,58 +268,41 @@ def _interleave(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return cuts
 
 
-def _covered(cuts: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Pixels of the non-empty interval set ``cuts`` lying below each of ``points``."""
-    lengths = np.zeros(len(cuts) // 2 + 1, dtype=np.int64)
-    np.cumsum(cuts[1::2] - cuts[0::2], out=lengths[1:])
-    k = np.searchsorted(cuts, points, side="right")
-    # k odd: the point lies inside the interval starting at cuts[k - 1]
-    return lengths[k >> 1] + (k & 1) * (points - cuts[k - 1])
+def _pooled(cut_sets, places, stride: int) -> np.ndarray:
+    """Every set of ``cut_sets`` moved up by its entry of ``places`` times ``stride``,
+    in order, in one array."""
+    lengths = np.fromiter(map(len, cut_sets), np.int64, len(cut_sets))
+    pooled = np.concatenate([np.empty(0, dtype=np.int64), *cut_sets])
+    pooled += np.repeat(np.asarray(places, dtype=np.int64) * stride, lengths)
+    return pooled
 
 
 def _overlaps(a_sets, b_sets, ii, jj, stride: int) -> np.ndarray:
     """Overlap, in pixels, of ``a_sets[ii[k]]`` and ``b_sets[jj[k]]`` for each k.
 
     Set j of ``b_sets`` is moved up by j times ``stride``, which must exceed
-    every cut, so all of them share one sorted array.  Pair k's query,
-    a_sets[ii[k]] moved into b_sets[jj[k]]'s block, is located in it by one
-    binary search per chunk of ``_CHUNK`` query points.  Pairs with an empty
-    set on either side are 0.
+    every cut, so all of them form one sorted list of intervals under one tag.
+    Pair k's query, a_sets[ii[k]] moved into b_sets[jj[k]]'s block, can meet
+    only that block, so ``_tagged_overlaps``' one column is the pair's overlap.
     """
     ii, jj = np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
-    out = np.zeros(len(ii), dtype=np.int64)
-    a_len = np.fromiter(map(len, a_sets), np.int64, len(a_sets))
-    b_len = np.fromiter(map(len, b_sets), np.int64, len(b_sets))
-    live = np.flatnonzero((a_len[ii] > 0) & (b_len[jj] > 0))
-    if not len(live):
-        return out
-    ii, jj = ii[live], jj[live]
-    a_cuts = np.concatenate(a_sets)
-    stacked = (np.concatenate(b_sets)
-               + np.repeat(np.arange(len(b_sets), dtype=np.int64) * stride, b_len))
-    n = a_len[ii]   # query points of each pair
-    start = np.cumsum(n) - n
-    src = (np.cumsum(a_len) - a_len)[ii]   # where each pair's a-cuts begin in a_cuts
-    # pairs whose queries start in one block of _CHUNK points are searched together
-    cut = np.flatnonzero(np.diff(start // _CHUNK)) + 1
-    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(ii)]):
-        seg = start[lo:hi] - start[lo]
-        pos = np.arange(int(seg[-1] + n[hi - 1])) + np.repeat(src[lo:hi] - seg, n[lo:hi])
-        points = a_cuts[pos] + np.repeat(jj[lo:hi] * stride, n[lo:hi])
-        covered = _covered(stacked, points)
-        out[live[lo:hi]] = np.add.reduceat(covered[1::2] - covered[0::2], seg >> 1)
-    return out
+    blocks = _pooled(b_sets, np.arange(len(b_sets)), stride)
+    queries = _pooled([a_sets[i] for i in ii.tolist()], jj, stride)
+    counts = np.fromiter(map(len, a_sets), np.int64, len(a_sets))[ii] >> 1
+    tags = np.zeros(len(blocks) >> 1, dtype=np.int64)
+    return _tagged_overlaps(queries, counts, blocks[0::2], blocks[1::2], tags, 1)[:, 0]
 
 
 def _tagged_overlaps(cuts, counts, starts, ends, tags, n_tags: int) -> np.ndarray:
     """len(counts) x n_tags int64 overlap, in pixels, of each set with the intervals of each tag.
 
     The sets lie one after another in the interval boundaries ``cuts``, set i
-    with ``counts[i]`` intervals.  ``starts`` and ``ends`` bound disjoint,
-    non-empty intervals in ascending order; the k-th has the tag ``tags[k]``
-    in [0, n_tags).  Two binary searches find the first and the last of them
-    that each interval of the sets meets; the overlaps with those and the ones
-    between are summed per (set, tag), at most about ``_CHUNK`` of them at a time.
+    with ``counts[i]`` intervals.  ``starts`` and ``ends`` bound disjoint
+    intervals in ascending order, which may touch; the k-th has the tag
+    ``tags[k]`` in [0, n_tags).  Two binary searches find the first and the
+    last of them that each interval of the sets meets; the overlaps with those
+    and the ones between are summed per (set, tag), at most about ``_CHUNK`` of
+    them at a time.  An empty interval, on either side, counts 0.
     """
     out = np.zeros(len(counts) * n_tags, dtype=np.int64)
     if not len(cuts) or not len(starts):
@@ -383,26 +361,34 @@ def iou_matrix(a, b) -> np.ndarray:
     """len(a) x len(b) float64 IoU of every pair, each equal to ``iou`` bit for bit.
 
     All masks must share one frame size.  Pairs whose bounding boxes are
-    disjoint are 0 untested; the rest are counted by one ``_overlaps`` call at
-    a stride of ``width*height + 1``.
+    disjoint are 0 untested; the rest are counted by ``_pair_ious``.
     """
     a, b = list(a), list(b)
+    out = np.zeros((len(a), len(b)))
+    ii, jj = np.nonzero(boxes_meet(a, b))
+    out[ii, jj] = _pair_ious(a, b, ii, jj)
+    return out
+
+
+def _pair_ious(a, b, ii, jj) -> np.ndarray:
+    """IoU of masks ``a[ii[k]]`` and ``b[jj[k]]`` for each k, each equal to ``iou`` bit for bit.
+
+    All masks of ``a`` and ``b`` must share one frame size.  The overlaps come
+    from one ``_overlaps`` call at a stride of ``width*height + 1``.
+    """
     sizes = {(m.width, m.height) for m in chain(a, b)}
     if len(sizes) > 1:
         raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
-    out = np.zeros((len(a), len(b)))
-    if not out.size:
-        return out
-    ii, jj = np.nonzero(boxes_meet(a, b))
+    if not len(ii):
+        return np.zeros(0)
     ((w, h),) = sizes
     inter = _overlaps([m.foreground_cuts for m in a], [m.foreground_cuts for m in b],
                       ii, jj, w * h + 1)
-    # boxes_meet has kept every mask's area
+    # the callers' _boxes has kept every mask's area
     area_a = np.fromiter((m._area for m in a), np.int64, len(a))
     area_b = np.fromiter((m._area for m in b), np.int64, len(b))
     # int64 to float64 is exact below 2**53, so each quotient is iou's
-    out[ii, jj] = inter / (area_a[ii] + area_b[jj] - inter)
-    return out
+    return inter / (area_a[ii] + area_b[jj] - inter)
 
 
 def union_merge(masks, *, width: int | None = None, height: int | None = None) -> Mask:
@@ -481,6 +467,20 @@ def _meet(ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
     """Whether the boxes of ``ba`` and ``bb``, (..., 4) arrays that broadcast, share a pixel."""
     return ((ba[..., 0] <= bb[..., 2]) & (bb[..., 0] <= ba[..., 2])
             & (ba[..., 1] <= bb[..., 3]) & (bb[..., 1] <= ba[..., 3]))
+
+
+def _box_iou(ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """IoU of the boxes of ``ba`` and ``bb``, (..., 4) arrays that broadcast; 0 where
+    they share no pixel."""
+    ix = np.minimum(ba[..., 2], bb[..., 2]) - np.maximum(ba[..., 0], bb[..., 0]) + 1
+    iy = np.minimum(ba[..., 3], bb[..., 3]) - np.maximum(ba[..., 1], bb[..., 1]) + 1
+    inter = np.maximum(ix, 0) * np.maximum(iy, 0)
+
+    def box_area(x):
+        return (x[..., 2] - x[..., 0] + 1) * (x[..., 3] - x[..., 1] + 1)
+
+    return np.divide(inter, box_area(ba) + box_area(bb) - inter,
+                     out=np.zeros(inter.shape), where=inter > 0)
 
 
 def _row_runs(cuts: np.ndarray, width: int):

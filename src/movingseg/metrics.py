@@ -38,9 +38,9 @@ import numpy as np
 
 from . import mask as mask_module
 from .assign import solve_max_assignment
-from .mask import (DimensionMismatchError, Mask, _boxes, _frame_pixels, _from_cuts,
-                   _label_runs, _mask, _meet, _overlaps, _tagged_overlaps, _value_cuts,
-                   boundary_pixels, union_merge)
+from .mask import (DimensionMismatchError, Mask, _box_iou, _boxes, _frame_pixels, _from_cuts,
+                   _label_runs, _mask, _overlaps, _pair_ious, _pooled, _tagged_overlaps,
+                   _value_cuts, boundary_pixels, union_merge)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
@@ -76,11 +76,11 @@ class Region:
 class GroundTruthSequence:
     """Per-frame instance label maps with an optional ignore value.
 
-    Label 0 is background; ``ignore_value`` marks unlabeled pixels that the
-    matched-only measure excludes from prediction areas.  Only frames present
-    in ``labeled_frames`` take part in evaluation.  Each frame is held as its
-    label runs, not as a dense map: ``labeled_frames`` decodes fresh arrays, in
-    each input map's own dtype, whenever it is read.
+    Label 0 is background; ``ignore_value``, any other label, marks unlabeled
+    pixels that the matched-only measure excludes from prediction areas.  Only
+    frames present in ``labeled_frames`` take part in evaluation.  Each frame
+    is held as its label runs, not as a dense map: ``labeled_frames`` decodes
+    fresh arrays, in each input map's own dtype, whenever it is read.
     """
 
     def __init__(self, width: int, height: int,
@@ -88,6 +88,8 @@ class GroundTruthSequence:
                  ignore_value: int | None = None):
         width, height = int(width), int(height)
         _frame_pixels(width, height)
+        if ignore_value == 0:
+            raise ValueError("ignore_value 0 is the background label")
         runs = {}
         for idx, arr in labeled_frames.items():
             arr = np.asarray(arr)
@@ -223,15 +225,6 @@ class MetricReport:
         return out
 
 
-def _pooled(cut_sets, places, frame_px: int) -> np.ndarray:
-    """Every set of ``cut_sets`` moved up by its entry of ``places`` times ``frame_px``,
-    in order, in one array."""
-    lengths = np.fromiter(map(len, cut_sets), np.int64, len(cut_sets))
-    pooled = np.concatenate([np.empty(0, dtype=np.int64), *cut_sets])
-    pooled += np.repeat(np.asarray(places, dtype=np.int64) * frame_px, lengths)
-    return pooled
-
-
 def _region_cuts(regions, frames: Sequence[int], width: int, height: int):
     """The regions' pooled cuts over the sorted ``frames`` of a width x height sequence,
     one region after another in one array, and each region's count of intervals."""
@@ -325,20 +318,6 @@ def delta_obj(gt_counts: Mapping[str, int], pred_counts: Mapping[str, int]) -> f
     )
 
 
-def _box_iou(ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    """IoU of the boxes of ``ba`` and ``bb``, (..., 4) arrays that broadcast; 0 where
-    they share no pixel."""
-    ix = np.minimum(ba[..., 2], bb[..., 2]) - np.maximum(ba[..., 0], bb[..., 0]) + 1
-    iy = np.minimum(ba[..., 3], bb[..., 3]) - np.maximum(ba[..., 1], bb[..., 1]) + 1
-    inter = np.maximum(ix, 0) * np.maximum(iy, 0)
-
-    def box_area(x):
-        return (x[..., 2] - x[..., 0] + 1) * (x[..., 3] - x[..., 1] + 1)
-
-    return np.divide(inter, box_area(ba) + box_area(bb) - inter,
-                     out=np.zeros(inter.shape), where=inter > 0)
-
-
 def average_precision(gt_by_frame, dets_by_frame, iou_threshold: float = 0.5,
                       mode: str = "mask") -> float | None:
     """Single-category AP: greedy score-ordered matching, all-points interpolation.
@@ -359,7 +338,7 @@ def _frame_ious(gt_by_frame, dets_by_frame, mode: str) -> list[np.ndarray]:
     In "mask" mode each value is ``iou_matrix``'s bit for bit, and in "box"
     mode the IoU of the two bounding boxes.  The matrices are views of one
     array: every frame's pairs are box-tested at once, and in mask mode the
-    pairs whose boxes meet are counted by one ``_overlaps`` call.
+    pairs whose boxes meet are counted by one ``_pair_ious`` call.
     """
     dets = list(dets_by_frame.values())
     gts = [list(gt_by_frame.get(f, ())) for f in dets_by_frame]
@@ -380,19 +359,9 @@ def _frame_ious(gt_by_frame, dets_by_frame, mode: str) -> list[np.ndarray]:
     if mode == "box":
         ious[:] = _box_iou(ba, bb)
     else:
-        sizes = {(m.width, m.height) for m in chain(a, b)}
-        if len(sizes) > 1:
-            raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
-        at = np.flatnonzero(_meet(ba, bb))
-        if len(at):
-            ((w, h),) = sizes
-            ii, jj = ii[at], jj[at]
-            inter = _overlaps([m.foreground_cuts for m in a], [m.foreground_cuts for m in b],
-                              ii, jj, w * h + 1)
-            # _boxes has kept every mask's area; int64 to float64 is exact below 2**53
-            area_a = np.fromiter((m._area for m in a), np.int64, len(a))
-            area_b = np.fromiter((m._area for m in b), np.int64, len(b))
-            ious[at] = inter / (area_a[ii] + area_b[jj] - inter)
+        # looked up in mask, as boxes_meet does, so the box test has one binding
+        at = np.flatnonzero(mask_module._meet(ba, bb))
+        ious[at] = _pair_ious(a, b, ii[at], jj[at])
     return [ious[k:k + n * m].reshape(n, m)
             for k, n, m in zip(block.tolist(), nd.tolist(), ng.tolist())]
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mask import Mask, _cut_bounds, _label_runs, _mask, _translate_cuts, mask_from_cuts
+from .mask import (Mask, _cut_bounds, _label_runs, _mask, _meet, _translate_cuts,
+                   mask_from_cuts)
 from .metrics import GroundTruthSequence
 from .tracker import Detection, Track, _detection, _require_finite
 
@@ -177,10 +178,6 @@ def _box_mask(box: tuple[int, int, int, int], width: int, height: int) -> Mask:
     return mask_from_cuts(cuts, width, height)
 
 
-def _boxes_overlap(a, b) -> bool:
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
-
-
 def _place_spurious(rng: np.random.Generator, width: int, height: int,
                     taken_boxes) -> tuple[int, int, int, int] | None:
     hi = max(_MIN_OBJECT, min(width, height) // 4)
@@ -188,16 +185,17 @@ def _place_spurious(rng: np.random.Generator, width: int, height: int,
     h = int(rng.integers(_MIN_OBJECT, hi + 1))
     if w > width or h > height:
         return None
+    taken = np.array(taken_boxes, dtype=np.int64).reshape(-1, 4)
     for _ in range(20):
         x0 = int(rng.integers(0, width - w + 1))
         y0 = int(rng.integers(0, height - h + 1))
         box = (x0, y0, x0 + w - 1, y0 + h - 1)
-        if not any(_boxes_overlap(box, t) for t in taken_boxes):
+        if not _meet(np.array(box), taken).any():
             return box
     for y0 in range(0, height - h + 1, max(1, h // 2)):
         for x0 in range(0, width - w + 1, max(1, w // 2)):
             box = (x0, y0, x0 + w - 1, y0 + h - 1)
-            if not any(_boxes_overlap(box, t) for t in taken_boxes):
+            if not _meet(np.array(box), taken).any():
                 return box
     return None
 

@@ -123,6 +123,18 @@ class TestExitCodes:
         assert main(["track", "--detections", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "t.json")]) == 2
 
+    def test_background_as_ignore_label_data_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(synth_args(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        bad = out / "bad-manifest.json"
+        bad.write_text(json.dumps({**manifest, "ignore_value": 0}))
+        capsys.readouterr()
+        assert main(["evaluate", "--gt", str(bad), "--pred", str(out / "gt_tracks.json"),
+                     "--metric", "official", "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{bad}.ignore_value" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_gt_pred_count_mismatch(self, tmp_path):
         out = tmp_path / "s"
         assert main(synth_args(out)) == 0

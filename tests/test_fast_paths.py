@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from dense_reference import (_box_iou, average_precision_dense, boundary_f_edt, boundary_map,
                              grid_box, grid_iou, grid_runs, interval_grid, translate_dense)
 from movingseg import mask as mask_module
-from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, boundary_pixels,
-                            intersect_cuts, iou, iou_matrix, mask_from_cuts, rle_decode,
-                            rle_encode, translate_many, union_merge)
-from movingseg import metrics as metrics_module
+from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, _tagged_overlaps,
+                            boundary_pixels, intersect_cuts, iou, iou_matrix, mask_from_cuts,
+                            rle_decode, rle_encode, translate_many, union_merge)
 from movingseg.metrics import (_frame_ious, average_precision, binarize_detections, boundary_f,
                                davis_j)
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
@@ -88,6 +87,29 @@ class TestIntersectKernel:
                         [0, 0, 0, 1, 0], [0, 1, 2, 2, 1], 13)
         assert got.tolist() == [0, 2, 6, 0, 2]
         assert _overlaps([a], [a], [], [], 13).tolist() == []
+
+
+@given(st.data(), st.integers(1, 40), st.integers(1, 4),
+       st.sampled_from([1, 2, 3, 6, mask_module._CHUNK]))
+@settings(max_examples=300)
+def test_tagged_overlaps_match_dense(data, size, n_tags, chunk):
+    # the sets and the tagged intervals may be empty or hold empty and touching
+    # intervals; a tag may recur, or label no interval
+    sets = data.draw(st.lists(interval_sets(size), max_size=4))
+    tagged = data.draw(interval_sets(size))
+    tags = np.array(data.draw(st.lists(st.integers(0, n_tags - 1), min_size=len(tagged) // 2,
+                                       max_size=len(tagged) // 2)), dtype=np.int64)
+    cuts = np.concatenate([np.empty(0, np.int64), *sets])
+    counts = np.array([len(c) // 2 for c in sets], dtype=np.int64)
+    with mock.patch.object(mask_module, "_CHUNK", chunk):
+        got = _tagged_overlaps(cuts, counts, tagged[0::2], tagged[1::2], tags, n_tags)
+    tag_of = np.full(size, -1)   # each pixel's tag, -1 outside every tagged interval
+    for start, end, tag in zip(tagged[0::2], tagged[1::2], tags):
+        tag_of[start:end] = tag
+    expected = [[int((interval_grid(c, size) & (tag_of == t)).sum()) for t in range(n_tags)]
+                for c in sets]
+    assert got.dtype == np.int64 and got.shape == (len(sets), n_tags)
+    assert got.tolist() == expected
 
 
 class TestUnion:
@@ -261,10 +283,6 @@ def _shifted(grid, shift):
     return out
 
 
-def _all_pairs(a, b):
-    return np.ones((len(a), len(b)), dtype=bool)
-
-
 def _crowded_inputs(seed):
     cfg = SynthConfig(seed=seed, frames=8, width=48, height=36, objects=6,
                       object_size=(3, 12))
@@ -284,8 +302,8 @@ def _all_meet(ba, bb):
 class TestBoxSkip:
     """Skipping pairs with disjoint bounding boxes changes no result.
 
-    ``iou_matrix`` finds the pairs to test with ``mask.boxes_meet``, and
-    ``metrics._frame_ious`` with ``mask._meet``; patching those bindings to
+    ``iou_matrix`` (through ``mask.boxes_meet``) and ``metrics._frame_ious``
+    find the pairs to test with ``mask._meet``; patching that one binding to
     pass every pair gives the unskipped result.
     """
 
@@ -302,7 +320,7 @@ class TestBoxSkip:
             return merged, track_sequence(merged, cfg), bidirectional_track(moving, static, cfg)
 
         skipped = run()
-        with mock.patch.object(mask_module, "boxes_meet", _all_pairs):
+        with mock.patch.object(mask_module, "_meet", _all_meet):
             unskipped = run()
         assert skipped == unskipped
 
@@ -317,7 +335,7 @@ class TestBoxSkip:
             return [average_precision(gt_frames, moving, t) for t in (0.1, 0.5, 0.75)]
 
         skipped = run()
-        with mock.patch.object(metrics_module, "_meet", _all_meet):
+        with mock.patch.object(mask_module, "_meet", _all_meet):
             assert run() == skipped
 
 
@@ -348,7 +366,7 @@ def test_frame_ious_equal_each_frame_alone(data, w, h):
         objects = data.draw(st.lists(frame_grids(w, h), max_size=4))
         if objects or data.draw(st.booleans()):
             gt_by_frame[f] = [rle_encode(g, w, h) for g in objects]
-    for chunk in (2, mask_module._CHUNK):   # pairs split over several binary searches
+    for chunk in (2, mask_module._CHUNK):   # overlaps summed in several blocks
         with mock.patch.object(mask_module, "_CHUNK", chunk):
             masks = _frame_ious(gt_by_frame, dets_by_frame, "mask")
         boxes = _frame_ious(gt_by_frame, dets_by_frame, "box")
@@ -412,7 +430,7 @@ class TestIouMatrix:
         expected = [[iou(x, y) for y in b] for x in a]
         assert matrix.tolist() == expected
         assert expected == [[grid_iou(x, y) for y in grids_b] for x in grids_a]
-        for chunk in (2, 6):   # pairs split over several binary searches
+        for chunk in (2, 6):   # overlaps summed in several blocks
             with mock.patch.object(mask_module, "_CHUNK", chunk):
                 assert iou_matrix(a, b).tolist() == expected
 
