@@ -277,6 +277,8 @@ def read_manifest(path) -> Manifest:
     ignore = _get(doc, "ignore_value", int, str(path), allow_none=True)
     if ignore == 0:
         raise SchemaError(f"{path}.ignore_value: 0 is the background label")
+    if ignore is not None and not 0 < ignore <= 65535:
+        raise SchemaError(f"{path}.ignore_value: {ignore} is not a PGM label (1 to 65535)")
     raw_frames = _get(doc, "frames", list, str(path))
     frames = []
     last = None
@@ -327,6 +329,8 @@ def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
 
 def write_sequence(name: str, gt: GroundTruthSequence, out_dir) -> Path:
     """Write label maps plus manifest under out_dir; returns the manifest path."""
+    if gt.ignore_value is not None and not 0 < gt.ignore_value <= 65535:
+        raise ValueError(f"ignore_value {gt.ignore_value} is not a PGM label (1 to 65535)")
     out = Path(out_dir)
     (out / _LABELMAP_DIR).mkdir(parents=True, exist_ok=True)
     frames = []

@@ -83,6 +83,14 @@ class SynthConfig:
             s_lo, s_hi = self.object_size
             if s_lo < _MIN_OBJECT or s_hi < s_lo:
                 raise ValueError(f"bad object_size range {self.object_size}")
+        # an event outside the objects or frames, or of no frames, would occlude nothing
+        for k, ev in enumerate(self.occlusions):
+            for name, value, end in (("object_index", ev.object_index, self.objects),
+                                     ("start_frame", ev.start_frame, self.frames)):
+                if not 0 <= value < end:
+                    raise ValueError(f"occlusions[{k}].{name} must lie in [0, {end}), got {value}")
+            if ev.duration < 1:
+                raise ValueError(f"occlusions[{k}].duration must be at least 1, got {ev.duration}")
 
 
 def _rng(*key: int) -> np.random.Generator:

@@ -4,9 +4,11 @@ Detections are gated by score, then associated frame by frame: the benefit of
 linking a track to a detection is the mask IoU between the track's most recent
 segmentation and the detection, and the per-frame association is a maximum
 Hungarian matching.  Unmatched high-scoring moving detections open new tracks;
-tracks idle longer than the inactivity budget are retired.  An optional
+tracks idle longer than the inactivity budget are retired, which no state
+records: frames only move forward, so idle time only grows.  An optional
 backward pass extends each track before its first frame, which lets static
-detections of an object be attached before it starts moving.
+detections of an object be attached before it starts moving.  Both passes keep
+each track's entries in a list and build every ``Track`` once, at the end.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ class Track:
 
     id: int
     entries: tuple[Detection, ...]
-    state: str = "active"
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -88,10 +89,6 @@ class Track:
     def first_frame(self) -> int:
         return self.entries[0].frame
 
-    @property
-    def last_mask(self) -> Mask:
-        return self.entries[-1].mask
-
 
 # The unchecked constructors set each field as the dataclass __init__ does, so their
 # objects keep the checked ones' compact layout; filling __dict__ would double a
@@ -107,13 +104,12 @@ def _detection(frame: int, score: float, mask: Mask, kind: str = "moving") -> De
     return det
 
 
-def _track(id: int, entries: tuple[Detection, ...], state: str = "active") -> Track:
+def _track(id: int, entries: tuple[Detection, ...]) -> Track:
     """A Track of entries already known non-empty and in strictly increasing frames,
     built unchecked."""
     track, set_field = object.__new__(Track), object.__setattr__
     set_field(track, "id", id)
     set_field(track, "entries", entries)
-    set_field(track, "state", state)
     return track
 
 
@@ -122,72 +118,78 @@ def gate(dets: Sequence[Detection], cfg: TrackerConfig) -> list[Detection]:
     return [d for d in dets if d.score >= cfg.alpha_low]
 
 
-def _eligible(track: Track, frame: int, cfg: TrackerConfig) -> bool:
-    # idle frames are the fully missed ones between the last entry and `frame`
-    return track.state == "active" and (frame - track.last_active_frame - 1) <= cfg.t_inactive
+def _matches(masks: Sequence[Mask], dets: Sequence[Detection],
+             cfg: TrackerConfig) -> list[tuple[int, int]]:
+    """(mask index, detection index) pairs of the maximum IoU assignment whose IoU
+    exceeds ``min_match_iou``."""
+    benefit = iou_matrix(masks, [d.mask for d in dets])
+    return [(i, j) for i, j in solve_max_assignment(benefit).pairs
+            if benefit[i, j] > cfg.min_match_iou]
 
 
-def step(tracks: Sequence[Track], frame_dets: Sequence[Detection],
-         cfg: TrackerConfig, frame: int | None = None) -> list[Track]:
-    """Advance one frame: associate, extend, retire, and open tracks.
-
-    All detections must come from a single frame strictly after every track's
-    last entry.  New ids continue from the largest existing id.
-    """
+def _frame_of(frame_dets: Sequence[Detection], frame: int | None) -> int:
+    """The one frame all of ``frame_dets`` come from, which must equal ``frame`` if given."""
     frames = {d.frame for d in frame_dets}
     if len(frames) > 1:
         raise ValueError(f"detections span several frames: {sorted(frames)}")
     if frame is None:
         if not frames:
             raise ValueError("cannot infer frame from an empty detection list")
-        frame = frames.pop()
-    elif frames and frames != {frame}:
+        return frames.pop()
+    if frames and frames != {frame}:
         raise ValueError(f"detections are for frame {frames.pop()}, expected {frame}")
+    return frame
+
+
+def _advance(ids: list[int], entries: list[list[Detection]], frame: int,
+             dets: Sequence[Detection], cfg: TrackerConfig) -> None:
+    """Move the tracks held as ``ids`` and their ``entries`` on to ``frame``, in place.
+
+    A track idle (fully missed) for at most ``t_inactive`` frames before ``frame``
+    is extended by the detection it is matched to; unmatched high-scoring moving
+    detections open tracks, numbered on from the largest id.
+    """
+    live = [k for k, es in enumerate(entries) if frame - es[-1].frame - 1 <= cfg.t_inactive]
+    matched = set()
+    for i, j in _matches([entries[k][-1].mask for k in live], dets, cfg):
+        entries[live[i]].append(dets[j])
+        matched.add(j)
+    next_id = max(ids, default=0) + 1
+    for j, d in enumerate(dets):
+        if j not in matched and d.kind == "moving" and d.score >= cfg.alpha_high:
+            ids.append(next_id)
+            entries.append([d])
+            next_id += 1
+
+
+def step(tracks: Sequence[Track], frame_dets: Sequence[Detection],
+         cfg: TrackerConfig, frame: int | None = None) -> list[Track]:
+    """Advance one frame: associate, extend, and open tracks.
+
+    All detections must come from a single frame strictly after every track's
+    last entry.  New ids continue from the largest existing id.
+    """
+    frame = _frame_of(frame_dets, frame)
     for t in tracks:
         if t.last_active_frame >= frame:
             raise ValueError(
                 f"frame {frame} is not after track {t.id} (last entry {t.last_active_frame})"
             )
-
-    updated: dict[int, Track] = {}
-    candidates: list[Track] = []
-    for t in tracks:
-        if _eligible(t, frame, cfg):
-            candidates.append(t)
-            updated[t.id] = t
-        else:
-            updated[t.id] = t if t.state == "inactive" else _track(t.id, t.entries, "inactive")
-
-    benefit = iou_matrix([t.last_mask for t in candidates], [d.mask for d in frame_dets])
-    matched_dets: set[int] = set()
-    for i, j in solve_max_assignment(benefit).pairs:
-        if benefit[i, j] > cfg.min_match_iou:
-            t = candidates[i]
-            # every entry precedes ``frame``, checked above
-            updated[t.id] = _track(t.id, (*t.entries, frame_dets[j]), t.state)
-            matched_dets.add(j)
-
-    result = [updated[t.id] for t in tracks]
-    next_id = max((t.id for t in tracks), default=0) + 1
-    for j, d in enumerate(frame_dets):
-        if j in matched_dets:
-            continue
-        if d.kind == "moving" and d.score >= cfg.alpha_high:
-            result.append(Track(next_id, (d,)))
-            next_id += 1
-    return result
+    ids, entries = [t.id for t in tracks], [list(t.entries) for t in tracks]
+    _advance(ids, entries, frame, frame_dets, cfg)
+    return [_track(i, tuple(es)) for i, es in zip(ids, entries)]
 
 
 def track_sequence(dets_by_frame: Mapping[int, Sequence[Detection]],
                    cfg: TrackerConfig | None = None) -> list[Track]:
-    """Gate, then fold the per-frame association over the whole sequence."""
+    """Gate, then walk the per-frame association over the whole sequence."""
     cfg = cfg or TrackerConfig()
-    tracks: list[Track] = []
+    ids, entries = [], []   # the tracks' ids, and each one's entries in a list
     for frame in sorted(dets_by_frame):
         kept = gate(dets_by_frame[frame], cfg)
         if kept:
-            tracks = step(tracks, kept, cfg, frame=frame)
-    return tracks
+            _advance(ids, entries, _frame_of(kept, frame), kept, cfg)
+    return [_track(i, tuple(es)) for i, es in zip(ids, entries)]
 
 
 def merge_moving_static(moving: Mapping[int, Sequence[Detection]],
@@ -223,38 +225,16 @@ def bidirectional_track(moving: Mapping[int, Sequence[Detection]],
     """
     merged = merge_moving_static(moving, static, cfg)
     forward = track_sequence(merged, cfg)
-    if not forward:
-        return forward
-
     used = {id(d) for t in forward for d in t.entries}
-    anchors: dict[int, list[int]] = {}
-    for t in forward:
-        anchors.setdefault(t.first_frame, []).append(t.id)
-    by_id = {t.id: t for t in forward}
-
-    live: dict[int, tuple[int, Mask]] = {}   # id -> (earliest frame so far, earliest mask)
-    additions: dict[int, list[Detection]] = {t.id: [] for t in forward}
+    heads = [t.entries[0] for t in forward]   # each track's earliest entry so far
+    earlier: list[list[Detection]] = [[] for _ in forward]   # latest first
     for frame in sorted(merged, reverse=True):
         cands = [d for d in merged[frame] if id(d) not in used]
-        eligible = sorted(
-            tid for tid, (earliest, _) in live.items()
-            if earliest - frame - 1 <= cfg.t_inactive
-        )
-        if cands and eligible:
-            benefit = iou_matrix([live[tid][1] for tid in eligible],
-                                 [d.mask for d in cands])
-            for i, j in solve_max_assignment(benefit).pairs:
-                if benefit[i, j] > cfg.min_match_iou:
-                    tid, det = eligible[i], cands[j]
-                    additions[tid].append(det)
-                    live[tid] = (frame, det.mask)
-                    used.add(id(det))
-        for tid in anchors.get(frame, ()):
-            live[tid] = (frame, by_id[tid].entries[0].mask)
-
-    out = []
-    for t in forward:
-        extra = sorted(additions[t.id], key=lambda d: d.frame)
-        # one addition per frame, each frame before the track's first
-        out.append(_track(t.id, (*extra, *t.entries), t.state) if extra else t)
-    return out
+        # a head at or before ``frame`` is a track the walk has not reached yet
+        live = [k for k, d in enumerate(heads) if 0 <= d.frame - frame - 1 <= cfg.t_inactive]
+        if cands and live:
+            for i, j in _matches([heads[k].mask for k in live], cands, cfg):
+                heads[live[i]] = cands[j]
+                earlier[live[i]].append(cands[j])
+    return [_track(t.id, (*extra[::-1], *t.entries)) if extra else t
+            for t, extra in zip(forward, earlier)]

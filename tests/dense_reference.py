@@ -227,3 +227,75 @@ def brute_force_assignment(scores) -> Matching:
     top = max(total for total, _ in candidates)
     pick = min(kept for total, kept in candidates if total >= top - 1e-9 * max(1.0, top))
     return Matching(pick, float(sum(values[r][c] for r, c in pick)))
+
+
+def _grid_matches(masks, dets, min_match_iou) -> list[tuple[int, int]]:
+    """Pairs of the exhaustive maximum matching on decoded-grid IoU, above ``min_match_iou``."""
+    scores = np.array([[grid_iou(rle_decode(m), rle_decode(d.mask)) for d in dets]
+                       for m in masks], dtype=float).reshape(len(masks), len(dets))
+    return [(i, j) for i, j in brute_force_assignment(scores).pairs
+            if scores[i, j] > min_match_iou]
+
+
+def track_sequence_reference(dets_by_frame, cfg) -> list[tuple[int, tuple]]:
+    """The tracker's forward pass as a fold of whole-state steps: (id, entries) per track.
+
+    Each gated frame rebuilds every track as an (id, entries, active) triple.  A
+    track is marked inactive, for good, at the first frame it has been idle more
+    than ``t_inactive`` frames; only active tracks are matched.  Unmatched moving
+    detections scoring at least ``alpha_high`` open tracks numbered on from the
+    largest id.
+    """
+    tracks = []
+    for frame in sorted(dets_by_frame):
+        dets = [d for d in dets_by_frame[frame] if d.score >= cfg.alpha_low]
+        if not dets:
+            continue
+        tracks = [(tid, entries, active and frame - entries[-1].frame - 1 <= cfg.t_inactive)
+                  for tid, entries, active in tracks]
+        active = [k for k, (_, _, on) in enumerate(tracks) if on]
+        extend = {active[i]: j for i, j in _grid_matches(
+            [tracks[k][1][-1].mask for k in active], dets, cfg.min_match_iou)}
+        tracks = [(tid, entries + (dets[extend[k]],) if k in extend else entries, on)
+                  for k, (tid, entries, on) in enumerate(tracks)]
+        next_id = max((tid for tid, _, _ in tracks), default=0) + 1
+        for j, d in enumerate(dets):
+            if j not in extend.values() and d.kind == "moving" and d.score >= cfg.alpha_high:
+                tracks.append((next_id, (d,), True))
+                next_id += 1
+    return [(tid, entries) for tid, entries, _ in tracks]
+
+
+def bidirectional_reference(moving, static, cfg) -> list[tuple[int, tuple]]:
+    """The forward pass over the merged streams, then the backward pass: (id, entries).
+
+    Merging gates both streams and drops each static detection whose grid IoU
+    with some gated moving one exceeds ``static_overlap_iou``.  Walking frames
+    in reverse, a track joins the matching below its first frame, seeded with
+    its first mask, and stays while the frames it has missed below its earliest
+    entry number at most ``t_inactive``; it takes unused detections only.
+    """
+    merged = {}
+    for frame in sorted(set(moving) | set(static)):
+        movers = [d for d in moving.get(frame, ()) if d.score >= cfg.alpha_low]
+        merged[frame] = movers + [
+            s for s in static.get(frame, ()) if s.score >= cfg.alpha_low and all(
+                grid_iou(rle_decode(s.mask), rle_decode(m.mask)) <= cfg.static_overlap_iou
+                for m in movers)]
+    forward = track_sequence_reference(merged, cfg)
+    used = {id(d) for _, entries in forward for d in entries}
+    earliest = {}   # id -> earliest entry so far, for tracks the walk has passed
+    added = {tid: () for tid, _ in forward}
+    for frame in sorted(merged, reverse=True):
+        dets = [d for d in merged[frame] if id(d) not in used]
+        live = sorted(tid for tid, d in earliest.items() if d.frame - frame - 1 <= cfg.t_inactive)
+        if dets and live:
+            for i, j in _grid_matches([earliest[tid].mask for tid in live], dets,
+                                      cfg.min_match_iou):
+                earliest[live[i]] = dets[j]
+                added[live[i]] = (dets[j], *added[live[i]])
+                used.add(id(dets[j]))
+        for tid, entries in forward:
+            if entries[0].frame == frame:
+                earliest[tid] = entries[0]
+    return [(tid, (*added[tid], *entries)) for tid, entries in forward]

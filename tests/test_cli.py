@@ -135,6 +135,26 @@ class TestExitCodes:
         assert f"{bad}.ignore_value" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_ignore_label_no_pgm_map_holds_data_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(synth_args(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        bad = out / "bad-manifest.json"
+        bad.write_text(json.dumps({**manifest, "ignore_value": 70000}))
+        capsys.readouterr()
+        assert main(["evaluate", "--gt", str(bad), "--pred", str(out / "gt_tracks.json"),
+                     "--metric", "official", "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{bad}.ignore_value: 70000" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("event, field", [("99:0:5", "object_index"),
+                                              ("0:12:1", "start_frame"), ("0:2:-4", "duration")])
+    def test_occlusion_that_occludes_nothing_usage_error(self, tmp_path, capsys, event, field):
+        out = tmp_path / "s"
+        assert main(synth_args(out, extra=["--occlude", event])) == 1
+        assert f"occlusions[0].{field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gt_pred_count_mismatch(self, tmp_path):
         out = tmp_path / "s"
         assert main(synth_args(out)) == 0

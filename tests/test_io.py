@@ -576,6 +576,30 @@ class TestManifest:
         with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.ignore_value")):
             fileio.read_manifest(path)
 
+    @pytest.mark.parametrize("ignore", [-1, 65536, 70000])
+    def test_ignore_label_outside_pgm_range_rejected(self, tmp_path, ignore):
+        # no PGM map holds the label, so it would silently ignore nothing
+        doc = {"format_version": 1, "sequence": "x", "width": 4, "height": 4,
+               "ignore_value": ignore, "frames": []}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.ignore_value: {ignore}")):
+            fileio.read_manifest(path)
+
+    def test_largest_pgm_label_accepted_as_ignore_label(self, tmp_path):
+        labels = np.array([[0, 1], [65535, 65535]], dtype=np.int32)
+        gt = GroundTruthSequence(2, 2, {0: labels}, ignore_value=65535)
+        _, back = fileio.load_sequence(fileio.write_sequence("s", gt, tmp_path))
+        assert back.ignore_value == 65535 and back.region_ids() == [1]
+
+    @pytest.mark.parametrize("ignore", [-1, 0, 65536, 70000])
+    def test_writer_refuses_an_ignore_label_it_could_not_read_back(self, tmp_path, ignore):
+        gt = GroundTruthSequence(2, 2, {0: np.array([[0, 1], [1, 1]])})
+        gt = GroundTruthSequence._from_runs(2, 2, gt._runs, ignore_value=ignore)
+        with pytest.raises(ValueError, match=f"ignore_value {ignore}"):
+            fileio.write_sequence("s", gt, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_unsorted_frames_rejected(self, tmp_path):
         doc = {"format_version": 1, "sequence": "x", "width": 4, "height": 4,
                "ignore_value": None,

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,23 @@ class TestGenerate:
         for f in (0, 1, 5):
             assert 1 in np.unique(gt.labeled_frames[f])
         assert [d.frame for d in tracks[0].entries] == [0, 1, 5]
+
+    @pytest.mark.parametrize("event, message", [
+        ((2, 0, 1), "occlusions[1].object_index must lie in [0, 2), got 2"),
+        ((-1, 0, 1), "occlusions[1].object_index must lie in [0, 2), got -1"),
+        ((0, 6, 1), "occlusions[1].start_frame must lie in [0, 6), got 6"),
+        ((0, -1, 3), "occlusions[1].start_frame must lie in [0, 6), got -1"),
+        ((0, 2, 0), "occlusions[1].duration must be at least 1, got 0"),
+        ((0, 2, -4), "occlusions[1].duration must be at least 1, got -4")])
+    def test_occlusion_event_that_occludes_nothing_rejected(self, event, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            base_cfg(frames=6, objects=2,
+                     occlusions=(OcclusionEvent(1, 0, 6), OcclusionEvent(*event)))
+
+    def test_occlusion_event_past_the_last_frame_kept(self):
+        # an event may run past the last frame; it blanks the frames it reaches
+        gt, tracks = generate(base_cfg(frames=6, occlusions=(OcclusionEvent(0, 5, 9),)))
+        assert [d.frame for d in tracks[0].entries] == [0, 1, 2, 3, 4]
 
     def test_later_objects_occlude_earlier(self):
         cfg = base_cfg(objects=4, frames=12, seed=11)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_reference import bidirectional_reference, track_sequence_reference
 from helpers import det, rect_mask
 from movingseg.metrics import evaluate
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
@@ -226,6 +229,87 @@ class TestBidirectional:
         tracks = bidirectional_track(moving, static, cfg)
         assert len(tracks) == 1
         assert tracks[0].first_frame == 20
+
+
+# below the gate, on alpha_low, between the gates (extends, never opens), on alpha_high, above
+_SCORES = [0.6, 0.7, 0.8, 0.9, 0.95]
+
+
+@st.composite
+def _streams(draw):
+    """Moving and static streams over sparse frames of a 10x8 canvas, and a tracker
+    config with an inactivity budget of 0 to 3 frames.
+
+    One to three objects drift by up to a pixel a frame.  On its frames the moving
+    stream sees each object or misses it, sometimes twice, and may add a stray
+    rectangle; on frames of its own the static stream sees each object or misses it.
+    Gaps run up to 5 frames, so budgets are often exceeded, and twins and objects on
+    the same rectangle bring exact IoU ties.
+    """
+    w, h = 10, 8
+
+    def rect():
+        rw, rh = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+        return [draw(st.integers(0, w - rw)), draw(st.integers(0, h - rh)), rw, rh]
+
+    def sees(frame, obj, kind):
+        return det(frame, draw(st.sampled_from(_SCORES)), w, h, *obj, kind)
+
+    frames = st.lists(st.integers(1, 5), min_size=3, max_size=10).map(
+        lambda gaps: {sum(gaps[:k]) for k in range(len(gaps))})
+    objects = [rect() for _ in range(draw(st.integers(1, 3)))]
+    moving_frames, static_frames = draw(frames), draw(frames)
+    moving, static = {}, {}
+    for f in sorted(moving_frames | static_frames):
+        for obj in objects:
+            obj[0] = min(max(obj[0] + draw(st.integers(-1, 1)), 0), w - obj[2])
+            obj[1] = min(max(obj[1] + draw(st.integers(-1, 1)), 0), h - obj[3])
+        if f in moving_frames:
+            seen = [obj for obj in objects if draw(st.booleans())]
+            twin = seen[:draw(st.integers(0, 1))]
+            stray = [rect() for _ in range(draw(st.integers(0, 1)))]
+            moving[f] = [sees(f, obj, "moving") for obj in seen + twin + stray]
+        if f in static_frames:
+            static[f] = [sees(f, obj, "static") for obj in objects if draw(st.booleans())]
+    cfg = TrackerConfig(t_inactive=draw(st.integers(0, 3)),
+                        min_match_iou=draw(st.sampled_from([1e-9, 0.25, 0.5])),
+                        static_overlap_iou=draw(st.sampled_from([0.2, 0.5])))
+    return moving, static, cfg
+
+
+def _mixed(moving, static):
+    """Both streams as one, each frame's moving detections first."""
+    return {f: [*moving.get(f, ()), *static.get(f, ())] for f in sorted({*moving, *static})}
+
+
+def _by_identity(tracks):
+    return [(tid, [id(d) for d in entries]) for tid, entries in tracks]
+
+
+@given(_streams())
+@settings(max_examples=150, deadline=None)
+def test_tracker_matches_dense_reference(streams):
+    """Both passes pick the same detections, by identity, under the same ids as the
+    whole-state fold over decoded grids and exhaustive matchings."""
+    moving, static, cfg = streams
+    mixed = _mixed(moving, static)
+    assert _by_identity((t.id, t.entries) for t in track_sequence(mixed, cfg)) == \
+        _by_identity(track_sequence_reference(mixed, cfg))
+    assert _by_identity((t.id, t.entries) for t in bidirectional_track(moving, static, cfg)) == \
+        _by_identity(bidirectional_reference(moving, static, cfg))
+
+
+@given(_streams())
+@settings(max_examples=60, deadline=None)
+def test_step_fold_equals_track_sequence(streams):
+    moving, static, cfg = streams
+    mixed, tracks = _mixed(moving, static), []
+    for frame in sorted(mixed):
+        kept = gate(mixed[frame], cfg)
+        if kept:
+            tracks = step(tracks, kept, cfg)
+    assert _by_identity((t.id, t.entries) for t in tracks) == \
+        _by_identity((t.id, t.entries) for t in track_sequence(mixed, cfg))
 
 
 def test_synthetic_identity_agreement():
