@@ -11,8 +11,8 @@ masks' cuts and formatted by one ``%d`` format.  Scores are serialized with
 Python's shortest round-tripping float representation, so write/read is
 exact.  Readers reject malformed input outright instead of repairing it;
 errors carry the path to the offending field.  The detections and tracks
-readers check a whole parsed document in one batch pass and read it entry by
-entry only when a check fails, to name the first bad field.
+readers walk a parsed document once and check all its run lists in one call;
+only a failing check formats the location of the field it names.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .mask import MAX_PIXELS, MalformedMaskError, _label_runs, _run_lists, _split_runs
+from .mask import (MAX_PIXELS, MalformedMaskError, Mask, _label_runs, _run_lists,
+                   _split_runs)
 from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport
 from .tracker import Detection, Track, _detection, _track
 
@@ -212,59 +213,33 @@ def _frame_size(doc, path) -> tuple[int, int]:
     return width, height
 
 
-def _detections_from_fields(fields, width, height) -> list[Detection]:
-    """Detections from (frame, score, kind, rle, where) tuples, all run lists checked at once."""
+def _score(entry, where) -> float:
+    score = _get(entry, "score", (int, float), where)
+    if not 0 <= score <= 1:   # nan too; an int is compared before float() could overflow
+        raise SchemaError(f"{where}: score {score} outside [0, 1]")
+    return float(score)
+
+
+def _masks(rles: list, width, height, counts, prefix, group) -> list[Mask]:
+    """Each run list's Mask, all checked in one call.  On a fault the lists are checked one
+    at a time, and the first bad one, the m-th of the k-th group of ``counts`` lists, is
+    named ``{prefix}[k].{group}[m]``."""
     try:
-        masks = _split_runs([f[3] for f in fields], width, height)
-        return [Detection(f[0], f[1], m, f[2]) for f, m in zip(fields, masks)]
-    except ValueError as e:
-        for f in fields[:-1]:   # the first offending entry raises, with its own message
-            _detections_from_fields([f], width, height)
-        where = fields[-1][4] + (".rle" if isinstance(e, MalformedMaskError) else "")
-        raise SchemaError(f"{where}: {e}") from None
-
-
-def _score_from_field(raw, where) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise SchemaError(f"{where}: score must be a number")
-    if not 0 <= raw <= 1:   # nan too; an int is compared before float() could overflow
-        raise SchemaError(f"{where}: score {raw} outside [0, 1]")
-    return float(raw)
-
-
-# The batch readers check a whole parsed document at once and build through the
-# unchecked constructors.  They accept only what the entry-by-entry readers accept
-# and return None otherwise; the entry-by-entry reader then names the first bad field.
-
-def _rising(values: list, counts) -> bool:
-    """Whether ``values``, ints, strictly increase within each run of ``counts`` of them."""
-    try:
-        v = np.fromiter(values, np.int64, len(values))
-    except OverflowError:   # beyond int64: left to the entry-by-entry check
-        return False
-    rises = v[1:] > v[:-1]
-    rises[np.cumsum(counts, dtype=np.int64)[:-1] - 1] = True   # each run's first value
-    return bool(rises.all())
-
-
-def _batch_entries(entries: list, frames, kinds, width, height) -> list[Detection] | None:
-    """Detections of parsed entries, each a dict with a score in [0, 1] and the run list
-    of a non-empty mask; ``frames`` and ``kinds`` give each entry's frame and kind."""
-    if not set(map(type, entries)) <= {dict}:
-        return None
-    scores = [e.get("score") for e in entries]
-    rles = [e.get("rle") for e in entries]
-    if not (set(map(type, scores)) <= {int, float} and set(map(type, rles)) <= {list}
-            and min(map(len, rles), default=2) > 1):   # one run: no foreground
-        return None
-    try:
-        values = np.fromiter(scores, np.float64, len(scores))
         masks = _split_runs(rles, width, height)
-    except (OverflowError, MalformedMaskError):
-        return None
-    if not ((values >= 0) & (values <= 1)).all():   # nan too
-        return None
-    return list(map(_detection, frames, values.tolist(), masks, kinds))
+        if min(map(len, rles), default=2) > 1:   # a valid list of one run has no foreground
+            return masks
+    except MalformedMaskError:
+        pass
+    masks = []
+    wheres = (f"{prefix}[{k}].{group}[{m}]" for k, n in enumerate(counts) for m in range(n))
+    for rle, where in zip(rles, wheres):
+        try:
+            masks += _split_runs([rle], width, height)
+        except MalformedMaskError as e:
+            raise SchemaError(f"{where}.rle: {e}") from None
+        if len(rle) == 1:
+            raise SchemaError(f"{where}: detection mask must be non-empty")
+    return masks
 
 
 # ---------------------------------------------------------------- manifests
@@ -355,54 +330,36 @@ def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
     _check_version(doc, path)
     width, height = _frame_size(doc, path)
     items = _get(doc, "frames", list, str(path))
-    dets = _batch_detections(items, width, height)
-    if dets is None:
-        dets = _checked_detections(items, width, height, path)
-    return width, height, dets
-
-
-def _batch_detections(items: list, width, height) -> dict[int, list[Detection]] | None:
-    """``read_detections``' frames from its parsed ``frames`` list, or None."""
-    if not set(map(type, items)) <= {dict}:
-        return None
-    indices = [item.get("index") for item in items]
-    groups = [item.get("detections") for item in items]
-    if not (set(map(type, indices)) <= {int} and set(map(type, groups)) <= {list}
-            and _rising(indices, [len(indices)])):
-        return None
-    counts = list(map(len, groups))
-    entries = list(chain.from_iterable(groups))
-    kinds = [e.get("kind") if type(e) is dict else None for e in entries]
-    if not (set(map(type, kinds)) <= {str} and set(kinds) <= {"moving", "static"}):
-        return None
-    frames = chain.from_iterable(map(repeat, indices, counts))
-    dets = _batch_entries(entries, frames, kinds, width, height)
-    if dets is None:
-        return None
-    it = iter(dets)
-    return {idx: list(islice(it, n)) for idx, n in zip(indices, counts)}
-
-
-def _checked_detections(items: list, width, height, path) -> dict[int, list[Detection]]:
-    fields, counts = [], {}
-    last = None
+    counts, frames, scores, kinds, rles = {}, [], [], [], []
+    last = -math.inf
+    # one test passes each valid frame and entry; a failing one is checked field by field
     for k, item in enumerate(items):
-        where = f"{path}.frames[{k}]"
-        idx = _get(item, "index", int, where)
-        if last is not None and idx <= last:
-            raise SchemaError(f"{where}.index: frame indices must be strictly increasing")
+        if not (type(item) is dict and type(idx := item.get("index")) is int and idx > last
+                and type(group := item.get("detections")) is list):
+            where = f"{path}.frames[{k}]"
+            idx = _get(item, "index", int, where)
+            if idx <= last:
+                raise SchemaError(f"{where}.index: frame indices must be strictly increasing")
+            group = _get(item, "detections", list, where)
         last = idx
-        raw_dets = _get(item, "detections", list, where)
-        for m, dd in enumerate(raw_dets):
-            dwhere = f"{where}.detections[{m}]"
-            score = _score_from_field(_get(dd, "score", (int, float), dwhere), dwhere)
-            kind = _get(dd, "kind", str, dwhere)
-            if kind not in ("moving", "static"):
-                raise SchemaError(f"{dwhere}.kind: expected 'moving' or 'static'")
-            fields.append((idx, score, kind, _get(dd, "rle", list, dwhere), dwhere))
-        counts[idx] = len(raw_dets)
-    dets = iter(_detections_from_fields(fields, width, height))
-    return {idx: list(islice(dets, n)) for idx, n in counts.items()}
+        counts[idx] = len(group)
+        for m, e in enumerate(group):
+            if not (type(e) is dict and type(score := e.get("score")) in (int, float)
+                    and 0 <= score <= 1 and (kind := e.get("kind")) in ("moving", "static")
+                    and type(rle := e.get("rle")) is list):
+                where = f"{path}.frames[{k}].detections[{m}]"
+                score = _score(e, where)
+                kind = _get(e, "kind", str, where)
+                if kind not in ("moving", "static"):
+                    raise SchemaError(f"{where}.kind: expected 'moving' or 'static'")
+                rle = _get(e, "rle", list, where)
+            frames.append(idx)
+            scores.append(score)
+            kinds.append(kind)
+            rles.append(rle)
+    masks = _masks(rles, width, height, counts.values(), f"{path}.frames", "detections")
+    dets = map(_detection, frames, map(float, scores), masks, kinds)
+    return width, height, {idx: list(islice(dets, n)) for idx, n in counts.items()}
 
 
 # The writers' fixed layouts: a detection or a tracks file entry is an object at
@@ -446,55 +403,37 @@ def read_tracks(path) -> tuple[int, int, list[Track]]:
     _check_version(doc, path)
     width, height = _frame_size(doc, path)
     items = _get(doc, "tracks", list, str(path))
-    tracks = _batch_tracks(items, width, height)
-    if tracks is None:
-        tracks = _checked_tracks(items, width, height, path)
-    return width, height, tracks
-
-
-def _batch_tracks(items: list, width, height) -> list[Track] | None:
-    """``read_tracks``' tracks from its parsed ``tracks`` list, or None."""
-    if not set(map(type, items)) <= {dict}:
-        return None
-    ids = [item.get("id") for item in items]
-    groups = [item.get("frames") for item in items]
-    if not (set(map(type, ids)) <= {int} and set(map(type, groups)) <= {list}
-            and len(set(ids)) == len(ids) and all(groups)):
-        return None
-    counts = list(map(len, groups))
-    entries = list(chain.from_iterable(groups))
-    frames = [e.get("index") if type(e) is dict else None for e in entries]
-    if not (set(map(type, frames)) <= {int} and _rising(frames, counts)):
-        return None
-    dets = _batch_entries(entries, frames, repeat("moving"), width, height)
-    if dets is None:
-        return None
-    it = iter(dets)
-    return [_track(tid, tuple(islice(it, n))) for tid, n in zip(ids, counts)]
-
-
-def _checked_tracks(items: list, width, height, path) -> list[Track]:
-    fields, counts = [], {}
+    counts, frames, scores, rles = {}, [], [], []
+    # one test passes each valid track and entry; a failing one is checked field by field
     for k, item in enumerate(items):
-        where = f"{path}.tracks[{k}]"
-        tid = _get(item, "id", int, where)
-        if tid in counts:
-            raise SchemaError(f"{where}.id: duplicate track id {tid}")
-        raw_entries = _get(item, "frames", list, where)
-        if not raw_entries:
-            raise SchemaError(f"{where}: track has no frames")
-        last = None
-        for m, ff in enumerate(raw_entries):
-            fwhere = f"{where}.frames[{m}]"
-            idx = _get(ff, "index", int, fwhere)
-            if last is not None and idx <= last:
-                raise SchemaError(f"{fwhere}.index: track frames must be strictly increasing")
+        if not (type(item) is dict and type(tid := item.get("id")) is int
+                and tid not in counts and type(group := item.get("frames")) is list and group):
+            where = f"{path}.tracks[{k}]"
+            tid = _get(item, "id", int, where)
+            if tid in counts:
+                raise SchemaError(f"{where}.id: duplicate track id {tid}")
+            group = _get(item, "frames", list, where)
+            if not group:
+                raise SchemaError(f"{where}: track has no frames")
+        counts[tid] = len(group)
+        last = -math.inf
+        for m, e in enumerate(group):
+            if not (type(e) is dict and type(idx := e.get("index")) is int and idx > last
+                    and type(score := e.get("score")) in (int, float) and 0 <= score <= 1
+                    and type(rle := e.get("rle")) is list):
+                where = f"{path}.tracks[{k}].frames[{m}]"
+                idx = _get(e, "index", int, where)
+                if idx <= last:
+                    raise SchemaError(f"{where}.index: track frames must be strictly increasing")
+                score = _score(e, where)
+                rle = _get(e, "rle", list, where)
             last = idx
-            score = _score_from_field(_get(ff, "score", (int, float), fwhere), fwhere)
-            fields.append((idx, score, "moving", _get(ff, "rle", list, fwhere), fwhere))
-        counts[tid] = len(raw_entries)
-    entries = iter(_detections_from_fields(fields, width, height))
-    return [Track(tid, tuple(islice(entries, n))) for tid, n in counts.items()]
+            frames.append(idx)
+            scores.append(score)
+            rles.append(rle)
+    masks = _masks(rles, width, height, counts.values(), f"{path}.tracks", "frames")
+    dets = map(_detection, frames, map(float, scores), masks)
+    return width, height, [_track(tid, tuple(islice(dets, n))) for tid, n in counts.items()]
 
 
 def write_tracks(path, width: int, height: int, tracks) -> None:

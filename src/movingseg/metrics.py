@@ -76,11 +76,12 @@ class Region:
 class GroundTruthSequence:
     """Per-frame instance label maps with an optional ignore value.
 
-    Label 0 is background; ``ignore_value``, any other label, marks unlabeled
-    pixels that the matched-only measure excludes from prediction areas.  Only
-    frames present in ``labeled_frames`` take part in evaluation.  Each frame
-    is held as its label runs, not as a dense map: ``labeled_frames`` decodes
-    fresh arrays, in each input map's own dtype, whenever it is read.
+    Label 0 is background; ``ignore_value``, None or any other PGM label (an int
+    from 1 to 65535), marks unlabeled pixels that the matched-only measure
+    excludes from prediction areas.  Only frames present in ``labeled_frames``
+    take part in evaluation.  Each frame is held as its label runs, not as a
+    dense map: ``labeled_frames`` decodes fresh arrays, in each input map's own
+    dtype, whenever it is read.
     """
 
     def __init__(self, width: int, height: int,
@@ -90,6 +91,10 @@ class GroundTruthSequence:
         _frame_pixels(width, height)
         if ignore_value == 0:
             raise ValueError("ignore_value 0 is the background label")
+        if ignore_value is not None and not (isinstance(ignore_value, int)
+                                             and not isinstance(ignore_value, bool)
+                                             and 0 < ignore_value <= 65535):
+            raise ValueError(f"ignore_value {ignore_value!r} is not a PGM label (1 to 65535)")
         runs = {}
         for idx, arr in labeled_frames.items():
             arr = np.asarray(arr)

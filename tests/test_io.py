@@ -753,18 +753,14 @@ class TestReport:
         assert float(cell) == value
 
 
-# ---------------------------------------------------------------- batch readers
+# ---------------------------------------------------------------- reader walks
 #
-# Each reader checks a parsed document in one batch pass and, when a check
-# fails, reads it again entry by entry, which names the first bad field.  The
-# batch pass must accept only valid documents, and build what the entry-by-entry
-# reader builds.
+# Each reader walks a parsed document once and builds its objects unchecked.  It
+# must build what the public, checked constructors build from the same fields, and
+# refuse every malformed document with the message that names its first bad field.
 
-_READER_PATHS = {   # reader: (batch pass, entry-by-entry reader, items key, entries key)
-    "read_detections": (fileio._batch_detections, fileio._checked_detections,
-                        "frames", "detections"),
-    "read_tracks": (fileio._batch_tracks, fileio._checked_tracks, "tracks", "frames"),
-}
+_READER_KEYS = {"read_detections": ("frames", "detections"),   # items key, entries key
+                "read_tracks": ("tracks", "frames")}
 
 
 @st.composite
@@ -797,7 +793,21 @@ def _reader_documents(draw, reader, min_items=0, min_entries=0):
             entry(kind=draw(kinds)) for _ in range(draw(st.integers(min_entries, 3)))]}
             for f in frames(min_items)]
     return {"format_version": 1, "width": w, "height": h,
-            _READER_PATHS[reader][2]: items}
+            _READER_KEYS[reader][0]: items}
+
+
+def _checked(reader, doc):
+    """What ``reader`` must return for a valid ``doc``, built by the checked constructors."""
+    w, h = doc["width"], doc["height"]
+
+    def detection(frame, entry, kind="moving"):
+        return Detection(frame, float(entry["score"]), Mask(w, h, entry["rle"]), kind)
+
+    if reader == "read_tracks":
+        return w, h, [Track(item["id"], tuple(detection(e["index"], e) for e in item["frames"]))
+                      for item in doc["tracks"]]
+    return w, h, {item["index"]: [detection(item["index"], e, e["kind"])
+                                  for e in item["detections"]] for item in doc["frames"]}
 
 
 def _entries(result):
@@ -805,38 +815,35 @@ def _entries(result):
         else [d for t in result for d in t.entries]
 
 
-@pytest.mark.parametrize("reader", sorted(_READER_PATHS))
+# the test keeps its name, and so its ids, from when each reader had a batch pass
+@pytest.mark.parametrize("reader", sorted(_READER_KEYS))
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_batch_reader_builds_what_the_entry_checker_builds(reader, data):
     doc = data.draw(_reader_documents(reader))
-    batch, checked, key, _ = _READER_PATHS[reader]
-    w, h, items = doc["width"], doc["height"], doc[key]
-    want = checked(items, w, h, "doc.json")
-    got = batch(items, w, h)
-    assert got == want
-    # equal objects could still differ in a score's type (1 and 1.0) or sign (0.0 and -0.0)
-    assert [repr(d.score) for d in _entries(got)] == [repr(d.score) for d in _entries(want)]
-    assert all(not d.mask.foreground_cuts.flags.writeable for d in _entries(got))
     with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
-        assert getattr(fileio, reader)(path) == (w, h, want)
+        got = getattr(fileio, reader)(path)
+    want = _checked(reader, doc)
+    assert got == want
+    # equal objects could still differ in a score's type (1 and 1.0) or sign (0.0 and -0.0)
+    assert [repr(d.score) for d in _entries(got[2])] == [repr(d.score) for d in _entries(want[2])]
+    assert all(not d.mask.foreground_cuts.flags.writeable for d in _entries(got[2]))
 
 
-@pytest.mark.parametrize("reader", sorted(_READER_PATHS))
+@pytest.mark.parametrize("reader", sorted(_READER_KEYS))
 def test_frames_beyond_int64_are_read_entry_by_entry(tmp_path, reader):
     doc = _masks_doc(reader, [[0, W * H], [1, W * H - 1]])
-    batch, checked, key, group = _READER_PATHS[reader]
+    key, group = _READER_KEYS[reader]
     first = doc[key][0]
     if reader == "read_tracks":
         first[group][1]["index"] = 2**70
     else:
         first["index"] = -(2**70)
-    assert batch(doc[key], W, H) is None
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    assert getattr(fileio, reader)(path) == (W, H, checked(doc[key], W, H, path))
+    assert getattr(fileio, reader)(path) == _checked(reader, doc)
 
 
 _DELETE = object()
@@ -847,6 +854,13 @@ def _bad_runs(n):
     the valid runs of an empty mask, which no detection may have."""
     return [[True, n - 1], [1.5, n - 1.5], ["4", n - 4], [-1, n + 1], [], [1, 0, n - 1],
             [1, n], [0, n + 1], [0, 2**64], [n]]
+
+
+# what each of _bad_runs' lists is refused with, after the location of its entry
+_BAD_RUNS_MESSAGES = [".rle: runs must be integers"] * 3 + [
+    ".rle: negative run length", ".rle: empty runs list", ".rle: zero-length interior run",
+    ".rle: runs sum {n_plus_1} != width*height {n}", ".rle: run length outside the frame",
+    ".rle: run length outside the frame", ": detection mask must be non-empty"]
 
 
 class _Earlier(str):
@@ -863,42 +877,82 @@ class _BadRuns(int):
         return f"bad runs {int(self)}"
 
 
+class _AfterBadRuns(float):
+    """A new value written where the entry before the corrupted one gets bad runs too."""
+
+    def __repr__(self):
+        return f"{float(self)} after bad runs"
+
+
+_NUMBER = "(<class 'int'>, <class 'float'>)"
+_INT, _LIST, _STR = "<class 'int'>", "<class 'list'>", "<class 'str'>"
+
 # (reader, or None for both; "item" or "entry"; key, or None for the whole object; the
-# new value, _DELETE, _BadRuns or _Earlier)
+# new value, _DELETE, _BadRuns, _Earlier or _AfterBadRuns; what the reader's error says
+# after the corrupted object's location, formatted with the new value, n, the frame's
+# pixels, and n_plus_1)
 _CORRUPTIONS = [
-    *[(None, "entry", "score", v)
-      for v in (_DELETE, True, "0.5", float("nan"), 1.5, -0.25, 10**400)],
-    *[(None, "entry", "rle", v) for v in (_DELETE, "x", {"a": 1})],
-    *[(None, "entry", "rle", _BadRuns(k)) for k in range(len(_bad_runs(1)))],
-    (None, "entry", None, [1]),
-    (None, "item", None, "x"),
-    *[("read_tracks", "entry", "index", v) for v in (_DELETE, True, "3", 1.5)],
-    ("read_tracks", "entry", "index", _Earlier("index")),
-    *[("read_tracks", "item", "id", v) for v in (_DELETE, True, "1", 1.5)],
-    ("read_tracks", "item", "id", _Earlier("id")),
-    *[("read_tracks", "item", "frames", v) for v in (_DELETE, "x", {}, [])],
-    *[("read_detections", "entry", "kind", v) for v in (_DELETE, "wobbling", 3, ["moving"])],
-    *[("read_detections", "item", "index", v) for v in (_DELETE, True, "3", 1.5)],
-    ("read_detections", "item", "index", _Earlier("index")),
-    *[("read_detections", "item", "detections", v) for v in (_DELETE, "x", {})],
+    (None, "entry", "score", _DELETE, ".score: missing"),
+    (None, "entry", "score", True, f".score: expected {_NUMBER}, got bool"),
+    (None, "entry", "score", "0.5", f".score: expected {_NUMBER}, got str"),
+    *[(None, "entry", "score", v, ": score {value} outside [0, 1]")
+      for v in (float("nan"), 1.5, -0.25, 10**400)],
+    # a structure fault is named before any run list is checked, as the first bad
+    # field of the document in order
+    (None, "entry", "score", _AfterBadRuns(1.5), ": score {value} outside [0, 1]"),
+    (None, "entry", "rle", _DELETE, ".rle: missing"),
+    (None, "entry", "rle", "x", f".rle: expected {_LIST}, got str"),
+    (None, "entry", "rle", {"a": 1}, f".rle: expected {_LIST}, got dict"),
+    *[(None, "entry", "rle", _BadRuns(k), message)
+      for k, message in enumerate(_BAD_RUNS_MESSAGES)],
+    (None, "entry", None, [1], ": expected an object"),
+    (None, "item", None, "x", ": expected an object"),
+    ("read_tracks", "entry", "index", _DELETE, ".index: missing"),
+    ("read_tracks", "entry", "index", True, f".index: expected {_INT}, got bool"),
+    ("read_tracks", "entry", "index", "3", f".index: expected {_INT}, got str"),
+    ("read_tracks", "entry", "index", 1.5, f".index: expected {_INT}, got float"),
+    ("read_tracks", "entry", "index", _Earlier("index"),
+     ".index: track frames must be strictly increasing"),
+    ("read_tracks", "item", "id", _DELETE, ".id: missing"),
+    ("read_tracks", "item", "id", True, f".id: expected {_INT}, got bool"),
+    ("read_tracks", "item", "id", "1", f".id: expected {_INT}, got str"),
+    ("read_tracks", "item", "id", 1.5, f".id: expected {_INT}, got float"),
+    ("read_tracks", "item", "id", _Earlier("id"), ".id: duplicate track id {value}"),
+    ("read_tracks", "item", "frames", _DELETE, ".frames: missing"),
+    ("read_tracks", "item", "frames", "x", f".frames: expected {_LIST}, got str"),
+    ("read_tracks", "item", "frames", {}, f".frames: expected {_LIST}, got dict"),
+    ("read_tracks", "item", "frames", [], ": track has no frames"),
+    ("read_detections", "entry", "kind", _DELETE, ".kind: missing"),
+    ("read_detections", "entry", "kind", "wobbling", ".kind: expected 'moving' or 'static'"),
+    ("read_detections", "entry", "kind", 3, f".kind: expected {_STR}, got int"),
+    ("read_detections", "entry", "kind", ["moving"], f".kind: expected {_STR}, got list"),
+    ("read_detections", "item", "index", _DELETE, ".index: missing"),
+    ("read_detections", "item", "index", True, f".index: expected {_INT}, got bool"),
+    ("read_detections", "item", "index", "3", f".index: expected {_INT}, got str"),
+    ("read_detections", "item", "index", 1.5, f".index: expected {_INT}, got float"),
+    ("read_detections", "item", "index", _Earlier("index"),
+     ".index: frame indices must be strictly increasing"),
+    ("read_detections", "item", "detections", _DELETE, ".detections: missing"),
+    ("read_detections", "item", "detections", "x", f".detections: expected {_LIST}, got str"),
+    ("read_detections", "item", "detections", {}, f".detections: expected {_LIST}, got dict"),
 ]
 
 
+# the test keeps its name, and so its ids, from when each reader had a batch pass
 @pytest.mark.parametrize("reader,corruption", [
-    (reader, c) for reader in sorted(_READER_PATHS) for c in _CORRUPTIONS if c[0] in (None, reader)
+    (reader, c) for reader in sorted(_READER_KEYS) for c in _CORRUPTIONS if c[0] in (None, reader)
 ], ids=lambda c: c if isinstance(c, str) else
     f"{c[1]}.{c[2]}={'missing' if c[3] is _DELETE else repr(c[3])[:20]}")
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_batch_reader_rejects_every_single_field_corruption(reader, corruption, data):
-    """The batch pass returns None, and the reader's error is the entry checker's, naming
-    the corrupted item."""
-    _, level, field, value = corruption
-    earlier = isinstance(value, _Earlier)
+    """The reader's error names the corrupted field with the message of its table row."""
+    _, level, field, value, message = corruption
+    earlier = isinstance(value, (_Earlier, _AfterBadRuns))
     doc = data.draw(_reader_documents(
         reader, min_items=1 + (earlier and level == "item"),
         min_entries=(level == "entry") + (earlier and level == "entry")))
-    batch, checked, key, group = _READER_PATHS[reader]
+    key, group = _READER_KEYS[reader]
     w, h, items = doc["width"], doc["height"], doc[key]
     i = data.draw(st.integers(int(earlier and level == "item"), len(items) - 1))
     if level == "item":
@@ -906,23 +960,24 @@ def test_batch_reader_rejects_every_single_field_corruption(reader, corruption, 
     else:
         container = items[i][group]
         k = data.draw(st.integers(int(earlier), len(container) - 1))
-    if earlier:
+    where = f"{key}[{i}]" if level == "item" else f"{key}[{i}].{group}[{k}]"
+    if isinstance(value, _Earlier):
         value = container[k - 1][value]
     elif isinstance(value, _BadRuns):
         value = _bad_runs(w * h)[value]
+    elif isinstance(value, _AfterBadRuns):
+        container[k - 1]["rle"] = _bad_runs(w * h)[0]
+        value = float(value)
     if field is None:
         container[k] = value
     elif value is _DELETE:
         del container[k][field]
     else:
         container[k][field] = value
-    assert batch(items, w, h) is None
     with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(fileio.SchemaError) as from_file:
+        with pytest.raises(fileio.SchemaError) as error:
             getattr(fileio, reader)(path)
-        with pytest.raises(fileio.SchemaError) as entry_by_entry:
-            checked(items, w, h, path)
-    assert str(from_file.value) == str(entry_by_entry.value)
-    assert str(from_file.value).startswith(f"{path}.{key}[{i}]")
+    assert str(error.value) == f"{path}.{where}" + message.format(
+        value=value, n=w * h, n_plus_1=w * h + 1)

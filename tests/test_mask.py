@@ -266,7 +266,8 @@ def test_value_cuts_match_dense_labels(dtype):
         # a sequence of two frames of these labels lists its regions in label order
         w = 2 if flat.size % 2 == 0 else 1
         frames = {0: flat.reshape(-1, w), 3: flat[::-1].reshape(-1, w)}
-        ignore = int(flat[0]) or None   # 0 is the background, never the ignore label
+        # 0 is the background, never the ignore label, and an ignore label is a PGM label
+        ignore = int(flat[0]) if 0 < flat[0] <= 65535 else None
         gt = GroundTruthSequence(w, flat.size // w, frames, ignore_value=ignore)
         ids = sorted(set(np.unique(flat).tolist()) - {0, ignore})
         assert gt.region_ids() == ids

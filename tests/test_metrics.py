@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -63,6 +64,21 @@ def test_background_as_ignore_label_rejected(ignore):
         GroundTruthSequence(4, 4, {0: labels}, ignore_value=ignore)
     gt = GroundTruthSequence(4, 4, {0: labels})
     assert prf("official", gt, [region(1, 4, 4, {0: (0, 0, 2, 4)})])[0] == 0.5
+
+
+@pytest.mark.parametrize("ignore", [-1, 65536, 70000, True, 2.5])
+def test_ignore_label_outside_pgm_range_rejected(ignore):
+    # True would ignore label 1; the others no PGM map holds, so they would ignore nothing
+    labels = rect_labels(4, 4, [(1, 0, 0, 2, 2)])
+    message = f"ignore_value {ignore!r} is not a PGM label (1 to 65535)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GroundTruthSequence(4, 4, {0: labels}, ignore_value=ignore)
+
+
+def test_largest_pgm_label_accepted_as_ignore_label():
+    labels = rect_labels(4, 4, [(1, 0, 0, 2, 2), (65535, 2, 2, 2, 2)])
+    gt = GroundTruthSequence(4, 4, {0: labels}, ignore_value=65535)
+    assert gt.ignore_value == 65535 and gt.region_ids() == [1]
 
 
 @given(st.integers(1, 12), st.integers(1, 8), st.sampled_from([None, 3, 7]),
