@@ -3,7 +3,7 @@
 from .assign import Matching, solve_max_assignment
 from .mask import (DimensionMismatchError, MalformedMaskError, Mask, MaskError, area, iou,
                    iou_matrix, mask_from_cuts, rle_decode, rle_encode, union_merge)
-from .metrics import (GroundTruthSequence, MetricReport, Region, average_precision,
+from .metrics import (GroundTruthSequence, MetricReport, average_precision,
                       binarize_detections, boundary_f, davis_j, delta_obj, evaluate)
 from .synth import (NoiseConfig, OcclusionEvent, PlacementError, SynthConfig,
                     corrupt, generate)
@@ -17,7 +17,7 @@ __all__ = [
     "DimensionMismatchError", "MalformedMaskError", "Mask", "MaskError",
     "area", "iou", "iou_matrix", "mask_from_cuts",
     "rle_decode", "rle_encode", "union_merge",
-    "GroundTruthSequence", "MetricReport", "Region", "average_precision",
+    "GroundTruthSequence", "MetricReport", "average_precision",
     "binarize_detections", "boundary_f", "davis_j", "delta_obj", "evaluate",
     "NoiseConfig", "OcclusionEvent", "PlacementError", "SynthConfig",
     "corrupt", "generate",

@@ -177,7 +177,7 @@ def _write_json(text: str, path) -> None:
 def _load_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # bad syntax or UTF-8, huge ints, deep nesting
         raise SchemaError(f"{path}: invalid JSON ({e})") from None
 
 

@@ -255,11 +255,13 @@ def area(mask: Mask) -> int:
     return mask._area
 
 
-def _require_same_dims(a: Mask, b: Mask) -> None:
-    if a.width != b.width or a.height != b.height:
-        raise DimensionMismatchError(
-            f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
+def _one_size(masks) -> tuple[int, int] | None:
+    """The one (width, height) all of ``masks`` share, None if there are none; masks of
+    two sizes are a DimensionMismatchError."""
+    sizes = {(m.width, m.height) for m in masks}
+    if len(sizes) > 1:
+        raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
+    return next(iter(sizes), None)
 
 
 def _interleave(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -349,7 +351,7 @@ def _sweep(cut_arrays, depth: int) -> np.ndarray:
 
 def iou(a: Mask, b: Mask) -> float:
     """Intersection over union; 0.0 when both masks are empty."""
-    _require_same_dims(a, b)
+    _one_size((a, b))
     inter = intersect_cuts(a.foreground_cuts, b.foreground_cuts)
     union = area(a) + area(b) - inter
     if union == 0:
@@ -376,12 +378,10 @@ def _pair_ious(a, b, ii, jj) -> np.ndarray:
     All masks of ``a`` and ``b`` must share one frame size.  The overlaps come
     from one ``_overlaps`` call at a stride of ``width*height + 1``.
     """
-    sizes = {(m.width, m.height) for m in chain(a, b)}
-    if len(sizes) > 1:
-        raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
+    size = _one_size(chain(a, b))
     if not len(ii):
         return np.zeros(0)
-    ((w, h),) = sizes
+    w, h = size
     inter = _overlaps([m.foreground_cuts for m in a], [m.foreground_cuts for m in b],
                       ii, jj, w * h + 1)
     # the callers' _boxes has kept every mask's area
@@ -401,16 +401,14 @@ def union_merge(masks, *, width: int | None = None, height: int | None = None) -
         if width is None or height is None:
             raise DimensionMismatchError("empty mask list requires explicit width/height")
         return Mask(width, height, (width * height,))
-    first = masks[0]
-    if (width, height) not in ((None, None), (first.width, first.height)):
+    w, h = _one_size(masks)
+    if (width, height) not in ((None, None), (w, h)):
         raise DimensionMismatchError("stated dimensions disagree with masks")
-    for m in masks[1:]:
-        _require_same_dims(first, m)
     # the masks' frame size was checked when they were made; metrics.binarize_detections
     # unions a sequence's frames as rows of masks whose size may exceed MAX_PIXELS
     cuts = _sweep([m.foreground_cuts for m in masks], 1)
     cuts.flags.writeable = False
-    return _mask(first.width, first.height, cuts)
+    return _mask(w, h, cuts)
 
 
 def _boxes(masks) -> np.ndarray:
@@ -507,12 +505,10 @@ def translate_many(masks, shifts) -> list[Mask]:
     at a row seam merge again.
     """
     masks = list(masks)
-    sizes = {(m.width, m.height) for m in masks}
-    if len(sizes) > 1:
-        raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
-    if not masks:
+    size = _one_size(masks)
+    if size is None:
         return []
-    ((w, h),) = sizes
+    w, h = size
     shifted = _translate_cuts([m.foreground_cuts for m in masks], shifts, w, h)
     return [_mask(w, h, cuts) for cuts in shifted]
 

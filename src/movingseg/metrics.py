@@ -20,18 +20,19 @@ object) pairs comes from one box test and one overlap count; DAVIS takes each
 frame's foreground straight from its label runs and binarizes the detections
 of all frames in one union.
 
-A ground-truth sequence keeps each frame's label runs.  The label values that
+An object across frames, predicted or ground truth, is one type: a
+``tracker.Track``, an id and one entry per frame it appears on.  A
+ground-truth sequence keeps each frame's label runs.  The label values that
 occur are taken from them once, and a frame's cuts per label value are
-grouped on first use and kept; of the metrics only map reads those, for its
-instance masks.
+grouped on first use and kept; ``tracks`` reads those for the objects, and
+map for its instance masks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,38 +40,12 @@ import numpy as np
 from . import mask as mask_module
 from .assign import solve_max_assignment
 from .mask import (DimensionMismatchError, Mask, _box_iou, _boxes, _frame_pixels, _from_cuts,
-                   _label_runs, _mask, _overlaps, _pair_ious, _pooled, _tagged_overlaps,
-                   _value_cuts, boundary_pixels, union_merge)
+                   _label_runs, _mask, _one_size, _overlaps, _pair_ious, _pooled,
+                   _tagged_overlaps, _value_cuts, boundary_pixels, union_merge)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
-
-REPORT_FIELDS = (
-    "precision",
-    "recall",
-    "f_measure",
-    "n_over_075",
-    "delta_obj",
-    "ap_box",
-    "ap_mask",
-    "j_mean",
-    "j_recall",
-    "j_decay",
-    "f_boundary",
-)
-
-
-@dataclass(frozen=True)
-class Region:
-    """One object's pixels across frames: a predicted track or a ground-truth instance."""
-
-    id: int
-    frames: Mapping[int, Mask]
-
-    def __post_init__(self) -> None:
-        dims = {(m.width, m.height) for m in self.frames.values()}
-        if len(dims) > 1:
-            raise ValueError(f"region {self.id} mixes mask dimensions {sorted(dims)}")
+from .tracker import Track, _detection, _track
 
 
 class GroundTruthSequence:
@@ -150,16 +125,17 @@ class GroundTruthSequence:
     def region_ids(self) -> list[int]:
         return [v for v in self._values if v != 0 and v != self.ignore_value]
 
-    def region(self, region_id: int) -> Region:
-        frames = {}
+    def tracks(self) -> list[Track]:
+        """Each object, in id order, as a track of score-1 moving entries on the frames
+        where it appears."""
+        entries = {rid: [] for rid in self.region_ids()}
         for frame in self.eval_frames():
-            cuts = self.frame_value_cuts(frame).get(region_id)
-            if cuts is not None:
-                frames[frame] = _mask(self.width, self.height, cuts)
-        return Region(region_id, frames)
-
-    def regions(self) -> list[Region]:
-        return [self.region(rid) for rid in self.region_ids()]
+            for value, cuts in self.frame_value_cuts(frame).items():
+                if value in entries:
+                    entries[value].append(
+                        _detection(frame, 1.0, _mask(self.width, self.height, cuts)))
+        # each id occurs, so on some frame with a non-empty mask, and the frames rise
+        return [_track(rid, tuple(es)) for rid, es in entries.items()]
 
     def _instance_cuts(self, frame: int) -> list[np.ndarray]:
         return [cuts for value, cuts in sorted(self.frame_value_cuts(frame).items())
@@ -230,21 +206,32 @@ class MetricReport:
         return out
 
 
-def _region_cuts(regions, frames: Sequence[int], width: int, height: int):
-    """The regions' pooled cuts over the sorted ``frames`` of a width x height sequence,
-    one region after another in one array, and each region's count of intervals."""
+REPORT_FIELDS = tuple(f.name for f in fields(MetricReport)
+                      if f.name not in ("flags", "per_sequence"))
+
+
+def _track_cuts(tracks: Sequence[Track], frames: Sequence[int], width: int, height: int):
+    """The tracks' entries on the sorted ``frames`` of a width x height sequence, pooled
+    one track after another in one array, and each track's count of intervals.
+
+    Every entry's mask must be width x height, on any frame.
+    """
     place = {f: k for k, f in enumerate(frames)}
-    entries, counts = [], []   # each region's (place, cuts) on ``frames``, in frame order
-    for r in regions:
-        m = next(iter(r.frames.values()), None)   # a Region holds one frame size
-        if m is not None and (m.width, m.height) != (width, height):
-            raise ValueError(f"region {r.id} is {m.width}x{m.height}, "
-                             f"sequence is {width}x{height}")
-        mine = sorted((place[f], r.frames[f].foreground_cuts) for f in r.frames if f in place)
-        entries += mine
-        counts.append(sum(len(c) for _, c in mine) // 2)
-    pooled = _pooled([c for _, c in entries], [k for k, _ in entries], width * height)
-    return pooled, np.array(counts, dtype=np.int64)
+    cut_sets, places, counts = [], [], []
+    for t in tracks:
+        n = 0
+        for d in t.entries:   # in rising frames, so each track's cuts come out in order
+            m = d.mask
+            if m.width != width or m.height != height:
+                raise ValueError(f"track {t.id} is {m.width}x{m.height} on frame {d.frame}, "
+                                 f"sequence is {width}x{height}")
+            k = place.get(d.frame)
+            if k is not None:
+                cut_sets.append(m.foreground_cuts)
+                places.append(k)
+                n += len(m.foreground_cuts)
+        counts.append(n // 2)
+    return _pooled(cut_sets, places, width * height), np.array(counts, dtype=np.int64)
 
 
 def _prf(inter: int, c_area: int, g_area: int) -> tuple[float, float, float]:
@@ -273,8 +260,8 @@ class SequenceTally:
     n_gt_regions: int
 
 
-def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
-                    official: bool) -> SequenceTally:
+def sequence_tally(gt: GroundTruthSequence, tracks: Sequence[Track],
+                   official: bool) -> SequenceTally:
     frames = gt.eval_frames()
     gt_ids = gt.region_ids()
     # one column per region, and a last one for the ignore label, empty unless it counts
@@ -285,7 +272,7 @@ def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
     gt_areas = np.zeros(len(gt_ids) + 1, dtype=np.int64)
     np.add.at(gt_areas, tags, ends - starts)
     gt_areas = gt_areas[:-1].tolist()
-    pred_cuts, counts = _region_cuts(preds, frames, gt.width, gt.height)
+    pred_cuts, counts = _track_cuts(tracks, frames, gt.width, gt.height)
     # the regions are disjoint, so each prediction interval is searched for once
     overlaps = _tagged_overlaps(pred_cuts, counts, starts, ends, tags, len(gt_ids) + 1)
     inter = overlaps[:, :-1]
@@ -306,7 +293,7 @@ def sequence_tally(gt: GroundTruthSequence, preds: Sequence[Region],
         pred_pixels=int(pred_pixels),
         gt_pixels=int(sum(gt_areas)),
         n_over_075=int(n_over),
-        n_predictions=len(preds),
+        n_predictions=len(tracks),
         n_gt_regions=len(gt_ids),
     )
 
@@ -418,10 +405,7 @@ def _binary_sequence(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Ma
         raise ValueError("empty sequence")
     if sorted(pred_binary) != frames:
         raise ValueError("prediction frames do not match ground-truth frames")
-    sizes = {(m.width, m.height) for m in chain(gt_binary.values(), pred_binary.values())}
-    if len(sizes) > 1:
-        raise DimensionMismatchError(f"mask dimensions differ: {sorted(sizes)}")
-    return frames, sizes.pop()
+    return frames, _one_size([*gt_binary.values(), *pred_binary.values()])
 
 
 def davis_j(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask]):
@@ -586,11 +570,6 @@ class _Options:
 # combine, ([(name, (n_objects, n_tracks, payload))], options) -> MetricReport,
 # that sets the values; the flags are the report's, the same for every metric.
 
-def _tally(gt, tracks, options, official):
-    preds = [Region(t.id, {d.frame: d.mask for d in t.entries}) for t in tracks]
-    return sequence_tally(gt, preds, official=official)
-
-
 def _pool_tallies(items, options, official):
     tallies = [tally for _, (_, _, tally) in items]
     n_over = sum(t.n_over_075 for t in tallies) if official else None
@@ -648,8 +627,10 @@ def _mean_davis(items, options):
 
 
 _METRICS = {
-    "proposed": (partial(_tally, official=False), partial(_pool_tallies, official=False)),
-    "official": (partial(_tally, official=True), partial(_pool_tallies, official=True)),
+    "proposed": (lambda gt, tracks, options: sequence_tally(gt, tracks, official=False),
+                 partial(_pool_tallies, official=False)),
+    "official": (lambda gt, tracks, options: sequence_tally(gt, tracks, official=True),
+                 partial(_pool_tallies, official=True)),
     "delta-obj": (lambda gt, tracks, options: None, _count_error),
     "map": (_ap_matches, _pooled_ap),
     "davis": (_davis_scores, _mean_davis),

@@ -173,9 +173,7 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
                 positions[i][1], velocities[i][1], cfg.height - h)
 
     gt = GroundTruthSequence._from_runs(cfg.width, cfg.height, runs)
-    tracks = [Track(r.id, tuple(Detection(f, 1.0, m) for f, m in r.frames.items()))
-              for r in gt.regions()]
-    return gt, tracks
+    return gt, gt.tracks()
 
 
 def _box_mask(box: tuple[int, int, int, int], width: int, height: int) -> Mask:

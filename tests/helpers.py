@@ -3,8 +3,18 @@
 import numpy as np
 
 from movingseg.mask import rle_encode
-from movingseg.metrics import GroundTruthSequence, Region
+from movingseg.metrics import GroundTruthSequence
 from movingseg.tracker import Detection, Track
+
+
+# JSON files that json.loads refuses with something other than a JSONDecodeError:
+# an integer beyond Python's digit limit, bytes that are not UTF-8, and nesting
+# past the recursion limit
+UNREADABLE_JSON = {
+    "huge-int": b'{"format_version": ' + b"7" * 5000 + b"}",
+    "bad-utf8": b'{"format_version": 1, "sequence": "\xff"}',
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+}
 
 
 def rect_mask(width, height, x, y, w, h):
@@ -27,15 +37,12 @@ def single_frame_gt(width, height, rects, ignore_value=None):
 
 
 def region(rid, width, height, frame_rects):
-    """Region from {frame: (x, y, w, h)}."""
-    return Region(rid, {f: rect_mask(width, height, *r) for f, r in frame_rects.items()})
+    """A track of score-1 moving detections from {frame: (x, y, w, h)}, the form
+    ``metrics.evaluate`` scores."""
+    return Track(rid, tuple(det(f, 1.0, width, height, *r)
+                            for f, r in sorted(frame_rects.items())))
 
 
 def det(frame, score, width, height, x, y, w, h, kind="moving"):
     return Detection(frame, score, rect_mask(width, height, x, y, w, h), kind)
 
-
-def tracks_of(regions):
-    """Each region as a track of score-1 detections, the form ``metrics.evaluate`` scores."""
-    return [Track(r.id, tuple(Detection(f, 1.0, m) for f, m in sorted(r.frames.items())))
-            for r in regions]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dense_reference import brute_force_assignment
-from helpers import det, rect_labels, rect_mask, region, single_frame_gt, tracks_of
+from helpers import det, rect_labels, rect_mask, region, single_frame_gt
 from movingseg import io as fileio
 from movingseg.assign import solve_max_assignment
 from movingseg.cli import main
@@ -67,8 +67,8 @@ def test_criterion_2_metric_contrast():
                                      w, h)}))
         extra = region(99, width, height,
                        {0: (int(rng.integers(20, 26)), int(rng.integers(0, 16)), 5, 5)})
-        def f_of(metric, regions):
-            return evaluate(metric, [("s", gt, tracks_of(regions))]).f_measure
+        def f_of(metric, tracks):
+            return evaluate(metric, [("s", gt, tracks)]).f_measure
 
         off_before = f_of("official", preds)
         off_after = f_of("official", preds + [extra])
@@ -91,13 +91,13 @@ def test_criterion_3_golden_hand_cases():
     gt = single_frame_gt(width, height, [(1, 0, 0, 10, 10)])
     preds = [region(1, width, height, {0: (0, 0, 10, 10)}),
              region(2, width, height, {0: (20, 0, 5, 10)})]
-    rep = evaluate("proposed", [("s", gt, tracks_of(preds))])
+    rep = evaluate("proposed", [("s", gt, preds)])
     ok = (abs(rep.precision - 2 / 3) < 1e-9 and abs(rep.recall - 1.0) < 1e-9
           and abs(rep.f_measure - 0.8) < 1e-9)
 
     gt2 = single_frame_gt(width, height, [(1, 0, 0, 10, 5)])
     pred = region(1, width, height, {0: (0, 0, 10, 10)})
-    one = evaluate("proposed", [("s", gt2, tracks_of([pred]))])
+    one = evaluate("proposed", [("s", gt2, [pred])])
     p, r, f = one.precision, one.recall, one.f_measure
     ok = ok and abs(p - 0.5) < 1e-9 and abs(r - 1.0) < 1e-9 and abs(f - 2 / 3) < 1e-9
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import movingseg
-from helpers import det, rect_labels
+from helpers import UNREADABLE_JSON, det, rect_labels
 from movingseg import cli
 from movingseg import io as fileio
 from movingseg.cli import main
@@ -609,6 +609,16 @@ _ABSURD_RUNS = st.one_of(
 
 class TestReaderFuzz:
     """Malformed inputs exit 2 without a traceback or a declared-size allocation."""
+
+    @pytest.mark.parametrize("doc", ["manifest", "tracks", "detections"])
+    @pytest.mark.parametrize("content", sorted(UNREADABLE_JSON))
+    def test_unreadable_json(self, tmp_path, doc, content):
+        evaluate, track = _fuzz_files(tmp_path)
+        path, argv = {"manifest": (tmp_path / "g" / "manifest.json", evaluate),
+                      "tracks": (tmp_path / "t.json", evaluate),
+                      "detections": (tmp_path / "d.json", track)}[doc]
+        path.write_bytes(UNREADABLE_JSON[content])
+        _assert_rejected(argv, f"{path}: invalid JSON (")
 
     @given(_PGMS)
     @settings(max_examples=60, deadline=None)

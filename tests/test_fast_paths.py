@@ -328,7 +328,8 @@ class TestBoxSkip:
     @settings(max_examples=25, deadline=None)
     def test_average_precision_matches_unskipped(self, seed):
         gt, moving, _ = _crowded_inputs(seed)
-        gt_frames = {f: [r.frames[f] for r in gt.regions() if f in r.frames]
+        tracks = gt.tracks()
+        gt_frames = {f: [d.mask for t in tracks for d in t.entries if d.frame == f]
                      for f in gt.eval_frames()}
 
         def run():

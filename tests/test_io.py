@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import grid_runs
-from helpers import det
+from helpers import UNREADABLE_JSON, det
 from movingseg import io as fileio
 from movingseg import mask as mask_module
 from movingseg import metrics
@@ -187,6 +187,15 @@ def test_frame_size_bound(tmp_path, reader):
     path.write_text(json.dumps({"format_version": 1, "width": MAX_PIXELS + 1, "height": 1,
                                 **_SIZED_DOCS[reader]}))
     with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.width:")):
+        getattr(fileio, reader)(path)
+
+
+@pytest.mark.parametrize("reader", sorted(_SIZED_DOCS))
+@pytest.mark.parametrize("content", sorted(UNREADABLE_JSON))
+def test_unreadable_json_is_a_schema_error(tmp_path, reader, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(UNREADABLE_JSON[content])
+    with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}: invalid JSON (")):
         getattr(fileio, reader)(path)
 
 

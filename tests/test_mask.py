@@ -181,7 +181,7 @@ def test_foreground_cuts_read_only():
     gt = GroundTruthSequence(4, 2, {0: np.array([[0, 1, 1, 2], [2, 2, 0, 0]], np.uint8)})
     built = [m, rle_encode(rle_decode(m), 4, 2), mask_from_cuts(np.array([1, 3]), 4, 2),
              union_merge([m, m]), *translate_many([m, m], [(1, 1), (0, 0)]),
-             gt.region(1).frames[0],
+             gt.tracks()[0].entries[0].mask,
              *gt.instance_masks(0), gt.foreground(0)]
     for mask in built:
         with pytest.raises(ValueError):
@@ -271,10 +271,14 @@ def test_value_cuts_match_dense_labels(dtype):
         gt = GroundTruthSequence(w, flat.size // w, frames, ignore_value=ignore)
         ids = sorted(set(np.unique(flat).tolist()) - {0, ignore})
         assert gt.region_ids() == ids
-        assert [r.id for r in gt.regions()] == ids
+        tracks = gt.tracks()
+        assert [t.id for t in tracks] == ids
         for f, label in frames.items():
             assert gt.instance_masks(f) == [rle_encode(label == v, w, flat.size // w)
                                             for v in ids]
+            # each object's track holds its mask on every frame where it appears
+            assert [(d.mask, d.score, d.kind) for t in tracks for d in t.entries
+                    if d.frame == f] == [(m, 1.0, "moving") for m in gt.instance_masks(f)]
 
 
 def test_mask_from_cuts_roundtrip():

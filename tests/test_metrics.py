@@ -7,22 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import average_precision_dense, brute_force_assignment
-from helpers import det, rect_labels, rect_mask, region, single_frame_gt, tracks_of
+from helpers import det, rect_labels, rect_mask, region, single_frame_gt
 from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rle_encode,
                             union_merge)
-from movingseg.metrics import (GroundTruthSequence, Region, SequenceTally, _f_matrix, _prf,
-                               _region_cuts, average_precision, binarize_detections, boundary_f,
-                               davis_j, delta_obj, evaluate, sequence_tally)
+from movingseg.metrics import (GroundTruthSequence, SequenceTally, _f_matrix, _prf, _track_cuts,
+                               average_precision, binarize_detections, boundary_f, davis_j,
+                               delta_obj, evaluate, sequence_tally)
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
-from movingseg.tracker import TrackerConfig, track_sequence
+from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
 
 W, H = 40, 20
 
 
 def report_of(metric, gt, preds):
-    """``evaluate``'s report of ``metric`` on one sequence, with regions as tracks."""
-    return evaluate(metric, [("s", gt, tracks_of(preds))])
+    """``evaluate``'s report of ``metric`` on one sequence of the tracks ``preds``."""
+    return evaluate(metric, [("s", gt, preds)])
 
 
 def prf(metric, gt, preds):
@@ -133,8 +133,7 @@ class TestPairwisePrf:
 
     def test_frames_outside_eval_are_invisible(self):
         gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
-        pred = Region(1, {0: rect_mask(W, H, 0, 0, 10, 10),
-                          5: rect_mask(W, H, 20, 10, 10, 5)})
+        pred = region(1, W, H, {0: (0, 0, 10, 10), 5: (20, 10, 10, 5)})
         assert prf("proposed", gt, [pred]) == (1.0, 1.0, 1.0)
 
     def test_ignore_pixels_removed_from_prediction(self):
@@ -271,7 +270,7 @@ class TestMeasureInvariants:
     def test_relabeling_invariance(self, seed):
         gt, preds = self._random_instance(seed)
         rep = report_of("proposed", gt, preds)
-        relabeled = [Region(1000 - i, p.frames) for i, p in enumerate(preds)]
+        relabeled = [Track(1000 - i, p.entries) for i, p in enumerate(preds)]
         rep2 = report_of("proposed", gt, relabeled)
         assert rep.values() == rep2.values()
 
@@ -312,8 +311,7 @@ class TestDatasetAggregation:
         gt_b = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])    # 100 px, half covered
         preds_a = [region(1, W, H, {0: (0, 0, 10, 10)})]
         preds_b = [region(1, W, H, {0: (0, 0, 10, 5)})]
-        rep = evaluate("proposed", [("a", gt_a, tracks_of(preds_a)),
-                                    ("b", gt_b, tracks_of(preds_b))])
+        rep = evaluate("proposed", [("a", gt_a, preds_a), ("b", gt_b, preds_b)])
         assert rep.precision == 1.0                      # 150 / 150
         assert rep.recall == pytest.approx(150 / 200)
         assert set(rep.per_sequence) == {"a", "b"}
@@ -324,7 +322,7 @@ class TestDatasetAggregation:
         exact = [region(1, W, H, {0: (0, 0, 10, 10)})]
         half = [region(1, W, H, {0: (0, 0, 10, 5)})]
         with pytest.raises(ValueError, match="duplicate sequence names"):
-            evaluate("proposed", [("a", gt, tracks_of(exact)), ("a", gt, tracks_of(half))])
+            evaluate("proposed", [("a", gt, exact), ("a", gt, half)])
 
 
 def test_evaluate_rejects_unknown_metric_and_no_sequences():
@@ -368,11 +366,23 @@ def test_evaluate_error_order_over_one_pass():
 ])
 def test_evaluate_rejects_bad_options_before_scoring(option, value):
     gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
-    tracks = tracks_of([region(1, W, H, {0: (0, 0, 10, 10)})])
+    tracks = [region(1, W, H, {0: (0, 0, 10, 10)})]
     with mock.patch("movingseg.metrics.sequence_tally") as tally:
         with pytest.raises(ValueError, match=f"^{option} must be"):
             evaluate("proposed", [("s", gt, tracks)], **{option: value})
     tally.assert_not_called()
+
+
+@pytest.mark.parametrize("odd,message", [
+    (region(7, W + 1, H, {0: (0, 0, 4, 4)}), "track 7 is 41x20 on frame 0"),
+    # the entry of another size lies on a frame that is not evaluated: every entry counts
+    (Track(7, (det(0, 1.0, W, H, 0, 0, 4, 4), det(5, 1.0, W, H + 1, 0, 0, 4, 4))),
+     "track 7 is 40x21 on frame 5"),
+])
+def test_tally_rejects_a_track_of_another_frame_size(odd, message):
+    gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
+    with pytest.raises(ValueError, match=f"^{message}, sequence is 40x20$"):
+        evaluate("proposed", [("s", gt, [region(1, W, H, {0: (0, 0, 10, 10)}), odd])])
 
 
 def test_delta_obj():
@@ -533,9 +543,9 @@ def _dense_f_matrix(gt, preds, official):
     dense_preds = []
     for p in preds:
         stack = {f: np.zeros((gt.height, gt.width), dtype=bool) for f in frames}
-        for f, m in p.frames.items():
-            if f in stack:
-                stack[f] = rle_decode(m).astype(bool)
+        for d in p.entries:
+            if d.frame in stack:
+                stack[d.frame] = rle_decode(d.mask).astype(bool)
         dense_preds.append(stack)
     inter = np.zeros((len(preds), len(gt_ids)), dtype=np.int64)
     c_area = np.zeros(len(preds), dtype=np.int64)
@@ -590,7 +600,8 @@ def _labelled_sequences(draw):
     ignore label (when there is one) lies inside objects; some frames are
     unlabelled.  Predictions are random pixels, a label's own pixels (so
     their runs start and end on label run ends), or empty, on labelled and
-    unlabelled frames; there may be none.
+    unlabelled frames; there may be none.  A track holds no empty mask and no
+    track is empty, so those are left out.
     """
     w, h = draw(st.integers(1, 7)), draw(st.integers(1, 5))
     n_frames = draw(st.integers(1, 4))
@@ -606,8 +617,8 @@ def _labelled_sequences(draw):
     gt = GroundTruthSequence(w, h, labels, ignore_value=ignore)
     preds = []
     for k in range(draw(st.integers(0, 4))):
-        frames = {}
-        for f in draw(st.sets(st.integers(0, n_frames))):   # frame n_frames is unlabelled
+        entries = []
+        for f in sorted(draw(st.sets(st.integers(0, n_frames)))):   # frame n_frames is unlabelled
             kind = draw(st.sampled_from(["random", "label", "label", "empty"]))
             if kind == "label" and f in labels:
                 grid = labels[f] == draw(st.sampled_from(values))
@@ -616,23 +627,25 @@ def _labelled_sequences(draw):
                 grid = rng.random((h, w)) < draw(st.sampled_from([0.2, 0.5, 0.9]))
             else:
                 grid = np.zeros((h, w), dtype=bool)
-            frames[f] = rle_encode(grid, w, h)
-        preds.append(Region(k + 1, frames))
+            if grid.any():
+                entries.append(Detection(f, 1.0, rle_encode(grid, w, h)))
+        if entries:
+            preds.append(Track(k + 1, tuple(entries)))
     return gt, preds
 
 
-@given(_labelled_sequences(), st.booleans())
+@given(_labelled_sequences())
 @settings(max_examples=200, deadline=None)
-def test_region_cuts_equal_frame_by_frame(case, reverse):
+def test_region_cuts_equal_frame_by_frame(case):
     gt, preds = case
-    if reverse:   # a region's frames in any order
-        preds = [Region(r.id, dict(reversed(r.frames.items()))) for r in preds]
     frames, frame_px = gt.eval_frames(), gt.width * gt.height
-    expected = [np.concatenate([np.empty(0, dtype=np.int64)]
-                               + [r.frames[f].foreground_cuts + k * frame_px
-                                  for k, f in enumerate(frames) if f in r.frames])
-                for r in preds]
-    pooled, counts = _region_cuts(preds, frames, gt.width, gt.height)
+    expected = []
+    for t in preds:
+        masks = {d.frame: d.mask for d in t.entries}
+        expected.append(np.concatenate([np.empty(0, dtype=np.int64)]
+                                       + [masks[f].foreground_cuts + k * frame_px
+                                          for k, f in enumerate(frames) if f in masks]))
+    pooled, counts = _track_cuts(preds, frames, gt.width, gt.height)
     assert pooled.dtype == np.int64
     assert counts.tolist() == [len(c) // 2 for c in expected]
     edges = np.cumsum([0, *(2 * counts).tolist()]).tolist()
