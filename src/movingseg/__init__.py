@@ -4,7 +4,7 @@ from .assign import Matching, solve_max_assignment
 from .mask import (DimensionMismatchError, MalformedMaskError, Mask, MaskError, area, iou,
                    iou_matrix, mask_from_cuts, rle_decode, rle_encode, union_merge)
 from .metrics import (GroundTruthSequence, MetricReport, average_precision,
-                      binarize_detections, boundary_f, davis_j, delta_obj, evaluate)
+                      binarize_detections, boundary_f, davis_j, evaluate)
 from .synth import (NoiseConfig, OcclusionEvent, PlacementError, SynthConfig,
                     corrupt, generate)
 from .tracker import (Detection, Track, TrackerConfig, bidirectional_track, gate,
@@ -18,7 +18,7 @@ __all__ = [
     "area", "iou", "iou_matrix", "mask_from_cuts",
     "rle_decode", "rle_encode", "union_merge",
     "GroundTruthSequence", "MetricReport", "average_precision",
-    "binarize_detections", "boundary_f", "davis_j", "delta_obj", "evaluate",
+    "binarize_detections", "boundary_f", "davis_j", "evaluate",
     "NoiseConfig", "OcclusionEvent", "PlacementError", "SynthConfig",
     "corrupt", "generate",
     "Detection", "Track", "TrackerConfig", "bidirectional_track", "gate",

@@ -28,9 +28,10 @@ high-resolution sequences cheap.  Binary searches and prefix sums carry all of i
   ``davis_j`` and the IoU of ``average_precision``, stacks the masks of one
   side into one such list under a single tag, one block per mask, and moves
   each pair's other mask into its block.
-- New interval sets (``union_merge``, the interior behind
-  ``boundary_pixels``) come from a running sum of +1 at every interval start
-  and -1 at every end over the sorted boundaries of all operands.
+- New interval sets (``union_merge``, the binarized frames of
+  ``metrics.binarize_detections``, the interior behind ``boundary_pixels``)
+  come from ``_sweep``, a running sum of +1 at every interval start and -1 at
+  every end over the sorted boundaries of all operands.
 
 Translation, of all of a frame's masks at once, and boundary extraction first
 split runs at row ends.
@@ -333,7 +334,8 @@ def intersect_cuts(a: np.ndarray, b: np.ndarray) -> int:
 def _sweep(cut_arrays, depth: int) -> np.ndarray:
     """Boundaries of the pixels lying in at least ``depth`` of the interval sets.
 
-    Each set's intervals must be disjoint and non-empty.  Starts sort before
+    Each set's intervals must be non-empty, and disjoint unless ``depth`` is 1:
+    a union may take overlapping intervals in one set.  Starts sort before
     ends at one position, so touching intervals join in a union; the empty
     intervals this leaves where sets only touch are dropped.
     """
@@ -367,7 +369,7 @@ def iou_matrix(a, b) -> np.ndarray:
     """
     a, b = list(a), list(b)
     out = np.zeros((len(a), len(b)))
-    ii, jj = np.nonzero(boxes_meet(a, b))
+    ii, jj = np.nonzero(_meet(_boxes(a)[:, None, :], _boxes(b)[None, :, :]))
     out[ii, jj] = _pair_ious(a, b, ii, jj)
     return out
 
@@ -404,11 +406,7 @@ def union_merge(masks, *, width: int | None = None, height: int | None = None) -
     w, h = _one_size(masks)
     if (width, height) not in ((None, None), (w, h)):
         raise DimensionMismatchError("stated dimensions disagree with masks")
-    # the masks' frame size was checked when they were made; metrics.binarize_detections
-    # unions a sequence's frames as rows of masks whose size may exceed MAX_PIXELS
-    cuts = _sweep([m.foreground_cuts for m in masks], 1)
-    cuts.flags.writeable = False
-    return _mask(w, h, cuts)
+    return _from_cuts(w, h, _sweep([m.foreground_cuts for m in masks], 1))
 
 
 def _boxes(masks) -> np.ndarray:
@@ -451,14 +449,6 @@ def _cut_bounds(cut_sets, widths) -> np.ndarray:
     out[full, 3] = row_e[first + n[full] - 1]
     out[full, 4] = np.add.reduceat(cuts[1::2] - cuts[0::2], first)
     return out
-
-
-def boxes_meet(a, b) -> np.ndarray:
-    """len(a) x len(b) matrix: whether the bounding boxes of a[i] and b[j] share a pixel.
-
-    Masks whose boxes are disjoint (or either empty) have an IoU of exactly 0.
-    """
-    return _meet(_boxes(a)[:, None, :], _boxes(b)[None, :, :])
 
 
 def _meet(ba: np.ndarray, bb: np.ndarray) -> np.ndarray:

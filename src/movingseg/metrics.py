@@ -7,7 +7,7 @@ false-positive-penalizing ("proposed") variant keeps the same matching but
 divides by the pixels of *all* predictions, so spurious regions pull precision
 down, and it counts every pixel including ignore-labeled ones.
 
-Also here: per-sequence object-count error (delta_obj), single-category
+Also here: per-sequence object-count error (delta-obj), single-category
 average precision at an IoU threshold, binary-mask J statistics, and a
 boundary F-measure with a distance tolerance.  ``evaluate`` is the one entry
 to all five metrics, for the library and the CLI alike: it scores each named
@@ -40,8 +40,8 @@ import numpy as np
 from . import mask as mask_module
 from .assign import solve_max_assignment
 from .mask import (DimensionMismatchError, Mask, _box_iou, _boxes, _frame_pixels, _from_cuts,
-                   _label_runs, _mask, _one_size, _overlaps, _pair_ious, _pooled,
-                   _tagged_overlaps, _value_cuts, boundary_pixels, union_merge)
+                   _label_runs, _mask, _one_size, _overlaps, _pair_ious, _pooled, _sweep,
+                   _tagged_overlaps, _value_cuts, boundary_pixels)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
@@ -210,26 +210,30 @@ REPORT_FIELDS = tuple(f.name for f in fields(MetricReport)
                       if f.name not in ("flags", "per_sequence"))
 
 
+def _check_size(gt: GroundTruthSequence, tracks: Sequence[Track]) -> None:
+    """Refuse a track with an entry, on any frame, whose mask is not the sequence's size."""
+    for t in tracks:
+        for d in t.entries:
+            m = d.mask
+            if m.width != gt.width or m.height != gt.height:
+                raise ValueError(f"track {t.id} is {m.width}x{m.height} on frame {d.frame}, "
+                                 f"sequence is {gt.width}x{gt.height}")
+
+
 def _track_cuts(tracks: Sequence[Track], frames: Sequence[int], width: int, height: int):
     """The tracks' entries on the sorted ``frames`` of a width x height sequence, pooled
-    one track after another in one array, and each track's count of intervals.
-
-    Every entry's mask must be width x height, on any frame.
-    """
+    one track after another in one array, and each track's count of intervals."""
     place = {f: k for k, f in enumerate(frames)}
     cut_sets, places, counts = [], [], []
     for t in tracks:
         n = 0
         for d in t.entries:   # in rising frames, so each track's cuts come out in order
-            m = d.mask
-            if m.width != width or m.height != height:
-                raise ValueError(f"track {t.id} is {m.width}x{m.height} on frame {d.frame}, "
-                                 f"sequence is {width}x{height}")
             k = place.get(d.frame)
             if k is not None:
-                cut_sets.append(m.foreground_cuts)
+                cuts = d.mask.foreground_cuts
+                cut_sets.append(cuts)
                 places.append(k)
-                n += len(m.foreground_cuts)
+                n += len(cuts)
         counts.append(n // 2)
     return _pooled(cut_sets, places, width * height), np.array(counts, dtype=np.int64)
 
@@ -262,6 +266,7 @@ class SequenceTally:
 
 def sequence_tally(gt: GroundTruthSequence, tracks: Sequence[Track],
                    official: bool) -> SequenceTally:
+    _check_size(gt, tracks)
     frames = gt.eval_frames()
     gt_ids = gt.region_ids()
     # one column per region, and a last one for the ignore label, empty unless it counts
@@ -295,18 +300,6 @@ def sequence_tally(gt: GroundTruthSequence, tracks: Sequence[Track],
         n_over_075=int(n_over),
         n_predictions=len(tracks),
         n_gt_regions=len(gt_ids),
-    )
-
-
-def delta_obj(gt_counts: Mapping[str, int], pred_counts: Mapping[str, int]) -> float:
-    """Mean over sequences of |predicted object count - ground-truth count|."""
-    if set(gt_counts) != set(pred_counts):
-        missing = set(gt_counts) ^ set(pred_counts)
-        raise ValueError(f"sequence keys differ: {sorted(missing)}")
-    if not gt_counts:
-        raise ValueError("no sequences")
-    return float(
-        sum(abs(pred_counts[k] - gt_counts[k]) for k in gt_counts) / len(gt_counts)
     )
 
 
@@ -351,7 +344,7 @@ def _frame_ious(gt_by_frame, dets_by_frame, mode: str) -> list[np.ndarray]:
     if mode == "box":
         ious[:] = _box_iou(ba, bb)
     else:
-        # looked up in mask, as boxes_meet does, so the box test has one binding
+        # looked up in mask, as iou_matrix does, so the box test has one binding
         at = np.flatnonzero(mask_module._meet(ba, bb))
         ious[at] = _pair_ious(a, b, ii[at], jj[at])
     return [ious[k:k + n * m].reshape(n, m)
@@ -479,8 +472,11 @@ def _far(points: np.ndarray, targets: np.ndarray, moves, width: int,
 
 
 def default_boundary_tolerance(width: int, height: int, pct: float = 0.8) -> int:
-    """Boundary match distance: given percent of the image diagonal, rounded up."""
-    return math.ceil(pct / 100.0 * math.hypot(width, height))
+    """Boundary match distance: given percent of the image diagonal, rounded up.
+
+    A percentage above 100 acts as 100: every distance within the frame matches.
+    """
+    return math.ceil(min(pct, 100.0) / 100.0 * math.hypot(width, height))
 
 
 def boundary_f(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask],
@@ -522,27 +518,17 @@ def binarize_detections(dets_by_frame, threshold: float = 0.7, *,
                         width: int, height: int) -> dict[int, Mask]:
     """Per frame, the union of detection masks scoring strictly above the threshold.
 
-    All frames are unioned by one ``union_merge`` call.  The k-th sorted frame
-    becomes row k of one image ``width*height + 1`` pixels wide, whose last
-    column, never covered, keeps each frame's intervals apart from the next's.
-    So the j-th kept mask of every frame, together, is one mask of that image.
+    All frames are unioned by one ``_sweep``: the kept masks of the k-th sorted
+    frame are moved up by k times ``width*height + 1``, so a spare pixel, never
+    covered, keeps each frame's intervals apart from the next's.
     """
     frames = sorted(dets_by_frame)
     kept = [(k, d.mask) for k, f in enumerate(frames) for d in dets_by_frame[f]
             if d.score > threshold]
     if {(m.width, m.height) for _, m in kept} - {(width, height)}:
         raise DimensionMismatchError("stated dimensions disagree with masks")
-    place = np.fromiter((k for k, _ in kept), np.int64, len(kept))
-    rank = np.arange(len(kept)) - np.searchsorted(place, place)   # among its frame's
-    order = np.lexsort((place, rank))   # the first kept of each frame, then the second, ...
     stride = width * height + 1
-    cut_sets = [kept[i][1].foreground_cuts for i in order.tolist()]
-    pooled = _pooled(cut_sets, place[order], stride)
-    pooled.flags.writeable = False
-    lengths = np.fromiter(map(len, cut_sets), np.int64, len(cut_sets))
-    ends = np.cumsum(lengths)[np.cumsum(np.bincount(rank)) - 1].tolist()   # of each layer
-    rows = [_mask(stride, len(frames), pooled[a:b]) for a, b in zip([0, *ends], ends)]
-    cuts = union_merge(rows).foreground_cuts if rows else pooled
+    cuts = _sweep([_pooled([m.foreground_cuts for _, m in kept], [k for k, _ in kept], stride)], 1)
     edges = [0, *np.searchsorted(cuts, np.arange(1, len(frames) + 1) * stride).tolist()]
     local = cuts - np.repeat(np.arange(len(frames)) * stride, np.diff(edges))
     return {f: _from_cuts(width, height, local[a:b]) for f, a, b in zip(frames, edges, edges[1:])}
@@ -582,8 +568,9 @@ def _pool_tallies(items, options, official):
 
 
 def _count_error(items, options):
-    return MetricReport(delta_obj=delta_obj({name: n_gt for name, (n_gt, _, _) in items},
-                                            {name: n_pred for name, (_, n_pred, _) in items}))
+    """The mean over sequences of |predicted object count - ground-truth count|."""
+    return MetricReport(delta_obj=sum(abs(n_pred - n_gt) for _, (n_gt, n_pred, _) in items)
+                        / len(items))
 
 
 def _detections_by_frame(gt, tracks):
@@ -649,7 +636,9 @@ def evaluate(metric: str, sequences, **options) -> MetricReport:
     ``metric`` is one of ``proposed``, ``official``, ``delta-obj``, ``map`` and
     ``davis``; the options are ``map_mode`` ("mask"), ``binarize_threshold``
     (0.7) and ``boundary_tolerance`` (0.8, percent of the image diagonal), as
-    the CLI's flags of the same names.  Tracks are ``tracker.Track``s.
+    the CLI's flags of the same names.  Tracks are ``tracker.Track``s; an entry,
+    on any frame, whose mask is not the sequence's size is a ValueError naming
+    its track.
     ``sequences`` is any iterable, read once: each sequence is scored as it
     arrives and only its score is kept, so a generator of loads holds one
     sequence at a time.
@@ -664,6 +653,7 @@ def evaluate(metric: str, sequences, **options) -> MetricReport:
 
     def scored(triple):
         name, gt, tracks = triple
+        _check_size(gt, tracks)
         return name, (len(gt.region_ids()), len(tracks), score(gt, tracks, opts))
 
     # map lets go of each triple once it is scored; a for loop would keep it bound

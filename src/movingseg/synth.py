@@ -13,6 +13,7 @@ byte-identical outputs anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +41,17 @@ class NoiseConfig:
 
     def __post_init__(self) -> None:
         _require_finite(self, "score_mean", "score_spread", "fp_rate", "fn_rate")
-        if self.jitter_px < 0:
-            raise ValueError("jitter_px must be >= 0")
+        # rng.integers' bounds and _translate_cuts' row and column sums stay in int64
+        if not 0 <= self.jitter_px <= 2**62:
+            raise ValueError(f"jitter_px must lie in [0, 2**62], got {self.jitter_px}")
         for name in ("fp_rate", "fn_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.score_spread < 0:
-            raise ValueError("score_spread must be >= 0")
+        # rng.uniform's range, twice the spread, must be a finite float
+        if not 0 <= self.score_spread <= sys.float_info.max / 2:
+            raise ValueError("score_spread must lie in [0, sys.float_info.max / 2], "
+                             f"got {self.score_spread}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,8 @@ class SynthConfig:
     noise: NoiseConfig = NoiseConfig()
 
     def __post_init__(self) -> None:
+        if self.seed < 0:   # a SeedSequence key
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.frames < 1 or self.width < 1 or self.height < 1 or self.objects < 1:
             raise ValueError("frames, width, height and objects must be positive")
         if self.shape not in ("rectangle", "ellipse"):

@@ -269,6 +269,30 @@ class TestFloatOptions:
         assert err.startswith("usage error:") and option in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,value,field", [
+        ("--seed", "-1", "seed"), ("--score-spread", "1e308", "score_spread"),
+        ("--jitter", "1000000000000000000000", "jitter_px")])
+    def test_synth_value_the_generators_cannot_draw_with_is_a_usage_error(
+            self, tmp_path, capsys, option, value, field):
+        out = tmp_path / "out"
+        assert main(["synth", *_BASE_ARGS["synth"], "--out", str(out), f"{option}={value}"]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {field} must")
+        assert not out.exists()
+
+    def test_boundary_tolerance_past_the_diagonal_acts_as_100(self, tmp_path):
+        tree = tmp_path / "s"
+        assert main(synth_args(tree, frames=4, extra=["--jitter", "2"])) == 0
+        assert main(["track", "--detections", str(tree / "detections.json"),
+                     "--out", str(tree / "tracks.json")]) == 0
+        reports = {}
+        for pct in ("1e308", "1000", "100", "0.8"):
+            reports[pct] = tmp_path / f"{pct}.json"
+            assert main(["evaluate", "--gt", str(tree / "manifest.json"),
+                         "--pred", str(tree / "tracks.json"), "--metric", "davis",
+                         "--boundary-tolerance", pct, "--out", str(reports[pct])]) == 0
+        report = reports.pop("0.8").read_bytes()
+        assert len({r.read_bytes() for r in reports.values()} - {report}) == 1
+
     def test_huge_velocity_finishes(self, tmp_path):
         src = str(Path(movingseg.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [

@@ -302,9 +302,9 @@ def _all_meet(ba, bb):
 class TestBoxSkip:
     """Skipping pairs with disjoint bounding boxes changes no result.
 
-    ``iou_matrix`` (through ``mask.boxes_meet``) and ``metrics._frame_ious``
-    find the pairs to test with ``mask._meet``; patching that one binding to
-    pass every pair gives the unskipped result.
+    ``iou_matrix`` and ``metrics._frame_ious`` find the pairs to test with
+    ``mask._meet``; patching that one binding to pass every pair gives the
+    unskipped result.
     """
 
     @given(st.integers(0, 10_000))
@@ -390,18 +390,26 @@ def test_frame_ious_refuse_mixed_frame_sizes_in_mask_mode():
 @given(st.data(), st.integers(1, 9), st.integers(1, 9))
 @settings(max_examples=200, deadline=None)
 def test_binarize_equals_union_merge_frame_by_frame(data, w, h):
-    dets_by_frame = {}
-    for f in data.draw(st.lists(st.integers(0, 20), unique=True, max_size=5)):
+    """Against ``union_merge`` and the dense OR of each frame's kept masks; frame keys
+    may be negative and come in any order."""
+    dets_by_frame, dense = {}, {}
+    for f in data.draw(st.lists(st.integers(-20, 20), unique=True, max_size=5)):
         grids_ = data.draw(st.lists(frame_grids(w, h), max_size=4))
         scores = data.draw(st.lists(st.sampled_from([0.5, 0.7, 0.71, 0.9]),
                                     min_size=len(grids_), max_size=len(grids_)))
         dets_by_frame[f] = [Scored(s, rle_encode(g, w, h)) for g, s in zip(grids_, scores)]
+        dense[f] = np.zeros(w * h, dtype=bool)
+        for g, s in zip(grids_, scores):
+            if s > 0.7:
+                dense[f] |= g.ravel().astype(bool)
     out = binarize_detections(dets_by_frame, width=w, height=h)
     assert list(out) == sorted(dets_by_frame)
     for f, dets in dets_by_frame.items():
         expected = union_merge([d.mask for d in dets if d.score > 0.7], width=w, height=h)
         assert out[f] == expected and out[f].foreground_cuts.dtype == np.int64
         assert not out[f].foreground_cuts.flags.writeable
+        cuts = out[f].foreground_cuts.tolist()
+        assert interval_grid(cuts, w * h).tolist() == dense[f].tolist()
 
 
 def test_binarize_keeps_adjacent_frames_apart():

@@ -13,7 +13,7 @@ from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rl
                             union_merge)
 from movingseg.metrics import (GroundTruthSequence, SequenceTally, _f_matrix, _prf, _track_cuts,
                                average_precision, binarize_detections, boundary_f, davis_j,
-                               delta_obj, evaluate, sequence_tally)
+                               default_boundary_tolerance, evaluate, sequence_tally)
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
 
@@ -380,17 +380,39 @@ def test_evaluate_rejects_bad_options_before_scoring(option, value):
      "track 7 is 40x21 on frame 5"),
 ])
 def test_tally_rejects_a_track_of_another_frame_size(odd, message):
+    """Every metric refuses it with one message, before scoring; so does the public
+    ``sequence_tally``."""
     gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
-    with pytest.raises(ValueError, match=f"^{message}, sequence is 40x20$"):
-        evaluate("proposed", [("s", gt, [region(1, W, H, {0: (0, 0, 10, 10)}), odd])])
+    match = f"^{message}, sequence is 40x20$"
+    for metric in ("proposed", "official", "delta-obj", "map", "davis"):
+        with mock.patch("movingseg.metrics.sequence_tally") as tally:
+            with pytest.raises(ValueError, match=match):
+                evaluate(metric, [("s", gt, [region(1, W, H, {0: (0, 0, 10, 10)}), odd])])
+        tally.assert_not_called()
+    for official in (False, True):
+        with pytest.raises(ValueError, match=match):
+            sequence_tally(gt, [odd], official)
 
 
 def test_delta_obj():
-    assert delta_obj({"s": 3}, {"s": 3}) == 0.0
-    assert delta_obj({"a": 2, "b": 1}, {"a": 2, "b": 4}) == 1.5
-    assert delta_obj({"s": 0}, {"s": 4}) == 4.0
-    with pytest.raises(ValueError):
-        delta_obj({"a": 1}, {"b": 1})
+    def sequence(name, n_gt, n_pred):
+        gt = single_frame_gt(W, H, [(i + 1, 2 * i, 0, 1, 1) for i in range(n_gt)])
+        return name, gt, [region(i + 1, W, H, {0: (2 * i, 2, 1, 1)}) for i in range(n_pred)]
+
+    assert evaluate("delta-obj", [sequence("s", 3, 3)]).delta_obj == 0.0
+    assert evaluate("delta-obj", [sequence("a", 2, 2), sequence("b", 1, 4)]).delta_obj == 1.5
+    assert evaluate("delta-obj", [sequence("s", 0, 4)]).delta_obj == 4.0
+
+
+@pytest.mark.parametrize("pct", [100.0, 150.0, 1e6, 1e308, 1.7976931348623157e308])
+def test_boundary_tolerance_beyond_the_diagonal_acts_as_100(pct):
+    """Past 100 percent every distance within the frame matches; a product with the
+    diagonal that overflows a float is no traceback."""
+    assert default_boundary_tolerance(W, H, pct) == default_boundary_tolerance(W, H, 100.0)
+    gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
+    tracks = [region(1, W, H, {0: (25, 8, 12, 12)})]
+    assert (evaluate("davis", [("s", gt, tracks)], boundary_tolerance=pct)
+            == evaluate("davis", [("s", gt, tracks)], boundary_tolerance=100.0))
 
 
 @pytest.mark.parametrize("mode", ["box", "mask"])

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -170,6 +171,30 @@ def test_configs_reject_non_finite_floats(config, kwargs, name, bad):
         with pytest.raises(ValueError, match=name):
             config(**kwargs, **{name: value})
     config(**kwargs)   # the defaults are finite
+
+
+@pytest.mark.parametrize("config,kwargs,bad,bound", [
+    (SynthConfig, dict(frames=1, width=8, height=8), {"seed": -1}, {"seed": 0}),
+    (NoiseConfig, {}, {"score_spread": 1e308}, {"score_spread": sys.float_info.max / 2}),
+    (NoiseConfig, {}, {"jitter_px": 2**62 + 1}, {"jitter_px": 2**62}),
+    (NoiseConfig, {}, {"jitter_px": 10**21}, {"jitter_px": 2**62}),
+], ids=["seed", "score_spread", "jitter_px", "jitter_px-beyond-int64"])
+def test_configs_refuse_values_the_generators_cannot_draw_with(config, kwargs, bad, bound):
+    """A seed SeedSequence refuses, or a spread or jitter whose range overflows a draw,
+    is a ValueError naming the field; the bound itself is accepted."""
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        config(**kwargs, **bad)
+    config(**kwargs, **bound)
+
+
+def test_the_largest_spread_and_jitter_run():
+    gt, _ = generate(base_cfg(frames=2, objects=2, seed=0))
+    noise = NoiseConfig(jitter_px=2**62, score_spread=sys.float_info.max / 2, fp_rate=1.0)
+    dets = corrupt(gt, noise, seed=0)
+    # every object is shifted out of the frame or not at all; only false positives remain
+    assert all(0.0 <= d.score <= 1.0 for ds in dets.values() for d in ds)
+    assert corrupt(gt, noise, seed=0) == dets
 
 
 class TestCorrupt:
