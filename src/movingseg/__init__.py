@@ -2,7 +2,7 @@
 
 from .assign import Matching, solve_max_assignment
 from .mask import (DimensionMismatchError, MalformedMaskError, Mask, MaskError, area, iou,
-                   iou_matrix, mask_from_cuts, rle_decode, rle_encode, union_merge)
+                   iou_matrix, mask_from_cuts, rle_decode, rle_encode)
 from .metrics import (GroundTruthSequence, MetricReport, average_precision,
                       binarize_detections, boundary_f, davis_j, evaluate)
 from .synth import (NoiseConfig, OcclusionEvent, PlacementError, SynthConfig,
@@ -16,7 +16,7 @@ __all__ = [
     "Matching", "solve_max_assignment",
     "DimensionMismatchError", "MalformedMaskError", "Mask", "MaskError",
     "area", "iou", "iou_matrix", "mask_from_cuts",
-    "rle_decode", "rle_encode", "union_merge",
+    "rle_decode", "rle_encode",
     "GroundTruthSequence", "MetricReport", "average_precision",
     "binarize_detections", "boundary_f", "davis_j", "evaluate",
     "NoiseConfig", "OcclusionEvent", "PlacementError", "SynthConfig",

@@ -11,7 +11,7 @@ together, by ``_split_runs``, which converts every run of them in one
 ``array`` pass.  Cuts that are canonical by construction, such as ``_sweep``
 output, go unchecked to ``_from_cuts``, which applies the frame-size rule and
 makes them read-only; ``mask_from_cuts`` checks any other cuts once.
-``_split_runs``, ``translate_many`` and ``_value_cuts`` (which groups the runs
+``_split_runs``, ``_translate_cuts`` and ``_value_cuts`` (which groups the runs
 of the one run finder ``_label_runs`` by value) make one read-only array per
 call, and each Mask over a slice of it is built with ``_mask``, the one
 constructor that checks nothing.
@@ -28,10 +28,10 @@ high-resolution sequences cheap.  Binary searches and prefix sums carry all of i
   ``davis_j`` and the IoU of ``average_precision``, stacks the masks of one
   side into one such list under a single tag, one block per mask, and moves
   each pair's other mask into its block.
-- New interval sets (``union_merge``, the binarized frames of
-  ``metrics.binarize_detections``, the interior behind ``boundary_pixels``)
-  come from ``_sweep``, a running sum of +1 at every interval start and -1 at
-  every end over the sorted boundaries of all operands.
+- New interval sets (the binarized frames of ``metrics.binarize_detections``,
+  the interior behind ``boundary_pixels``) come from ``_sweep``, a running sum
+  of +1 at every interval start and -1 at every end over the sorted boundaries
+  of all operands.
 
 Translation, of all of a frame's masks at once, and boundary extraction first
 split runs at row ends.
@@ -393,22 +393,6 @@ def _pair_ious(a, b, ii, jj) -> np.ndarray:
     return inter / (area_a[ii] + area_b[jj] - inter)
 
 
-def union_merge(masks, *, width: int | None = None, height: int | None = None) -> Mask:
-    """Pixelwise OR of masks sharing one frame size.
-
-    An empty input list yields the empty mask of the stated dimensions.
-    """
-    masks = list(masks)
-    if not masks:
-        if width is None or height is None:
-            raise DimensionMismatchError("empty mask list requires explicit width/height")
-        return Mask(width, height, (width * height,))
-    w, h = _one_size(masks)
-    if (width, height) not in ((None, None), (w, h)):
-        raise DimensionMismatchError("stated dimensions disagree with masks")
-    return _from_cuts(w, h, _sweep([m.foreground_cuts for m in masks], 1))
-
-
 def _boxes(masks) -> np.ndarray:
     """(len(masks), 4) int64 inclusive (x0, y0, x1, y1) foreground bounds.
 
@@ -487,25 +471,10 @@ def _row_runs(cuts: np.ndarray, width: int):
     return rows, x0, x1, piece
 
 
-def translate_many(masks, shifts) -> list[Mask]:
-    """Each mask shifted by its own (dx, dy) of ``shifts``; what leaves the frame is cut off.
-
-    All masks must share one frame size.  Their intervals are split at row
-    ends, shifted and clipped together; pieces of one mask that a shift joins
-    at a row seam merge again.
-    """
-    masks = list(masks)
-    size = _one_size(masks)
-    if size is None:
-        return []
-    w, h = size
-    shifted = _translate_cuts([m.foreground_cuts for m in masks], shifts, w, h)
-    return [_mask(w, h, cuts) for cuts in shifted]
-
-
 def _translate_cuts(cut_sets, shifts, w: int, h: int) -> list[np.ndarray]:
-    """``translate_many`` on the interval sets ``cut_sets`` of a w x h frame: the shifted
-    sets, read-only views of one array."""
+    """Each interval set of ``cut_sets``, of a w x h frame, shifted by its own (dx, dy) of
+    ``shifts`` and clipped to the frame; pieces of a set that a shift joins at a row seam
+    merge again.  The shifted sets are read-only views of one array."""
     if not cut_sets:
         return []
     n = np.fromiter(map(len, cut_sets), np.int64, len(cut_sets)) // 2

@@ -79,16 +79,20 @@ class SynthConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.frames < 1 or self.width < 1 or self.height < 1 or self.objects < 1:
             raise ValueError("frames, width, height and objects must be positive")
+        if self.objects > 65535:   # the largest label a PGM map holds
+            raise ValueError(f"objects must be at most 65535, got {self.objects}")
         if self.shape not in ("rectangle", "ellipse"):
             raise ValueError(f"unknown shape {self.shape!r}")
         _require_finite(self, "velocity")
         lo, hi = self.velocity
         if lo < 0 or hi < lo:
             raise ValueError(f"bad velocity range {self.velocity}")
-        if self.object_size is not None:
-            s_lo, s_hi = self.object_size
-            if s_lo < _MIN_OBJECT or s_hi < s_lo:
-                raise ValueError(f"bad object_size range {self.object_size}")
+        s_lo, s_hi = self._size_range()
+        if s_lo < _MIN_OBJECT or s_hi < s_lo:
+            raise ValueError(f"bad object_size range {self.object_size}")
+        if s_hi > min(self.width, self.height):
+            raise PlacementError(
+                f"canvas {self.width}x{self.height} cannot hold a {s_hi}px object")
         # an event outside the objects or frames, or of no frames, would occlude nothing
         for k, ev in enumerate(self.occlusions):
             for name, value, end in (("object_index", ev.object_index, self.objects),
@@ -97,6 +101,12 @@ class SynthConfig:
                     raise ValueError(f"occlusions[{k}].{name} must lie in [0, {end}), got {value}")
             if ev.duration < 1:
                 raise ValueError(f"occlusions[{k}].duration must be at least 1, got {ev.duration}")
+
+    def _size_range(self) -> tuple[int, int]:
+        """Side lengths objects draw from: object_size, or 3 px to a third of the canvas."""
+        if self.object_size is not None:
+            return self.object_size
+        return _MIN_OBJECT, max(_MIN_OBJECT, min(self.width, self.height) // 3)
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -131,15 +141,7 @@ def _paint(label: np.ndarray, x0: int, y0: int, w: int, h: int,
 
 def generate(cfg: SynthConfig) -> tuple[GroundTruthSequence, list[Track]]:
     """Render the configured sequence into label maps plus ground-truth tracks."""
-    if cfg.object_size is not None:
-        size_lo, size_hi = cfg.object_size
-    else:
-        size_lo = _MIN_OBJECT
-        size_hi = max(_MIN_OBJECT, min(cfg.width, cfg.height) // 3)
-    if size_hi > min(cfg.width, cfg.height):
-        raise PlacementError(
-            f"canvas {cfg.width}x{cfg.height} cannot hold a {size_hi}px object"
-        )
+    size_lo, size_hi = cfg._size_range()
     rng = _rng(cfg.seed, 0)
     sizes, positions, velocities = [], [], []
     for _ in range(cfg.objects):

@@ -152,7 +152,8 @@ class TestExitCodes:
     def test_occlusion_that_occludes_nothing_usage_error(self, tmp_path, capsys, event, field):
         out = tmp_path / "s"
         assert main(synth_args(out, extra=["--occlude", event])) == 1
-        assert f"occlusions[0].{field}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"occlusions[0].{field}" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_gt_pred_count_mismatch(self, tmp_path):
@@ -266,17 +267,21 @@ class TestFloatOptions:
         argv = [command, *_BASE_ARGS[command], "--out", str(out), f"{option}={value}"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error:") and option in err
+        assert err.startswith("usage error:") and option in err and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("option,value,field", [
-        ("--seed", "-1", "seed"), ("--score-spread", "1e308", "score_spread"),
-        ("--jitter", "1000000000000000000000", "jitter_px")])
+    @pytest.mark.parametrize("option,value,message", [
+        ("--seed", "-1", "seed must"), ("--score-spread", "1e308", "score_spread must"),
+        ("--jitter", "1000000000000000000000", "jitter_px must"),
+        ("--objects", "65536", "objects must be at most 65535"),
+        ("--object-size", "31:31", "canvas 40x30 cannot hold a 31px object")],
+        ids=["seed", "score_spread", "jitter_px", "objects", "object_size-past-the-canvas"])
     def test_synth_value_the_generators_cannot_draw_with_is_a_usage_error(
-            self, tmp_path, capsys, option, value, field):
+            self, tmp_path, capsys, option, value, message):
         out = tmp_path / "out"
         assert main(["synth", *_BASE_ARGS["synth"], "--out", str(out), f"{option}={value}"]) == 1
-        assert capsys.readouterr().err.startswith(f"usage error: {field} must")
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_boundary_tolerance_past_the_diagonal_acts_as_100(self, tmp_path):

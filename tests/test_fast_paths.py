@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from dense_reference import (_box_iou, average_precision_dense, boundary_f_edt, boundary_map,
                              grid_box, grid_iou, grid_runs, interval_grid, translate_dense)
 from movingseg import mask as mask_module
-from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, _tagged_overlaps,
-                            boundary_pixels, intersect_cuts, iou, iou_matrix, mask_from_cuts,
-                            rle_decode, rle_encode, translate_many, union_merge)
+from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, _sweep,
+                            _tagged_overlaps, _translate_cuts, boundary_pixels, intersect_cuts,
+                            iou, iou_matrix, mask_from_cuts, rle_decode, rle_encode)
 from movingseg.metrics import (_frame_ious, average_precision, binarize_detections, boundary_f,
                                davis_j)
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
@@ -118,21 +118,19 @@ class TestUnion:
     @settings(max_examples=150)
     def test_matches_dense(self, seeds, w, h, density):
         grids_ = [_seeded_grid(s, density, w, h) for s in seeds]
-        merged = union_merge([rle_encode(g, w, h) for g in grids_])
+        merged = _sweep([rle_encode(g, w, h).foreground_cuts for g in grids_], 1)
         expected = np.logical_or.reduce([g.astype(bool) for g in grids_])
-        assert merged == rle_encode(expected, w, h)
+        assert merged.tolist() == rle_encode(expected, w, h).foreground_cuts.tolist()
 
 
-def _assert_translate_matches(masks, shifts):
-    shifted = translate_many(masks, shifts)
+def _assert_translate_matches(masks, shifts, w, h):
+    shifted = _translate_cuts([m.foreground_cuts for m in masks], shifts, w, h)
     assert len(shifted) == len(masks)
-    for mask, (dx, dy), got in zip(masks, shifts, shifted):
+    for mask, (dx, dy), cuts in zip(masks, shifts, shifted):
         expected = translate_dense(mask, dx, dy)
-        if expected is None:
-            assert got.is_empty
-        else:
-            assert got == expected
-        assert not got.foreground_cuts.flags.writeable
+        assert mask_from_cuts(cuts, w, h) == (Mask(w, h, (w * h,)) if expected is None
+                                              else expected)
+        assert not cuts.flags.writeable
 
 
 @st.composite
@@ -153,7 +151,7 @@ def shifted_frames(draw):
     shift = st.tuples(st.integers(-2 * w - 1, 2 * w + 1), st.integers(-2 * h - 1, 2 * h + 1))
     small = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
     shifts = [draw(st.one_of(shift, small)) for _ in masks]
-    return masks, shifts
+    return masks, shifts, w, h
 
 
 class TestTranslate:
@@ -163,7 +161,7 @@ class TestTranslate:
         grid, w, h = g
         dx = data.draw(st.integers(-2 * w - 1, 2 * w + 1))
         dy = data.draw(st.integers(-2 * h - 1, 2 * h + 1))
-        _assert_translate_matches([rle_encode(grid, w, h)], [(dx, dy)])
+        _assert_translate_matches([rle_encode(grid, w, h)], [(dx, dy)], w, h)
 
     @given(shifted_frames())
     @settings(max_examples=400, deadline=None)
@@ -175,20 +173,23 @@ class TestTranslate:
     def test_runs_wrapping_rows(self, dx, dy):
         # one run covers the frame; another wraps from a row's end to the next start
         masks = [Mask(4, 3, (0, 12)), Mask(4, 3, (2, 5, 5))]
-        _assert_translate_matches(masks, [(dx, dy)] * 2)
-        _assert_translate_matches(masks, [(dx, dy), (-dx, -dy)])
+        _assert_translate_matches(masks, [(dx, dy)] * 2, 4, 3)
+        _assert_translate_matches(masks, [(dx, dy), (-dx, -dy)], 4, 3)
 
     def test_hand_cases(self):
-        wrap = Mask(4, 3, (2, 5, 5))   # row 0's last two pixels and row 1's first three
-        full = Mask(4, 3, (0, 12))
+        wrap = [2, 7]   # row 0's last two pixels and row 1's first three, of a 4x3 frame
+        full = [0, 12]
+
+        def runs(cut_sets, shifts):
+            return [mask_from_cuts(cuts, 4, 3).runs
+                    for cuts in _translate_cuts(cut_sets, shifts, 4, 3)]
+
         # unshifted, the pieces of a wrapping run meet at the row seam again; shifted
         # right, row 0's piece moves out and row 1's piece stays whole
-        assert [m.runs for m in translate_many([wrap, wrap, full], [(0, 0), (2, 0), (0, -2)])] \
+        assert runs([wrap, wrap, full], [(0, 0), (2, 0), (0, -2)]) \
             == [(2, 5, 5), (6, 2, 4), (0, 4, 8)]
-        assert translate_many([full], [(-4, 0)])[0].is_empty   # all of it leaves the frame
-        assert translate_many([], []) == []
-        with pytest.raises(DimensionMismatchError):
-            translate_many([full, Mask(3, 4, (0, 12))], [(0, 0), (0, 0)])
+        assert runs([full], [(-4, 0)]) == [(12,)]   # all of it leaves the frame
+        assert _translate_cuts([], [], 4, 3) == []
 
 
 @pytest.mark.parametrize("box", [(0, 0, 0, 0), (2, 1, 5, 3), (0, 2, 7, 4),
@@ -389,9 +390,9 @@ def test_frame_ious_refuse_mixed_frame_sizes_in_mask_mode():
 
 @given(st.data(), st.integers(1, 9), st.integers(1, 9))
 @settings(max_examples=200, deadline=None)
-def test_binarize_equals_union_merge_frame_by_frame(data, w, h):
-    """Against ``union_merge`` and the dense OR of each frame's kept masks; frame keys
-    may be negative and come in any order."""
+def test_binarize_equals_dense_union_frame_by_frame(data, w, h):
+    """Against the dense OR of each frame's kept masks; frame keys may be negative and
+    come in any order."""
     dets_by_frame, dense = {}, {}
     for f in data.draw(st.lists(st.integers(-20, 20), unique=True, max_size=5)):
         grids_ = data.draw(st.lists(frame_grids(w, h), max_size=4))
@@ -404,12 +405,10 @@ def test_binarize_equals_union_merge_frame_by_frame(data, w, h):
                 dense[f] |= g.ravel().astype(bool)
     out = binarize_detections(dets_by_frame, width=w, height=h)
     assert list(out) == sorted(dets_by_frame)
-    for f, dets in dets_by_frame.items():
-        expected = union_merge([d.mask for d in dets if d.score > 0.7], width=w, height=h)
-        assert out[f] == expected and out[f].foreground_cuts.dtype == np.int64
+    for f in dets_by_frame:
+        assert out[f] == rle_encode(dense[f].reshape(h, w), w, h)
+        assert out[f].foreground_cuts.dtype == np.int64
         assert not out[f].foreground_cuts.flags.writeable
-        cuts = out[f].foreground_cuts.tolist()
-        assert interval_grid(cuts, w * h).tolist() == dense[f].tolist()
 
 
 def test_binarize_keeps_adjacent_frames_apart():
@@ -455,7 +454,9 @@ class TestIouMatrix:
         # a grid's cuts are where its pixel values change, the frame's ends counting as 0
         cuts = [np.flatnonzero(np.diff(g.ravel().astype(int), prepend=0, append=0))
                 for g in grids_]
-        pool = [*masks, *mask_module._split_runs(runs, w, h), *translate_many(masks, shifts),
+        shifted = _translate_cuts([m.foreground_cuts for m in masks], shifts, w, h)
+        pool = [*masks, *mask_module._split_runs(runs, w, h),
+                *(mask_module._mask(w, h, c) for c in shifted),
                 *(mask_module._from_cuts(w, h, c) for c in cuts)]
         dense = [*grids_, *grids_, *map(_shifted, grids_, shifts), *grids_]
         for _ in range(3):

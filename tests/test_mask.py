@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, _boxes,
-                            _label_runs, _value_cuts, area, intersect_cuts, iou,
-                            mask_from_cuts, rle_decode, rle_encode, translate_many,
-                            union_merge)
+                            _label_runs, _mask, _sweep, _translate_cuts, _value_cuts, area,
+                            intersect_cuts, iou, mask_from_cuts, rle_decode, rle_encode)
 from movingseg.metrics import GroundTruthSequence
 
 
@@ -97,28 +96,6 @@ def test_iou_half_overlap():
     assert iou(rle_encode(g, 20, 10), rle_encode(h, 20, 10)) == pytest.approx(50 / 150)
 
 
-def test_union_merge_hand_cases():
-    m = rle_encode(grid([[0, 1, 0]]), 3, 1)
-    other = rle_encode(grid([[1, 0, 0]]), 3, 1)
-    empty = Mask(3, 1, (3,))
-    assert union_merge([m]) == m
-    assert union_merge([m, empty]) == m
-    assert rle_decode(union_merge([m, other])).tolist() == [[1, 1, 0]]
-    assert union_merge([], width=3, height=1) == empty
-    with pytest.raises(DimensionMismatchError):
-        union_merge([])
-    with pytest.raises(DimensionMismatchError):
-        union_merge([m, Mask(2, 2, (4,))])
-
-
-def test_union_merge_checks_stated_size_as_a_pair():
-    m = rle_encode(grid([[0, 1, 0]]), 3, 1)
-    assert union_merge([m], width=3, height=1) == m
-    for stated in ({"height": 2}, {"width": 3}, {"width": 3, "height": 2}):
-        with pytest.raises(DimensionMismatchError):
-            union_merge([m], **stated)
-
-
 @st.composite
 def random_masks(draw, max_side=24):
     w = draw(st.integers(1, max_side))
@@ -151,7 +128,8 @@ def test_ops_match_dense_oracle(data, seed):
     assert iou(a, b) == iou(b, a)
     assert 0.0 <= iou(a, b) <= 1.0
     assert inter <= min(area(a), area(b))
-    assert (rle_decode(union_merge([a, b])) == (dense.astype(bool) | other.astype(bool))).all()
+    union = mask_from_cuts(_sweep([a.foreground_cuts, b.foreground_cuts], 1), w, h)
+    assert (rle_decode(union) == (dense.astype(bool) | other.astype(bool))).all()
     assert iou(a, b) == (inter_dense / union_dense if union_dense else 0.0)
 
 
@@ -180,7 +158,8 @@ def test_foreground_cuts_read_only():
     m = Mask(4, 2, (1, 2, 5))
     gt = GroundTruthSequence(4, 2, {0: np.array([[0, 1, 1, 2], [2, 2, 0, 0]], np.uint8)})
     built = [m, rle_encode(rle_decode(m), 4, 2), mask_from_cuts(np.array([1, 3]), 4, 2),
-             union_merge([m, m]), *translate_many([m, m], [(1, 1), (0, 0)]),
+             *(_mask(4, 2, cuts) for cuts in _translate_cuts([m.foreground_cuts] * 2,
+                                                             [(1, 1), (0, 0)], 4, 2)),
              gt.tracks()[0].entries[0].mask,
              *gt.instance_masks(0), gt.foreground(0)]
     for mask in built:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import average_precision_dense, brute_force_assignment
+from dense_reference import average_precision_dense, brute_force_assignment, interval_grid
 from helpers import det, rect_labels, rect_mask, region, single_frame_gt
 from movingseg import mask as mask_module
-from movingseg.mask import (DimensionMismatchError, MalformedMaskError, Mask, rle_encode,
-                            union_merge)
+from movingseg.mask import DimensionMismatchError, MalformedMaskError, Mask, rle_encode
 from movingseg.metrics import (GroundTruthSequence, SequenceTally, _f_matrix, _prf, _track_cuts,
                                average_precision, binarize_detections, boundary_f, davis_j,
                                default_boundary_tolerance, evaluate, sequence_tally)
@@ -18,6 +17,14 @@ from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
 
 W, H = 40, 20
+
+
+def dense_union(masks, width, height):
+    """The pixelwise OR of masks of one frame size, from their dense grids."""
+    grid = np.zeros(width * height, dtype=bool)
+    for m in masks:
+        grid |= interval_grid(m.foreground_cuts, width * height)
+    return rle_encode(grid.reshape(height, width), width, height)
 
 
 def report_of(metric, gt, preds):
@@ -42,7 +49,7 @@ def test_foreground_is_union_of_instance_masks():
     gt = single_frame_gt(W, H, [(1, 0, 0, W, 2), (2, 0, 2, 5, 3), (9, 5, 2, 4, 3),
                                 (2, 9, 2, 3, 3)], ignore_value=9)
     fg = gt.foreground(0)
-    assert fg == union_merge(gt.instance_masks(0))
+    assert fg == dense_union(gt.instance_masks(0), W, H)
     assert fg == rle_encode((gt.labeled_frames[0] != 0) & (gt.labeled_frames[0] != 9), W, H)
     assert single_frame_gt(W, H, []).foreground(0) == Mask(W, H, (W * H,))
 
@@ -84,11 +91,11 @@ def test_largest_pgm_label_accepted_as_ignore_label():
 @given(st.integers(1, 12), st.integers(1, 8), st.sampled_from([None, 3, 7]),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_foreground_matches_union_merge(width, height, ignore, seed):
+def test_foreground_matches_dense_union(width, height, ignore, seed):
     labels = np.random.default_rng(seed).integers(0, 5, size=(height, width))
     gt = GroundTruthSequence(width, height, {0: labels}, ignore_value=ignore)
     fg = gt.foreground(0)
-    assert fg == union_merge(gt.instance_masks(0), width=width, height=height)
+    assert fg == dense_union(gt.instance_masks(0), width, height)
     assert fg.foreground_cuts.dtype == np.int64 and not fg.foreground_cuts.flags.writeable
 
 
@@ -551,8 +558,7 @@ class TestBinarize:
         a = det(0, 0.9, W, H, 0, 0, 6, 6)
         b = det(0, 0.8, W, H, 10, 0, 6, 6)
         out = binarize_detections({0: [a, b]}, width=W, height=H)
-        from movingseg.mask import union_merge
-        assert out[0] == union_merge([a.mask, b.mask])
+        assert out[0] == dense_union([a.mask, b.mask], W, H)
 
 
 def _dense_f_matrix(gt, preds, official):

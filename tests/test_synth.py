@@ -173,17 +173,24 @@ def test_configs_reject_non_finite_floats(config, kwargs, name, bad):
     config(**kwargs)   # the defaults are finite
 
 
-@pytest.mark.parametrize("config,kwargs,bad,bound", [
-    (SynthConfig, dict(frames=1, width=8, height=8), {"seed": -1}, {"seed": 0}),
-    (NoiseConfig, {}, {"score_spread": 1e308}, {"score_spread": sys.float_info.max / 2}),
-    (NoiseConfig, {}, {"jitter_px": 2**62 + 1}, {"jitter_px": 2**62}),
-    (NoiseConfig, {}, {"jitter_px": 10**21}, {"jitter_px": 2**62}),
-], ids=["seed", "score_spread", "jitter_px", "jitter_px-beyond-int64"])
-def test_configs_refuse_values_the_generators_cannot_draw_with(config, kwargs, bad, bound):
-    """A seed SeedSequence refuses, or a spread or jitter whose range overflows a draw,
-    is a ValueError naming the field; the bound itself is accepted."""
-    (name,) = bad
-    with pytest.raises(ValueError, match=f"^{name} must"):
+@pytest.mark.parametrize("config,kwargs,bad,bound,message", [
+    (SynthConfig, dict(frames=1, width=8, height=8), {"seed": -1}, {"seed": 0}, "seed must"),
+    (NoiseConfig, {}, {"score_spread": 1e308}, {"score_spread": sys.float_info.max / 2},
+     "score_spread must"),
+    (NoiseConfig, {}, {"jitter_px": 2**62 + 1}, {"jitter_px": 2**62}, "jitter_px must"),
+    (NoiseConfig, {}, {"jitter_px": 10**21}, {"jitter_px": 2**62}, "jitter_px must"),
+    (SynthConfig, dict(seed=0, frames=1, width=8, height=8), {"objects": 65536},
+     {"objects": 65535}, "objects must be at most 65535, got 65536"),
+    (SynthConfig, dict(seed=0, frames=1, width=8, height=8), {"object_size": (9, 9)},
+     {"object_size": (8, 8)}, "canvas 8x8 cannot hold a 9px object"),
+], ids=["seed", "score_spread", "jitter_px", "jitter_px-beyond-int64", "objects",
+        "object_size-past-the-canvas"])
+def test_configs_refuse_values_the_generators_cannot_draw_with(config, kwargs, bad, bound,
+                                                               message):
+    """A seed SeedSequence refuses, a spread or jitter whose range overflows a draw,
+    more objects than a PGM map has labels, or an object larger than the canvas is a
+    ValueError raised by the config itself; the bound itself is accepted."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         config(**kwargs, **bad)
     config(**kwargs, **bound)
 
