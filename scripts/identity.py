@@ -10,7 +10,9 @@ The pipeline is two 96x72 sequences (rectangles with an occlusion and
 fp/fn noise, ellipses), one sequence with labels above 255, a static
 stream from ``corrupt``, forward tracking at two ``--t-inactive`` values and
 bidirectional tracking with the static stream, every metric
-and its options with CSVs, one ``--fail-on-degenerate`` run on an empty
+and its options with CSVs (davis at the default tolerance, at 3 %, at 0, where
+no window reaches past the pixel's own row and column, and at 150 %, where
+every window covers the whole frame), one ``--fail-on-degenerate`` run on an empty
 tracks file, and two malformed inputs.  Each command's stdout, stderr and
 exit code are kept as files too.  The sorted list ``<sha256>  <path>`` of
 all of them is written to DIR/identity.sha256 and printed;
@@ -44,7 +46,8 @@ _SEQUENCES = [
     ("c", "--seed 16 --frames 2 --objects 300 --object-size 3:6 --size 160x120"),
 ]
 _METRICS = ["proposed", "official", "delta-obj", "map", "map --map-mode box", "davis",
-            "davis --boundary-tolerance 3.0"]
+            "davis --boundary-tolerance 3.0", "davis --boundary-tolerance 0",
+            "davis --boundary-tolerance 150"]
 
 
 def _commands():

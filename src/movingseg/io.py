@@ -282,6 +282,8 @@ def write_manifest(manifest: Manifest, path) -> None:
 def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
     """Read a manifest and its label maps into a GroundTruthSequence."""
     manifest = read_manifest(manifest_path)
+    if not manifest.frames:
+        raise SchemaError(f"{manifest_path}.frames: no labelled frames")
     # names are joined as strings onto the parent as pathlib renders it once; beside a
     # manifest in the working directory a map is named bare, as pathlib names it
     base = str(Path(manifest_path).parent)
@@ -304,6 +306,8 @@ def load_sequence(manifest_path) -> tuple[str, GroundTruthSequence]:
 
 def write_sequence(name: str, gt: GroundTruthSequence, out_dir) -> Path:
     """Write label maps plus manifest under out_dir; returns the manifest path."""
+    if not gt.eval_frames():
+        raise ValueError("a sequence without frames has no manifest")
     if gt.ignore_value is not None and not 0 < gt.ignore_value <= 65535:
         raise ValueError(f"ignore_value {gt.ignore_value} is not a PGM label (1 to 65535)")
     out = Path(out_dir)

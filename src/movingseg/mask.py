@@ -29,12 +29,12 @@ high-resolution sequences cheap.  Binary searches and prefix sums carry all of i
   side into one such list under a single tag, one block per mask, and moves
   each pair's other mask into its block.
 - New interval sets (the binarized frames of ``metrics.binarize_detections``,
-  the interior behind ``boundary_pixels``) come from ``_sweep``, a running sum
+  the interior behind ``_boundaries``) come from ``_sweep``, a running sum
   of +1 at every interval start and -1 at every end over the sorted boundaries
   of all operands.
 
-Translation, of all of a frame's masks at once, and boundary extraction first
-split runs at row ends.
+Translation and boundary extraction, each of many masks at once, first split
+runs at row ends; ``_boundaries`` lays its masks out as one padded image.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from itertools import chain, repeat
 import numpy as np
 
 # The largest frame, in pixels: offsets stay within 2**31, so each int64 intermediate is
-# exact (doubled in _sweep, and pooled or strided by _pooled over < 2**31 frames)
+# exact (doubled in _sweep, pooled or strided by _pooled over < 2**31 frames, and laid out
+# by _boundaries below 4*w*h per mask over < 2**29 masks)
 MAX_PIXELS = 2**31
 # overlaps per block in _tagged_overlaps, which bounds its working memory: at 2**14
 # each int64 temporary is 128 KiB
@@ -342,7 +343,8 @@ def _sweep(cut_arrays, depth: int) -> np.ndarray:
     cuts = np.concatenate(cut_arrays)
     if not len(cuts):
         return cuts
-    keys = np.sort(cuts * 2 + (np.arange(len(cuts)) & 1))   # every set has even length
+    # every set has even length, and a stable sort merges their sorted runs
+    keys = np.sort(cuts * 2 + (np.arange(len(cuts)) & 1), kind="stable")
     level = np.cumsum(1 - 2 * (keys & 1))
     enter = np.flatnonzero((level == depth) & ((keys & 1) == 0))
     leave = np.flatnonzero((level == depth - 1) & ((keys & 1) == 1))
@@ -499,28 +501,35 @@ def _translate_cuts(cut_sets, shifts, w: int, h: int) -> list[np.ndarray]:
 
 
 def boundary_pixels(mask: Mask) -> np.ndarray:
-    """Sorted flat offsets of the 4-connected boundary.
+    """Sorted flat offsets of the 4-connected boundary: ``_boundaries`` on the one mask."""
+    return _boundaries([mask], 0, 1)[0]
+
+
+def _boundaries(masks, cols: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every mask's 4-connected boundary pixels, sorted, in one padded layout, and their counts.
 
     A boundary pixel is a foreground pixel with a background or out-of-image
-    neighbor.  The rest, the interior, is the foreground shrunk by one pixel
-    within each row, intersected with the foreground moved one row down and
-    one row up.
+    neighbor.  The masks share one w x h frame; pixel (x, y) of mask k sits at
+    ``(k * (h + rows) + y) * (w + cols) + x``, so blank pixels end each row and
+    ``rows`` >= 1 blank rows, the out-of-image neighbors, end each frame.  The
+    interior is the row pieces shrunk by one pixel and moved one row up and down.
     """
-    cuts = mask.foreground_cuts
-    if not len(cuts):
-        return cuts
-    w = mask.width
-    rows, x0, x1, _ = _row_runs(cuts, w)
-    wide = x1 - x0 > 2
-    row_start = rows[wide] * w
-    shrunk = _interleave(row_start + x0[wide] + 1, row_start + x1[wide] - 1)
-    interior = _sweep([shrunk, cuts + w, cuts - w], 3)
-    # the interior lies strictly inside the foreground intervals, so merging the
-    # two boundary lists gives the foreground minus the interior
-    edges = np.sort(np.concatenate((cuts, interior)))
+    w, h = masks[0].width, masks[0].height
+    pitch = w + cols
+    y, x0, x1, _ = _row_runs(_pooled([m.foreground_cuts for m in masks],
+                                     np.arange(len(masks)), w * h), w)
+    start = (y + y // h * rows) * pitch
+    pieces = _interleave(start + x0, start + x1)
+    shrunk = (pieces.reshape(-1, 2)[x1 - x0 > 2] + (1, -1)).ravel()
+    interior = _sweep([shrunk, pieces + pitch, pieces - pitch], 3)
+    # the interior lies strictly inside the pieces, so merging the two boundary lists
+    # gives the pieces minus the interior
+    edges = np.sort(np.concatenate((pieces, interior)), kind="stable")
     starts, ends = edges[0::2], edges[1::2]
     lengths = ends - starts
-    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    points = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    frames = np.arange(len(masks) + 1) * ((h + rows) * pitch)
+    return points, np.diff(np.searchsorted(points, frames))
 
 
 def mask_from_cuts(cuts: np.ndarray, width: int, height: int) -> Mask:

@@ -39,9 +39,9 @@ import numpy as np
 
 from . import mask as mask_module
 from .assign import solve_max_assignment
-from .mask import (DimensionMismatchError, Mask, _box_iou, _boxes, _frame_pixels, _from_cuts,
-                   _label_runs, _mask, _one_size, _overlaps, _pair_ious, _pooled, _sweep,
-                   _tagged_overlaps, _value_cuts, boundary_pixels)
+from .mask import (DimensionMismatchError, Mask, _boundaries, _box_iou, _boxes, _frame_pixels,
+                   _from_cuts, _label_runs, _mask, _one_size, _overlaps, _pair_ious, _pooled,
+                   _sweep, _tagged_overlaps, _value_cuts)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
@@ -440,35 +440,28 @@ def _moves(tolerance_px: float, width: int, height: int) -> list[tuple[int, int]
     return moves
 
 
-def _far(points: np.ndarray, targets: np.ndarray, moves, width: int,
-         frame_px: int) -> np.ndarray:
+def _far(points: np.ndarray, targets: np.ndarray, moves, pitch: int, stride: int,
+         n_frames: int) -> np.ndarray:
     """Per frame, how many of ``points`` have none of ``targets`` within a move of ``_moves``.
 
-    Both are sorted pixel offsets pooled over frames of ``frame_px`` pixels,
-    and each has some in every frame.  A point at (row, col) is near when a
-    target lies on row row+dy of its frame between col-dx and col+dx; one
-    binary search per move and chunk of ``mask._CHUNK`` points finds the first
-    target at or after each window start.
+    Both are sorted offsets in ``mask._boundaries``' layout, rows ``pitch`` and
+    frames ``stride`` apart.  A point p is near when a target lies in [p + dy*pitch
+    - dx, p + dy*pitch + dx], a window the blank margins keep in p's row and frame.
+    One binary search per move and chunk of ``mask._CHUNK`` points finds the first
+    target at or after each window start; a sentinel past the last stands for none.
     """
-    height = frame_px // width
+    targets = np.append(targets, np.iinfo(np.int64).max)
     chunk = mask_module._CHUNK
-    far = []
+    far = [points[:0]]
     for lo in range(0, len(points), chunk):
         p = points[lo:lo + chunk]
-        row, col = np.divmod(p % frame_px, width)
         for dy, dx in moves:
-            centre = p + dy * width
-            start = centre - np.minimum(col, dx)
-            # past the last target this takes the last, which lies before start
-            first = targets.take(np.searchsorted(targets, start), mode="clip")
-            hit = (first >= start) & (first <= centre + np.minimum(width - 1 - col, dx))
-            hit &= (row >= -dy) if dy < 0 else (row < height - dy)   # rows outside are skipped
-            miss = ~hit
-            p, row, col = p[miss], row[miss], col[miss]
+            start = p + (dy * pitch - dx)
+            p = p[targets.take(np.searchsorted(targets, start)) > start + 2 * dx]
             if not len(p):
                 break
         far.append(p)
-    return np.bincount(np.concatenate(far) // frame_px, minlength=points[-1] // frame_px + 1)
+    return np.bincount(np.concatenate(far) // stride, minlength=n_frames)
 
 
 def default_boundary_tolerance(width: int, height: int, pct: float = 0.8) -> int:
@@ -486,32 +479,41 @@ def boundary_f(gt_binary: Mapping[int, Mask], pred_binary: Mapping[int, Mask],
     Boundaries are 4-connected: foreground pixels with a background (or
     out-of-image) neighbor.  A boundary pixel matches when the opposite
     boundary passes within ``tolerance_px`` (Euclidean), measured as a
-    full-frame distance transform would.  No such transform is computed: each
-    boundary pixel looks for the opposite boundary's sorted offsets in one row
-    window per row offset within the tolerance, over the whole sequence at once.
+    full-frame distance transform would.  No such transform is computed: a
+    group of frames of about ``mask._CHUNK // 2`` row pieces gets both sides'
+    boundary pixels from one ``_boundaries`` call, with as many blank pixels
+    and rows as the widest and tallest window, and ``_far`` searches them.
     """
     frames, (width, height) = _binary_sequence(gt_binary, pred_binary)
     if tolerance_px is None:
         tolerance_px = default_boundary_tolerance(width, height)
-    gt_b = [boundary_pixels(gt_binary[f]) for f in frames]
-    pr_b = [boundary_pixels(pred_binary[f]) for f in frames]
-    n_gt = np.fromiter(map(len, gt_b), np.int64, len(frames))
-    n_pr = np.fromiter(map(len, pr_b), np.int64, len(frames))
-    # a frame without boundary on one side scores 0, and on both sides 1
-    scores = ((n_gt == 0) & (n_pr == 0)).astype(np.float64)
-    both = np.flatnonzero((n_gt > 0) & (n_pr > 0))
-    if len(both):
-        frame_px = width * height
-        places = np.arange(len(both))
-        gt_pool = _pooled([gt_b[k] for k in both], places, frame_px)
-        pr_pool = _pooled([pr_b[k] for k in both], places, frame_px)
-        moves = _moves(tolerance_px, width, height)
+    moves = _moves(tolerance_px, width, height)
+    # the first move has the widest window, and the last (dy = 0 or -dy_max) the tallest
+    cols, rows = (moves[0][1], max(1, -moves[-1][0])) if moves else (0, 1)
+    pitch, stride = width + cols, (height + rows) * (width + cols)
+    sides = [gt_binary[f] for f in frames] + [pred_binary[f] for f in frames]
+    n = len(frames)
+    # a bound on each mask's row pieces: its intervals, plus the row ends it spans
+    pieces = np.array([len(c) // 2 + (c[-1] - 1) // width - c[0] // width if len(c) else 0
+                       for c in (m.foreground_cuts for m in sides)]).reshape(2, n).sum(0)
+    group = (np.cumsum(pieces) - pieces) // max(1, mask_module._CHUNK // 2)
+    seams = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), n]
+    scores = []
+    for a, b in zip(seams, seams[1:]):
+        points, counts = _boundaries(sides[a:b] + sides[n + a:n + b], cols, rows)
+        n_gt, n_pr = counts[:b - a], counts[b - a:]
+        gt_b, pr_b = np.split(points, [n_gt.sum()])
+        # a frame without boundary on one side scores 0, and on both sides 1
+        score = ((n_gt == 0) & (n_pr == 0)).astype(np.float64)
+        both = (n_gt > 0) & (n_pr > 0)
+        gt_b, pr_b = gt_b[np.repeat(both, n_gt)], pr_b[np.repeat(both, n_pr)] - (b - a) * stride
         n_gt, n_pr = n_gt[both], n_pr[both]
-        precision = (n_pr - _far(pr_pool, gt_pool, moves, width, frame_px)) / n_pr
-        recall = (n_gt - _far(gt_pool, pr_pool, moves, width, frame_px)) / n_gt
-        scores[both] = np.divide(2 * precision * recall, precision + recall,
-                                 out=np.zeros(len(both)), where=precision + recall != 0)
-    return float(np.mean(scores))
+        precision = (n_pr - _far(pr_b, gt_b, moves, pitch, stride, b - a)[both]) / n_pr
+        recall = (n_gt - _far(gt_b, pr_b, moves, pitch, stride, b - a)[both]) / n_gt
+        score[both] = np.divide(2 * precision * recall, precision + recall,
+                                out=np.zeros(len(n_gt)), where=precision + recall != 0)
+        scores.append(score)
+    return float(np.mean(np.concatenate(scores)))
 
 
 def binarize_detections(dets_by_frame, threshold: float = 0.7, *,

@@ -147,6 +147,18 @@ class TestExitCodes:
         assert f"{bad}.ignore_value: 70000" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("metric", ["proposed", "official", "delta-obj", "map", "davis"])
+    def test_manifest_without_frames_data_error(self, tmp_path, capsys, metric):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({"format_version": 1, "sequence": "s", "width": 4,
+                                   "height": 4, "ignore_value": None, "frames": []}))
+        fileio.write_tracks(tmp_path / "t.json", 4, 4, [])
+        assert main(["evaluate", "--gt", str(bad), "--pred", str(tmp_path / "t.json"),
+                     "--metric", metric, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}.frames: no labelled frames" in err and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("event, field", [("99:0:5", "object_index"),
                                               ("0:12:1", "start_frame"), ("0:2:-4", "duration")])
     def test_occlusion_that_occludes_nothing_usage_error(self, tmp_path, capsys, event, field):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dense_reference import (_box_iou, average_precision_dense, boundary_f_edt, boundary_map,
                              grid_box, grid_iou, grid_runs, interval_grid, translate_dense)
 from movingseg import mask as mask_module
-from movingseg.mask import (DimensionMismatchError, Mask, _boxes, _overlaps, _sweep,
+from movingseg.mask import (DimensionMismatchError, Mask, _boundaries, _boxes, _overlaps, _sweep,
                             _tagged_overlaps, _translate_cuts, boundary_pixels, intersect_cuts,
                             iou, iou_matrix, mask_from_cuts, rle_decode, rle_encode)
 from movingseg.metrics import (_frame_ious, average_precision, binarize_detections, boundary_f,
@@ -208,6 +208,31 @@ class TestBoundary:
         grid, w, h = g
         mask = rle_encode(grid, w, h)
         assert boundary_pixels(mask).tolist() == np.flatnonzero(boundary_map(mask)).tolist()
+
+    @given(st.data(), st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                                st.tuples(st.just(1), st.integers(1, 12)),    # 1 px wide
+                                st.tuples(st.integers(1, 12), st.just(1))),   # 1 px tall
+           st.integers(0, 3), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_layout_matches_dense(self, data, size, cols, rows):
+        w, h = size
+        grids = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.sampled_from(["frame", "empty", "full", "top and bottom"]))
+            if kind == "frame":
+                grid = data.draw(frame_grids(w, h))
+            else:   # edge rows on consecutive frames meet across the blank rows
+                grid = np.full((h, w), kind == "full", dtype=np.uint8)
+                grid[[0, -1]] |= kind == "top and bottom"
+            grids.append(grid)
+        masks = [rle_encode(g, w, h) for g in grids]
+        points, counts = _boundaries(masks, cols, rows)
+        frame, rest = np.divmod(points, (h + rows) * (w + cols))
+        y, x = np.divmod(rest, w + cols)
+        assert (y < h).all() and (x < w).all()   # no point in a blank margin
+        assert counts.tolist() == np.bincount(frame, minlength=len(masks)).tolist()
+        for k, mask in enumerate(masks):
+            assert (y * w + x)[frame == k].tolist() == np.flatnonzero(boundary_map(mask)).tolist()
 
     @given(st.data(), st.one_of(
                st.tuples(st.integers(1, 14), st.integers(1, 14)),

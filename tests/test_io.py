@@ -609,6 +609,20 @@ class TestManifest:
             fileio.write_sequence("s", gt, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_writer_refuses_a_sequence_without_frames(self, tmp_path):
+        # the loader refuses a manifest that lists no frame, so none is written
+        with pytest.raises(ValueError, match="without frames"):
+            fileio.write_sequence("s", GroundTruthSequence(4, 4, {}), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_loader_refuses_a_manifest_without_frames(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"format_version": 1, "sequence": "x", "width": 4,
+                                    "height": 4, "ignore_value": None, "frames": []}))
+        assert fileio.read_manifest(path).frames == ()
+        with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}.frames: no labelled")):
+            fileio.load_sequence(path)
+
     def test_unsorted_frames_rejected(self, tmp_path):
         doc = {"format_version": 1, "sequence": "x", "width": 4, "height": 4,
                "ignore_value": None,
