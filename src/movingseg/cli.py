@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
 from . import io as fileio
-from .mask import MaskError
 from .metrics import MetricReport, evaluate
 from .synth import NoiseConfig, OcclusionEvent, SynthConfig, corrupt, generate
 from .tracker import (TrackerConfig, _detection, bidirectional_track, merge_moving_static,
@@ -36,23 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(value: str, name: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise UsageError(f"{name} must be >= 1, got {n}")
-    return n
-
-
-def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise UsageError(f"--size expects WxH, got {text!r}")
-    return _positive_int(parts[0], "--size width"), _positive_int(parts[1], "--size height")
-
-
 def _finite(text: str) -> float:
     """The argparse type of every float option: a finite number."""
     try:
@@ -64,22 +47,18 @@ def _finite(text: str) -> float:
     return value
 
 
-def _velocity(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expects MIN:MAX, got {text!r}")
-    return _finite(parts[0]), _finite(parts[1])
-
-
-def _parse_occlusion(text: str) -> OcclusionEvent:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--occlude expects OBJ:START:DURATION, got {text!r}")
-    try:
-        obj, start, dur = (int(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"--occlude expects integers, got {text!r}") from None
-    return OcclusionEvent(obj, start, dur)
+def _fields(convert, sep: str, form: str):
+    """The argparse type of a compound option such as ``WxH``: the tuple of its
+    ``sep``-separated fields, as many as ``form`` names, each passed through ``convert``."""
+    def parse(text: str) -> tuple:
+        parts = re.split(sep, text, flags=re.IGNORECASE)   # WxH takes an upper-case X too
+        try:
+            if len(parts) == form.count(sep) + 1:
+                return tuple(map(convert, parts))
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,13 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic sequence", add_help=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=str, required=True)
-    p.add_argument("--objects", type=str, default="1")
-    p.add_argument("--size", type=str, default="128x96")
+    p.add_argument("--frames", type=int, required=True)
+    p.add_argument("--objects", type=int, default=1)
+    p.add_argument("--size", type=_fields(int, "x", "WxH"), default="128x96")
     p.add_argument("--shape", choices=("rectangle", "ellipse"), default="rectangle")
-    p.add_argument("--velocity", type=_velocity, default="1:3", metavar="MIN:MAX")
-    p.add_argument("--object-size", type=str, default=None, metavar="MIN:MAX")
-    p.add_argument("--occlude", action="append", default=[], metavar="OBJ:START:DUR")
+    p.add_argument("--velocity", type=_fields(_finite, ":", "MIN:MAX"), default="1:3",
+                   metavar="MIN:MAX")
+    p.add_argument("--object-size", type=_fields(int, ":", "MIN:MAX"), default=None,
+                   metavar="MIN:MAX")
+    p.add_argument("--occlude", type=_fields(int, ":", "OBJ:START:DUR"), action="append",
+                   default=[], metavar="OBJ:START:DUR")
     p.add_argument("--jitter", type=int, default=0)
     p.add_argument("--score-mean", type=_finite, default=1.0)
     p.add_argument("--score-spread", type=_finite, default=0.0)
@@ -135,25 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    frames = _positive_int(args.frames, "--frames")
-    objects = _positive_int(args.objects, "--objects")
-    width, height = _parse_size(args.size)
-    object_size = None
-    if args.object_size is not None:
-        parts = args.object_size.split(":")
-        if len(parts) != 2:
-            raise UsageError(f"--object-size expects MIN:MAX, got {args.object_size!r}")
-        object_size = (_positive_int(parts[0], "--object-size min"),
-                       _positive_int(parts[1], "--object-size max"))
+    width, height = args.size
     try:
         noise = NoiseConfig(jitter_px=args.jitter, score_mean=args.score_mean,
                             score_spread=args.score_spread, fp_rate=args.fp_rate,
                             fn_rate=args.fn_rate)
-        cfg = SynthConfig(seed=args.seed, frames=frames, width=width, height=height,
-                          objects=objects, shape=args.shape,
-                          velocity=args.velocity,
-                          object_size=object_size,
-                          occlusions=tuple(_parse_occlusion(o) for o in args.occlude),
+        cfg = SynthConfig(seed=args.seed, frames=args.frames, width=width, height=height,
+                          objects=args.objects, shape=args.shape, velocity=args.velocity,
+                          object_size=args.object_size,
+                          occlusions=tuple(OcclusionEvent(*o) for o in args.occlude),
                           noise=noise)
     except ValueError as e:
         raise UsageError(str(e)) from None
@@ -165,7 +137,7 @@ def cmd_synth(args) -> int:
     fileio.write_sequence(name, gt, out)
     fileio.write_tracks(out / "gt_tracks.json", gt.width, gt.height, gt_tracks)
     fileio.write_detections(out / "detections.json", gt.width, gt.height, dets)
-    print(f"wrote {name}: {frames} frames, {len(gt_tracks)} objects -> {out}")
+    print(f"wrote {name}: {cfg.frames} frames, {len(gt_tracks)} objects -> {out}")
     return EXIT_OK
 
 
@@ -269,9 +241,6 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (fileio.SchemaError, MaskError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_DATA

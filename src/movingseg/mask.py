@@ -72,13 +72,15 @@ class Mask:
     It stores ``width``, ``height`` and ``foreground_cuts``, the read-only int64
     flat offsets [s0, e0, s1, e1, ...] of the foreground runs, strictly
     increasing within [0, width*height]; its area and box, once computed, are
-    kept with them.  ``Mask(width, height, runs)`` checks ``runs``:
-    background/foreground counts in row-major order, only the first (leading
-    background) may be zero, summing to ``width * height``.
+    kept with them.  ``Mask(width, height, runs)`` checks ``runs``: int
+    background/foreground counts (numpy ints too) in row-major order, only the
+    first (leading background) may be zero, summing to ``width * height``.
     """
 
     def __init__(self, width: int, height: int, runs) -> None:
-        (mask,) = _split_runs([[int(r) for r in runs]], width, height)
+        # only numpy's ints convert: a float, string or bool run is refused, not rounded
+        runs = [int(r) if isinstance(r, np.integer) else r for r in runs]
+        (mask,) = _split_runs([runs], width, height)
         self.__dict__.update(vars(mask))
 
     def __setattr__(self, name, value):
@@ -498,11 +500,6 @@ def _translate_cuts(cut_sets, shifts, w: int, h: int) -> list[np.ndarray]:
     edges = np.concatenate(([0], np.cumsum(2 * pieces))).tolist()
     cuts.flags.writeable = False   # and so is every slice of it
     return [cuts[a:b] for a, b in zip(edges, edges[1:])]
-
-
-def boundary_pixels(mask: Mask) -> np.ndarray:
-    """Sorted flat offsets of the 4-connected boundary: ``_boundaries`` on the one mask."""
-    return _boundaries([mask], 0, 1)[0]
 
 
 def _boundaries(masks, cols: int, rows: int) -> tuple[np.ndarray, np.ndarray]:

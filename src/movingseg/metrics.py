@@ -51,7 +51,8 @@ from .tracker import Track, _detection, _track
 class GroundTruthSequence:
     """Per-frame instance label maps with an optional ignore value.
 
-    Label 0 is background; ``ignore_value``, None or any other PGM label (an int
+    Labels are ints or bools from 0 to 65535, the ones a PGM map holds, and
+    label 0 is background; ``ignore_value``, None or any other PGM label (an int
     from 1 to 65535), marks unlabeled pixels that the matched-only measure
     excludes from prediction areas.  Only frames present in ``labeled_frames``
     take part in evaluation.  Each frame is held as its label runs, not as a
@@ -77,7 +78,12 @@ class GroundTruthSequence:
                 raise ValueError(
                     f"frame {idx} label map shape {arr.shape} != ({height}, {width})"
                 )
-            runs[int(idx)] = _label_runs(arr.ravel())
+            if arr.dtype.kind not in "biu":   # a float label would round into another
+                raise ValueError(f"frame {idx} label map dtype {arr.dtype} is not an integer type")
+            _, values = runs[int(idx)] = _label_runs(arr.ravel())
+            if values.min() < 0 or values.max() > 65535:   # the labels a PGM map holds
+                raise ValueError(f"frame {idx} labels must lie in [0, 65535], "
+                                 f"got {values.min()} to {values.max()}")
         self._set(width, height, runs, ignore_value)
 
     @classmethod

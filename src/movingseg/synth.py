@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mask import (Mask, _cut_bounds, _label_runs, _mask, _meet, _translate_cuts,
-                   mask_from_cuts)
+from .mask import (Mask, _cut_bounds, _frame_pixels, _label_runs, _mask, _meet,
+                   _translate_cuts, mask_from_cuts)
 from .metrics import GroundTruthSequence
 from .tracker import Detection, Track, _detection, _require_finite
 
@@ -77,8 +77,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:   # a SeedSequence key
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.frames < 1 or self.width < 1 or self.height < 1 or self.objects < 1:
-            raise ValueError("frames, width, height and objects must be positive")
+        for name in ("frames", "width", "height", "objects"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _frame_pixels(self.width, self.height)   # the readers' frame-size rule
         if self.objects > 65535:   # the largest label a PGM map holds
             raise ValueError(f"objects must be at most 65535, got {self.objects}")
         if self.shape not in ("rectangle", "ellipse"):

@@ -59,8 +59,8 @@ class Detection:
     kind: str = "moving"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise ValueError("detection score must be finite")
+        if not 0 <= self.score <= 1:   # nan too: the readers' rule
+            raise ValueError(f"detection score must lie in [0, 1], got {self.score!r}")
         if self.kind not in ("moving", "static"):
             raise ValueError(f"unknown detection kind {self.kind!r}")
         if self.mask.is_empty:

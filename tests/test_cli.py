@@ -40,6 +40,13 @@ def tree_bytes(root):
     }
 
 
+def _env():
+    """The environment of a child python that imports this checkout's movingseg."""
+    src = str(Path(movingseg.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_one_parser_per_process_acts_as_a_fresh_one(tmp_path, capsys, monkeypatch):
     def session(root):
         """Exit codes, output lines and written files of one run of in-process calls."""
@@ -166,6 +173,26 @@ class TestExitCodes:
         assert main(synth_args(out, extra=["--occlude", event])) == 1
         err = capsys.readouterr().err
         assert f"occlusions[0].{field}" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,value,named", [
+        ("--frames", "0", "frames must be >= 1, got 0"), ("--frames", "abc", "--frames"),
+        ("--objects", "0", "objects must be >= 1, got 0"),
+        ("--size", "4x", "--size"), ("--size", "0x5", "width must be >= 1, got 0"),
+        ("--size", "5x-1", "height must be >= 1, got -1"),
+        ("--size", "65537x32768", f"65537x32768 frame exceeds {MAX_PIXELS} pixels"),
+        ("--object-size", "5", "--object-size"), ("--object-size", "2:5", "object_size"),
+        ("--occlude", "1:2", "--occlude"), ("--occlude", "a:b:c", "--occlude"),
+        ("--velocity", "1", "--velocity"), ("--velocity", "nan:1", "--velocity")])
+    def test_malformed_synth_value_usage_error(self, tmp_path, capsys, monkeypatch,
+                                               option, value, named):
+        # refused by argparse or by the config, before anything is painted
+        monkeypatch.setattr(cli, "generate", None)
+        out = tmp_path / "s"
+        assert main(["synth", "--frames", "4", "--size", "40x30", "--out", str(out),
+                     option, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and named in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_gt_pred_count_mismatch(self, tmp_path):
@@ -311,13 +338,10 @@ class TestFloatOptions:
         assert len({r.read_bytes() for r in reports.values()} - {report}) == 1
 
     def test_huge_velocity_finishes(self, tmp_path):
-        src = str(Path(movingseg.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-m", "movingseg", "synth", "--frames", "5",
                                "--velocity", "1e12:1e12", "--size", "40x30",
                                "--out", str(tmp_path / "s")],
-                              env=env, capture_output=True, text=True, timeout=10)
+                              env=_env(), capture_output=True, text=True, timeout=10)
         assert done.returncode == 0, done.stderr
 
 
@@ -723,10 +747,31 @@ def test_pipeline_runs_on_numpy_alone(tmp_path):
                      "--pred", out + "/tracks.json", "--out", out + "/davis.json"]) == 0
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    src = str(Path(movingseg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _library_use(readme: str) -> str:
+    """The README's "Library use" snippet: from that heading on, the lines after the
+    first ```python fence, up to the first bare fence (the rule of CI's awk step)."""
+    lines, on, inside = [], False, False
+    for line in readme.splitlines():
+        on = on or line.startswith("## Library use")
+        if on and line == "```":
+            break
+        if on and inside:
+            lines.append(line)
+        inside = inside or on and line == "```python"
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_library_use_runs(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    snippet = _library_use(readme.read_text(encoding="utf-8"))
+    assert "evaluate(" in snippet
+    done = subprocess.run([sys.executable, "-c", snippet], env=_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) > 0   # the snippet prints the f_measure

@@ -13,8 +13,8 @@ from dense_reference import (_box_iou, average_precision_dense, boundary_f_edt, 
                              grid_box, grid_iou, grid_runs, interval_grid, translate_dense)
 from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, Mask, _boundaries, _boxes, _overlaps, _sweep,
-                            _tagged_overlaps, _translate_cuts, boundary_pixels, intersect_cuts,
-                            iou, iou_matrix, mask_from_cuts, rle_decode, rle_encode)
+                            _tagged_overlaps, _translate_cuts, intersect_cuts, iou, iou_matrix,
+                            mask_from_cuts, rle_decode, rle_encode)
 from movingseg.metrics import (_frame_ious, average_precision, binarize_detections, boundary_f,
                                davis_j)
 from movingseg.synth import NoiseConfig, SynthConfig, _box_mask, corrupt, generate
@@ -202,13 +202,6 @@ def test_box_mask_matches_painted_box(box):
 
 
 class TestBoundary:
-    @given(grids(max_side=16))
-    @settings(max_examples=300)
-    def test_pixels_match_dense(self, g):
-        grid, w, h = g
-        mask = rle_encode(grid, w, h)
-        assert boundary_pixels(mask).tolist() == np.flatnonzero(boundary_map(mask)).tolist()
-
     @given(st.data(), st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)),
                                 st.tuples(st.just(1), st.integers(1, 12)),    # 1 px wide
                                 st.tuples(st.integers(1, 12), st.just(1))),   # 1 px tall

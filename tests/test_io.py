@@ -390,6 +390,34 @@ def test_fixed_layouts_reject_numpy_ints(tmp_path):
             write(tmp_path / "out.json", W, H, arg)
 
 
+@given(st.lists(st.tuples(st.integers(-3, 40), st.one_of(st.floats(), st.integers()),
+                          st.sampled_from(["moving", "static"]), st.integers(0, W * H - 1)),
+                max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_every_detection_the_constructor_takes_round_trips(entries):
+    """What Detection and Track accept, the writers write and the readers read back."""
+    dets = {}
+    for frame, score, kind, pixel in entries:
+        try:
+            d = Detection(frame, score, rle_encode(np.arange(W * H) == pixel, W, H), kind)
+        except ValueError:
+            assert not 0 <= score <= 1
+            continue
+        dets.setdefault(frame, []).append(d)
+    # a tracks file keeps no kind: its entries read back as moving
+    moving = [Detection(d.frame, d.score, d.mask) for f in sorted(dets) for d in dets[f]]
+    tracks = [Track(k, (d,)) for k, d in enumerate(moving)]
+    if dets:   # and one track through every frame
+        tracks.append(Track(-1, tuple(Detection(f, ds[0].score, ds[0].mask)
+                                      for f, ds in sorted(dets.items()))))
+    with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
+        path = Path(tmp) / "out.json"
+        fileio.write_detections(path, W, H, dets)
+        assert fileio.read_detections(path) == (W, H, dets)
+        fileio.write_tracks(path, W, H, tracks)
+        assert fileio.read_tracks(path) == (W, H, tracks)
+
+
 class TestDetectionsFile:
     def test_empty_frames_valid(self, tmp_path):
         path = tmp_path / "d.json"
@@ -716,7 +744,8 @@ def test_per_label_cuts_only_where_a_metric_reads_them(tmp_path, monkeypatch):
 def test_sequence_out_of_range_rejected(tmp_path, value):
     labels = np.zeros((H, W), dtype=np.int32)
     labels[2, 3] = value
-    gt = GroundTruthSequence(W, H, {0: labels})
+    # the constructor refuses the label, so only the unchecked one reaches the writer
+    gt = GroundTruthSequence._from_runs(W, H, {0: mask_module._label_runs(labels.ravel())})
     with pytest.raises(ValueError, match=re.escape("label values must lie in [0, 65535]")):
         fileio.write_sequence("s", gt, tmp_path)
     assert not list((tmp_path / "labelmaps").iterdir())

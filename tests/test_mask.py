@@ -133,6 +133,26 @@ def test_ops_match_dense_oracle(data, seed):
     assert iou(a, b) == (inter_dense / union_dense if union_dense else 0.0)
 
 
+@pytest.mark.parametrize("runs", [(1.5, 2.5, 1), (1.0, 2.0, 1.0), (np.float64(1), 2, 1),
+                                  ("1", "2", "1"), (True, 2, True), (np.True_, 2, 1),
+                                  (1, None, 3)],
+                         ids=["floats", "whole-floats", "float64", "strings", "bools",
+                              "numpy-bool", "none"])
+def test_mask_refuses_runs_the_readers_refuse(runs):
+    # int() of each run would have repaired these into a valid list
+    with pytest.raises(MalformedMaskError, match="runs must be integers"):
+        Mask(4, 1, runs)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+def test_mask_takes_numpy_int_runs(dtype):
+    runs = np.array([1, 2, 1], dtype=dtype)
+    for given_runs in (runs, list(runs)):
+        mask = Mask(4, 1, given_runs)
+        assert mask == Mask(4, 1, (1, 2, 1)) and mask.runs == (1, 2, 1)
+        assert all(type(r) is int for r in mask.runs)
+
+
 def test_mask_is_immutable():
     m = Mask(2, 2, (0, 4))
     with pytest.raises(AttributeError):
@@ -247,7 +267,14 @@ def test_value_cuts_match_dense_labels(dtype):
         frames = {0: flat.reshape(-1, w), 3: flat[::-1].reshape(-1, w)}
         # 0 is the background, never the ignore label, and an ignore label is a PGM label
         ignore = int(flat[0]) if 0 < flat[0] <= 65535 else None
-        gt = GroundTruthSequence(w, flat.size // w, frames, ignore_value=ignore)
+        if flat.max() > 65535:   # no PGM map holds the label: only _from_runs takes it
+            with pytest.raises(ValueError, match=r"frame 0 labels must lie in \[0, 65535\]"):
+                GroundTruthSequence(w, flat.size // w, frames, ignore_value=ignore)
+            gt = GroundTruthSequence._from_runs(
+                w, flat.size // w, {f: _label_runs(m.ravel()) for f, m in frames.items()},
+                ignore_value=ignore)
+        else:
+            gt = GroundTruthSequence(w, flat.size // w, frames, ignore_value=ignore)
         ids = sorted(set(np.unique(flat).tolist()) - {0, ignore})
         assert gt.region_ids() == ids
         tracks = gt.tracks()

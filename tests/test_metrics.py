@@ -62,6 +62,19 @@ def test_ground_truth_frame_size_checked(width, height, frames):
         GroundTruthSequence(width, height, frames)
 
 
+@pytest.mark.parametrize("labels,message", [
+    (np.full((2, 3), 0.5), "frame 7 label map dtype float64 is not an integer type"),
+    (np.ones((2, 3), np.float32), "frame 7 label map dtype float32 is not an integer type"),
+    (np.array([[0, -1, 0], [0, 0, 0]]), "frame 7 labels must lie in [0, 65535], got -1 to 0"),
+    (np.array([[0, 70000, 0], [0, 0, 0]]),
+     "frame 7 labels must lie in [0, 65535], got 0 to 70000")],
+    ids=["half", "float32", "negative", "past-65535"])
+def test_ground_truth_refuses_labels_no_pgm_map_holds(labels, message):
+    # 0.5 was kept as background, and -1 and 70000 as objects write_sequence refuses
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GroundTruthSequence(3, 2, {0: np.zeros((2, 3), np.uint8), 7: labels})
+
+
 @pytest.mark.parametrize("ignore", [0, np.uint8(0)])
 def test_background_as_ignore_label_rejected(ignore):
     # were it accepted, every background pixel would be unlabelled: on this 4x4 map one

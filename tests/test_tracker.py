@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,14 @@ class TestConfig:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             TrackerConfig(t_inactive=-1)
+
+
+@pytest.mark.parametrize("score", [-0.1, 1.5, 2, float("nan"), float("inf"), -float("inf")])
+def test_detection_refuses_a_score_outside_the_unit_interval(score):
+    # the readers refuse such a score, so no writer may be given one
+    with pytest.raises(ValueError, match=re.escape(
+            f"detection score must lie in [0, 1], got {score!r}")):
+        Detection(0, score, rect_mask(W, H, 1, 1, 2, 2))
 
 
 class TestGate:
