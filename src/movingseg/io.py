@@ -83,7 +83,9 @@ def read_labelmap(path) -> np.ndarray:
     if tokens[0] != b"P5":
         raise SchemaError(f"{path}: not a binary PGM (P5) file")
     try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        if not all(t.isdigit() for t in tokens[1:4]):   # int() takes "+4", and "4_0" as 40
+            raise ValueError
+        width, height, maxval = map(int, tokens[1:4])   # which refuses 4,301 digits or more
     except ValueError:
         raise SchemaError(f"{path}: non-numeric PGM header field") from None
     if width <= 0 or height <= 0:

@@ -113,8 +113,17 @@ class Mask:
         return int(np.sum(self.foreground_cuts[1::2] - self.foreground_cuts[0::2]))
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy int, and not a bool: what a frame size, a
+    frame index or a track id may be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frame_pixels(width: int, height: int) -> int:
-    """``width * height``, once both sides are >= 1 and it is at most MAX_PIXELS."""
+    """``width * height``, once both sides are ints (``_is_int``), >= 1, and it is at
+    most MAX_PIXELS."""
+    if not (_is_int(width) and _is_int(height)):   # 2.5, "2" and True are not rounded
+        raise MalformedMaskError(f"dimensions {width!r}x{height!r} must be integers")
     if width <= 0 or height <= 0:
         raise MalformedMaskError(f"non-positive dimensions {width}x{height}")
     if width * height > MAX_PIXELS:
@@ -207,14 +216,13 @@ def _split_runs(rles, width: int, height: int) -> list[Mask]:
 
 def rle_encode(dense, width: int, height: int) -> Mask:
     """Encode a row-major 0/1 grid into its canonical Mask."""
+    total = _frame_pixels(width, height)
     arr = np.asarray(dense)
     if arr.ndim == 2 and arr.shape != (height, width):
         raise DimensionMismatchError(f"grid shape {arr.shape} != ({height}, {width})")
     flat = arr.ravel()
-    if flat.size != _frame_pixels(width, height):
-        raise DimensionMismatchError(
-            f"grid has {flat.size} entries, expected {width * height}"
-        )
+    if flat.size != total:
+        raise DimensionMismatchError(f"grid has {flat.size} entries, expected {total}")
     if flat.dtype != bool:
         if np.issubdtype(flat.dtype, np.integer):
             binary = flat.min() >= 0 and flat.max() <= 1
@@ -536,10 +544,11 @@ def mask_from_cuts(cuts: np.ndarray, width: int, height: int) -> Mask:
     intervals may be empty or touch, and the mask is their union.  It keeps
     its own copy.
     """
+    total = _frame_pixels(width, height)
     cuts = np.array(cuts, dtype=np.int64)
     least = (cuts[1:] - cuts[:-1]).min(initial=1)   # the smallest step, 1 if none
-    if len(cuts) % 2 or least < 0 or len(cuts) and (cuts[0] < 0 or cuts[-1] > width * height):
-        raise MalformedMaskError(f"cuts must be pairs never decreasing in [0, {width * height}]")
+    if len(cuts) % 2 or least < 0 or len(cuts) and (cuts[0] < 0 or cuts[-1] > total):
+        raise MalformedMaskError(f"cuts must be pairs never decreasing in [0, {total}]")
     if least == 0:
         # intervals that at most touch: a point bounds their union iff it occurs
         # an odd number of times

@@ -40,8 +40,8 @@ import numpy as np
 from . import mask as mask_module
 from .assign import solve_max_assignment
 from .mask import (DimensionMismatchError, Mask, _boundaries, _box_iou, _boxes, _frame_pixels,
-                   _from_cuts, _label_runs, _mask, _one_size, _overlaps, _pair_ious, _pooled,
-                   _sweep, _tagged_overlaps, _value_cuts)
+                   _from_cuts, _is_int, _label_runs, _mask, _one_size, _overlaps, _pair_ious,
+                   _pooled, _sweep, _tagged_overlaps, _value_cuts)
 # davis_j counts overlaps with _overlaps; iou stays bound as mask_iou because
 # bench/spans.py's tracer test wraps metrics.mask_iou
 from .mask import iou as mask_iou  # noqa: F401
@@ -63,8 +63,8 @@ class GroundTruthSequence:
     def __init__(self, width: int, height: int,
                  labeled_frames: Mapping[int, np.ndarray],
                  ignore_value: int | None = None):
-        width, height = int(width), int(height)
-        _frame_pixels(width, height)
+        _frame_pixels(width, height)   # ints only: 3.7 and "3" are refused, not rounded
+        width, height = int(width), int(height)   # a numpy int becomes the int it holds
         if ignore_value == 0:
             raise ValueError("ignore_value 0 is the background label")
         if ignore_value is not None and not (isinstance(ignore_value, int)
@@ -73,6 +73,8 @@ class GroundTruthSequence:
             raise ValueError(f"ignore_value {ignore_value!r} is not a PGM label (1 to 65535)")
         runs = {}
         for idx, arr in labeled_frames.items():
+            if not _is_int(idx):
+                raise ValueError(f"frame index {idx!r} must be an integer")
             arr = np.asarray(arr)
             if arr.shape != (height, width):
                 raise ValueError(
@@ -530,12 +532,12 @@ def binarize_detections(dets_by_frame, threshold: float = 0.7, *,
     frame are moved up by k times ``width*height + 1``, so a spare pixel, never
     covered, keeps each frame's intervals apart from the next's.
     """
+    stride = _frame_pixels(width, height) + 1
     frames = sorted(dets_by_frame)
     kept = [(k, d.mask) for k, f in enumerate(frames) for d in dets_by_frame[f]
             if d.score > threshold]
     if {(m.width, m.height) for _, m in kept} - {(width, height)}:
         raise DimensionMismatchError("stated dimensions disagree with masks")
-    stride = width * height + 1
     cuts = _sweep([_pooled([m.foreground_cuts for _, m in kept], [k for k, _ in kept], stride)], 1)
     edges = [0, *np.searchsorted(cuts, np.arange(1, len(frames) + 1) * stride).tolist()]
     local = cuts - np.repeat(np.arange(len(frames)) * stride, np.diff(edges))

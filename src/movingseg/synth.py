@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mask import (Mask, _cut_bounds, _frame_pixels, _label_runs, _mask, _meet,
+from .mask import (Mask, _cut_bounds, _frame_pixels, _is_int, _label_runs, _mask, _meet,
                    _translate_cuts, mask_from_cuts)
 from .metrics import GroundTruthSequence
 from .tracker import Detection, Track, _detection, _require_finite
@@ -75,11 +75,14 @@ class SynthConfig:
     noise: NoiseConfig = NoiseConfig()
 
     def __post_init__(self) -> None:
-        if self.seed < 0:   # a SeedSequence key
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("frames", "width", "height", "objects"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the seed is a SeedSequence key
+        for name, least in (("seed", 0), ("frames", 1), ("width", 1), ("height", 1),
+                            ("objects", 1)):
+            value = getattr(self, name)
+            if not _is_int(value):   # 2.5, "32" and True are not rounded
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         _frame_pixels(self.width, self.height)   # the readers' frame-size rule
         if self.objects > 65535:   # the largest label a PGM map holds
             raise ValueError(f"objects must be at most 65535, got {self.objects}")

@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .assign import solve_max_assignment
 # the tracker calls only iou_matrix; iou stays bound because bench/spans.py wraps
 # tracker.iou, so the bench's tracker.iou_pairs count reads 0
-from .mask import Mask, iou, iou_matrix  # noqa: F401
+from .mask import Mask, _is_int, iou, iou_matrix  # noqa: F401
 
 
 def _require_finite(config, *names: str) -> None:
@@ -59,7 +61,16 @@ class Detection:
     kind: str = "moving"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.score <= 1:   # nan too: the readers' rule
+        # the readers' rules: an int frame and an int or float score, never a bool; a
+        # numpy scalar becomes the Python number it holds, which the writers write
+        if not _is_int(self.frame):
+            raise ValueError(f"detection frame must be an integer, got {self.frame!r}")
+        object.__setattr__(self, "frame", int(self.frame))
+        if isinstance(self.score, (np.integer, np.floating)):
+            object.__setattr__(self, "score", self.score.item())
+        if isinstance(self.score, bool) or not isinstance(self.score, (int, float)):
+            raise ValueError(f"detection score must be a real number, got {self.score!r}")
+        if not 0 <= self.score <= 1:   # nan too
             raise ValueError(f"detection score must lie in [0, 1], got {self.score!r}")
         if self.kind not in ("moving", "static"):
             raise ValueError(f"unknown detection kind {self.kind!r}")
@@ -75,6 +86,9 @@ class Track:
     entries: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.id):   # the readers' rule; a numpy int becomes the int it holds
+            raise ValueError(f"track id must be an integer, got {self.id!r}")
+        object.__setattr__(self, "id", int(self.id))
         if not self.entries:
             raise ValueError("track must contain at least one detection")
         frames = [d.frame for d in self.entries]

@@ -11,7 +11,6 @@ import math
 from itertools import groupby
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from movingseg.assign import Matching, _validated
 from movingseg.mask import Mask, rle_decode, rle_encode
@@ -123,6 +122,8 @@ def boundary_map(mask: Mask) -> np.ndarray:
 
 def boundary_f_edt(gt_binary, pred_binary, tolerance_px) -> float:
     """Frame-averaged boundary F from two full-frame Euclidean distance transforms per frame."""
+    from scipy.ndimage import distance_transform_edt   # scipy is a test dependency only
+
     scores = []
     for f in sorted(gt_binary):
         gt_b = boundary_map(gt_binary[f])

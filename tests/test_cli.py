@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,8 @@ from movingseg.cli import main
 from movingseg.mask import MAX_PIXELS
 from movingseg.metrics import GroundTruthSequence
 from movingseg.tracker import Track
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def synth_args(out, seed=5, frames=12, objects=2, extra=()):
@@ -735,16 +738,30 @@ class TestReaderFuzz:
 
 
 def test_pipeline_runs_on_numpy_alone(tmp_path):
-    """synth, track and evaluate --metric davis never import scipy, a test-only dependency."""
+    """synth, track (both passes, with a static stream) and every metric never import
+    scipy, a test-only dependency."""
     script = textwrap.dedent(f"""
         import sys
         from movingseg.cli import main
-        out = {str(tmp_path / "seq")!r}
+        out, static = {str(tmp_path / "seq")!r}, {str(tmp_path / "static")!r}
         assert main({synth_args(tmp_path / "seq", extra=("--fp-rate", "0.3"))!r}) == 0
+        # the same objects under other noise, as the static stream
+        assert main({synth_args(tmp_path / "static", extra=("--jitter", "1"))!r}) == 0
         assert main(["track", "--detections", out + "/detections.json",
                      "--out", out + "/tracks.json"]) == 0
-        assert main(["evaluate", "--metric", "davis", "--gt", out + "/manifest.json",
-                     "--pred", out + "/tracks.json", "--out", out + "/davis.json"]) == 0
+        assert main(["track", "--bidirectional", "--detections", out + "/detections.json",
+                     "--static", static + "/detections.json", "--out", out + "/bidir.json"]) == 0
+        for k, (pred, metric) in enumerate([
+                ("tracks", ["proposed"]), ("tracks", ["official"]), ("tracks", ["delta-obj"]),
+                ("tracks", ["map"]), ("tracks", ["map", "--map-mode", "box"]),
+                ("tracks", ["davis"]),
+                # every detection kept, so overlapping masks go through the one union sweep
+                ("tracks", ["davis", "--binarize-threshold", "0"]),
+                ("bidir", ["official"])]):
+            assert main(["evaluate", "--metric", *metric, "--gt", out + "/manifest.json",
+                         "--pred", out + "/" + pred + ".json",
+                         "--out", out + "/report" + str(k) + ".json",
+                         "--csv", out + "/report" + str(k) + ".csv"]) == 0
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     done = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True,
@@ -753,25 +770,53 @@ def test_pipeline_runs_on_numpy_alone(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def _library_use(readme: str) -> str:
-    """The README's "Library use" snippet: from that heading on, the lines after the
-    first ```python fence, up to the first bare fence (the rule of CI's awk step)."""
+def _readme_block(heading: str, lang: str) -> str:
+    """The README's first ```<lang> block under ``## <heading>``: from that heading on,
+    the lines after the first ```<lang> fence, up to the first bare fence."""
     lines, on, inside = [], False, False
-    for line in readme.splitlines():
-        on = on or line.startswith("## Library use")
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        on = on or line.startswith(f"## {heading}")
         if on and line == "```":
             break
         if on and inside:
             lines.append(line)
-        inside = inside or on and line == "```python"
+        inside = inside or on and line == f"```{lang}"
     return "\n".join(lines) + "\n"
 
 
 def test_readme_library_use_runs(tmp_path):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    snippet = _library_use(readme.read_text(encoding="utf-8"))
+    snippet = _readme_block("Library use", "python")
     assert "evaluate(" in snippet
     done = subprocess.run([sys.executable, "-c", snippet], env=_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) > 0   # the snippet prints the f_measure
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """Each command of the README's quick start, run as ``python -m movingseg``, exits 0."""
+    block = _readme_block("Quick start", "sh").replace("\\\n", " ")   # join continuations
+    commands = [argv for line in block.splitlines() if (argv := shlex.split(line, comments=True))]
+    assert [argv[:2] for argv in commands] == [
+        ["movingseg", "synth"], ["movingseg", "track"], ["movingseg", "evaluate"]]
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", *argv], env=_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv, done.stderr)
+
+
+def test_fp_penalty_demo_shows_the_contrast():
+    """The demo's claim: as the false-positive rate rises, the matched-only F stays the
+    same while the penalizing F falls and the track count and object-count error rise."""
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fp_penalty_demo.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()[1:]
+    assert header.split() == ["fp_rate", "official", "F", "official", "N", "proposed", "F",
+                              "tracks", "delta_obj"]
+    rate, official, _, proposed, tracks, delta = zip(*(map(float, r.split()) for r in rows))
+    assert len(rate) >= 3 and list(rate) == sorted(set(rate))
+    assert len(set(official)) == 1
+    assert all(a > b for a, b in zip(proposed, proposed[1:]))
+    for rising in (tracks, delta):
+        assert all(a < b for a, b in zip(rising, rising[1:]))

@@ -237,6 +237,7 @@ class TestBoundary:
            st.sampled_from([1, 2, 3, mask_module._CHUNK]))
     @settings(max_examples=400, deadline=None)
     def test_f_matches_edt(self, data, size, draws, chunk):
+        pytest.importorskip("scipy.ndimage")   # the oracle's distance transform
         w, h = size
         gt, pred = {}, {}
         for f, (seed, d_gt, d_pr) in enumerate(draws):   # density 0 leaves a side empty
@@ -255,6 +256,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize("tolerance", [0, 0.5, 1, 1.4142135, 1.4142136, 2.5, 30])
     def test_edge_cases_match_edt(self, tolerance):
+        pytest.importorskip("scipy.ndimage")
         w, h = 20, 15
         empty = Mask(w, h, (w * h,))
         full = Mask(w, h, (0, w * h))

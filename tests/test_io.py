@@ -16,7 +16,7 @@ from helpers import UNREADABLE_JSON, det
 from movingseg import io as fileio
 from movingseg import mask as mask_module
 from movingseg import metrics
-from movingseg.mask import MAX_PIXELS, Mask, rle_encode
+from movingseg.mask import MAX_PIXELS, Mask, mask_from_cuts, rle_encode
 from movingseg.metrics import GroundTruthSequence, MetricReport
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
@@ -89,6 +89,19 @@ class TestLabelmapPgm:
         path = tmp_path / "t.pgm"
         path.write_bytes(f"P5\n3 2\n{maxval}\n".encode() + bytes(6 * sample + extra))
         with pytest.raises(fileio.SchemaError, match="payload"):
+            fileio.read_labelmap(path)
+
+    @pytest.mark.parametrize("header", [b"+2 2 255", b"2 +2 255", b"2 2 +255", b"0_2 2 255",
+                                        b"2 2 2_55", b"-2 2 255", b"2 2 0x10",
+                                        "2 \u0662 255".encode(), b"2 2 " + b"9" * 5000],
+                             ids=["plus-width", "plus-height", "plus-maxval", "underscore-width",
+                                  "underscore-maxval", "minus", "hex", "arabic-indic", "huge"])
+    def test_header_field_not_ascii_digits_rejected(self, tmp_path, header):
+        # int() took the first five as a 2x2 map of maxval 255
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n" + header + b"\n" + bytes(4))
+        with pytest.raises(fileio.SchemaError,
+                           match=re.escape(f"{path}: non-numeric PGM header field")):
             fileio.read_labelmap(path)
 
 
@@ -365,8 +378,10 @@ def _tracks_doc(tracks, w=W, h=H):
                                 for d in t.entries]} for t in tracks]}
 
 
-@pytest.mark.parametrize("score", [0, 1, True, False, np.float64(0.25), 1 / 3],
-                         ids=["int-0", "int-1", "true", "false", "float64", "float"])
+# a bool score is refused by Detection, as by the readers; a numpy score is written as
+# the Python number Detection turns it into
+@pytest.mark.parametrize("score", [0, 1, np.int64(1), np.float32(0.5), np.float64(0.25), 1 / 3],
+                         ids=["int-0", "int-1", "int64", "float32", "float64", "float"])
 def test_fixed_layouts_equal_stdlib_encoder(tmp_path, score):
     dets = {4: [det(4, score, W, H, 1, 1, 3, 3), det(4, 0.5, W, H, 5, 2, 4, 4, kind="static")],
             0: [], 9: [det(9, score, W, H, 0, 0, W, H)], 11: []}
@@ -382,31 +397,43 @@ def test_fixed_layouts_equal_stdlib_encoder(tmp_path, score):
 
 
 def test_fixed_layouts_reject_numpy_ints(tmp_path):
-    d, at_int64 = det(0, 0.5, W, H, 1, 1, 3, 3), det(np.int64(0), 0.5, W, H, 1, 1, 3, 3)
-    for write, arg in ((fileio.write_tracks, [Track(np.int64(1), (d,))]),
-                       (fileio.write_tracks, [Track(1, (at_int64,))]),
-                       (fileio.write_detections, {np.int64(0): [d]})):
-        with pytest.raises(TypeError):
-            write(tmp_path / "out.json", W, H, arg)
+    # Detection and Track turn a numpy frame or id into the int it holds, so only a
+    # detections mapping's own key reaches a writer as one, which refuses it as json does
+    d = det(0, 0.5, W, H, 1, 1, 3, 3)
+    with pytest.raises(TypeError):
+        fileio.write_detections(tmp_path / "out.json", W, H, {np.int64(0): [d]})
+    fileio.write_tracks(tmp_path / "int.json", W, H, [Track(1, (d,))])
+    fileio.write_tracks(tmp_path / "int64.json", W, H,
+                        [Track(np.int64(1), (det(np.int64(0), 0.5, W, H, 1, 1, 3, 3),))])
+    assert (tmp_path / "int64.json").read_bytes() == (tmp_path / "int.json").read_bytes()
 
 
-@given(st.lists(st.tuples(st.integers(-3, 40), st.one_of(st.floats(), st.integers()),
-                          st.sampled_from(["moving", "static"]), st.integers(0, W * H - 1)),
-                max_size=12))
+@given(st.lists(st.tuples(
+    # the frames and scores a caller may pass: ints, floats, bools and numpy scalars
+    st.one_of(st.integers(-3, 40), st.integers(-3, 40).map(np.int64), st.booleans(),
+              st.floats(-3, 40), st.just(np.True_)),
+    st.one_of(st.floats(), st.integers(), st.booleans(), st.integers(-1, 2).map(np.int64),
+              st.floats(width=32).map(np.float32), st.floats().map(np.float64)),
+    st.sampled_from(["moving", "static"]), st.integers(0, W * H - 1)), max_size=12))
 @settings(max_examples=150, deadline=None)
 def test_every_detection_the_constructor_takes_round_trips(entries):
-    """What Detection and Track accept, the writers write and the readers read back."""
+    """What Detection and Track accept, the writers write and the readers read back; what
+    the readers refuse, Detection refuses."""
     dets = {}
     for frame, score, kind, pixel in entries:
+        readable = (isinstance(frame, (int, np.integer)) and not isinstance(frame, bool)
+                    and isinstance(score, (int, float, np.integer, np.floating))
+                    and not isinstance(score, bool) and 0 <= score <= 1)
         try:
             d = Detection(frame, score, rle_encode(np.arange(W * H) == pixel, W, H), kind)
         except ValueError:
-            assert not 0 <= score <= 1
+            assert not readable
             continue
-        dets.setdefault(frame, []).append(d)
+        assert readable
+        dets.setdefault(d.frame, []).append(d)
     # a tracks file keeps no kind: its entries read back as moving
     moving = [Detection(d.frame, d.score, d.mask) for f in sorted(dets) for d in dets[f]]
-    tracks = [Track(k, (d,)) for k, d in enumerate(moving)]
+    tracks = [Track(np.int64(k) if k % 2 else k, (d,)) for k, d in enumerate(moving)]
     if dets:   # and one track through every frame
         tracks.append(Track(-1, tuple(Detection(f, ds[0].score, ds[0].mask)
                                       for f, ds in sorted(dets.items()))))
@@ -416,6 +443,36 @@ def test_every_detection_the_constructor_takes_round_trips(entries):
         assert fileio.read_detections(path) == (W, H, dets)
         fileio.write_tracks(path, W, H, tracks)
         assert fileio.read_tracks(path) == (W, H, tracks)
+
+
+_M = Mask(2, 2, (0, 1, 3))
+# each public constructor's int fields, with an int it takes: (n, build(value))
+_INT_FIELDS = {
+    "Mask-width": (2, lambda v: Mask(v, 2, (4,))),
+    "Mask-height": (2, lambda v: Mask(2, v, (4,))),
+    "rle_encode": (2, lambda v: rle_encode(np.zeros((2, 2), np.uint8), v, 2)),
+    "mask_from_cuts": (2, lambda v: mask_from_cuts([0, 1], 2, v)),
+    "binarize_detections": (2, lambda v: metrics.binarize_detections({}, width=v, height=2)),
+    "GroundTruthSequence-width": (2, lambda v: GroundTruthSequence(
+        v, 2, {0: np.zeros((2, 2), np.uint8)})),
+    "GroundTruthSequence-frame": (2, lambda v: GroundTruthSequence(
+        2, 2, {v: np.zeros((2, 2), np.uint8)})),
+    **{f"SynthConfig-{name}": (32, lambda v, name=name: SynthConfig(
+        **{"seed": 32, "frames": 32, "width": 32, "height": 32, "objects": 32, name: v}))
+       for name in ("seed", "frames", "width", "height", "objects")},
+    "Detection-frame": (2, lambda v: Detection(v, 0.5, _M)),
+    "Track-id": (2, lambda v: Track(v, (Detection(0, 0.5, _M),))),
+}
+
+
+@pytest.mark.parametrize("n,build", _INT_FIELDS.values(), ids=_INT_FIELDS)
+def test_constructors_refuse_sizes_indices_and_ids_that_are_not_ints(n, build):
+    # each was rounded, taken as 1 or crashed on with numpy's or Python's TypeError
+    for value in (float(n), n + 0.5, str(n), np.float64(n), True, np.True_, None):
+        with pytest.raises(ValueError, match="integer"):
+            build(value)
+    for value in (n, np.int64(n), np.int32(n)):   # numpy's ints pass
+        build(value)
 
 
 class TestDetectionsFile:
