@@ -13,6 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from movingseg.cli import _fields
 from movingseg.metrics import evaluate
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import TrackerConfig, track_sequence
@@ -23,9 +24,9 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--frames", type=int, default=40)
     ap.add_argument("--objects", type=int, default=3)
-    ap.add_argument("--size", type=str, default="160x120")
+    ap.add_argument("--size", type=_fields(int, "x", "WxH"), default="160x120")
     args = ap.parse_args()
-    width, height = (int(v) for v in args.size.split("x"))
+    width, height = args.size
 
     cfg = SynthConfig(seed=args.seed, frames=args.frames, width=width,
                       height=height, objects=args.objects)

@@ -62,11 +62,12 @@ def _fields(convert, sep: str, form: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="movingseg",
+    # allow_abbrev=False: no prefix of a flag is read as the flag, so --fp-rat is refused
+    parser = _Parser(prog="movingseg", allow_abbrev=False,
                      description="synthesize, track and evaluate moving-object segmentations")
     sub = parser.add_subparsers(dest="command", metavar="{synth,track,evaluate}")
 
-    p = sub.add_parser("synth", help="generate a synthetic sequence", add_help=True)
+    p = sub.add_parser("synth", help="generate a synthetic sequence", allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--objects", type=int, default=1)
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True, metavar="DIR")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("track", help="link detections into tracks")
+    p = sub.add_parser("track", help="link detections into tracks", allow_abbrev=False)
     p.add_argument("--detections", type=str, required=True, metavar="FILE")
     p.add_argument("--static", type=str, default=None, metavar="FILE")
     p.add_argument("--out", type=str, required=True, metavar="FILE")
@@ -99,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bidirectional", action="store_true")
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("evaluate", help="score predicted tracks against ground truth")
+    p = sub.add_parser("evaluate", help="score predicted tracks against ground truth",
+                       allow_abbrev=False)
     p.add_argument("--gt", action="append", required=True, metavar="MANIFEST")
     p.add_argument("--pred", action="append", required=True, metavar="TRACKS")
     p.add_argument("--metric", required=True,

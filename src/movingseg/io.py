@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -29,14 +30,12 @@ import numpy as np
 
 from .mask import (MAX_PIXELS, MalformedMaskError, Mask, _label_runs, _run_lists,
                    _split_runs)
-from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport
+from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport, _ignore_fault
 from .tracker import Detection, Track, _detection, _track
 
 FORMAT_VERSION = 1
 # write_sequence puts the label maps here, relative to the manifest
 _LABELMAP_DIR = "labelmaps"
-
-_WHITESPACE = (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
 
 
 class SchemaError(ValueError):
@@ -54,6 +53,13 @@ class Manifest:
 
 # ---------------------------------------------------------------- PGM label maps
 
+# The PGM header: four tokens, before each a run of whitespace bytes and "#" comments.
+# A comment runs to its line end; without the lookahead a run of "#" could be split into
+# comments in exponentially many ways, each tried before a truncated header is refused.
+_GAP = rb"(?:\s|#[^\n\r]*(?![^\n\r]))"
+_PGM_HEADER = re.compile(_GAP + rb"*([^\s#]+)" + (_GAP + rb"+([^\s#]+)") * 3)
+
+
 def read_labelmap(path) -> np.ndarray:
     """Parse a binary PGM (P5) file into a read-only label map.
 
@@ -62,39 +68,23 @@ def read_labelmap(path) -> np.ndarray:
     """
     with open(os.fspath(path), "rb") as fh:   # fspath: a file descriptor is no path
         data = fh.read()
-    tokens: list[bytes] = []
-    i, n = 0, len(data)
-    while len(tokens) < 4 and i < n:
-        c = data[i]
-        if c in _WHITESPACE:
-            i += 1
-            continue
-        if c == 0x23:  # '#' comment runs to end of line
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        j = i
-        while j < n and data[j] not in _WHITESPACE and data[j] != 0x23:
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    if len(tokens) < 4:
+    header = _PGM_HEADER.match(data)
+    if header is None:
         raise SchemaError(f"{path}: truncated PGM header")
-    if tokens[0] != b"P5":
+    magic, *fields = header.groups()
+    if magic != b"P5":
         raise SchemaError(f"{path}: not a binary PGM (P5) file")
     try:
-        if not all(t.isdigit() for t in tokens[1:4]):   # int() takes "+4", and "4_0" as 40
+        if not all(t.isdigit() for t in fields):   # int() takes "+4", and "4_0" as 40
             raise ValueError
-        width, height, maxval = map(int, tokens[1:4])   # which refuses 4,301 digits or more
+        width, height, maxval = map(int, fields)   # which refuses 4,301 digits or more
     except ValueError:
         raise SchemaError(f"{path}: non-numeric PGM header field") from None
-    if width <= 0 or height <= 0:
-        raise SchemaError(f"{path}: non-positive PGM dimensions {width}x{height}")
-    if width * height > MAX_PIXELS:
-        raise SchemaError(f"{path}.width: {width}x{height} frame exceeds {MAX_PIXELS} pixels")
+    _check_size(width, height, path)
     if maxval not in (255, 65535):
         raise SchemaError(f"{path}: unsupported maxval {maxval} (need 255 or 65535)")
-    if i >= n or data[i] not in _WHITESPACE:
+    i = header.end()
+    if not data[i:i + 1].isspace():
         raise SchemaError(f"{path}: missing whitespace after maxval")
     size = len(data) - (i + 1)
     expected = width * height * (1 if maxval == 255 else 2)
@@ -102,6 +92,15 @@ def read_labelmap(path) -> np.ndarray:
         raise SchemaError(f"{path}: payload is {size} bytes, expected {expected}")
     dtype = ">u1" if maxval == 255 else ">u2"
     return np.frombuffer(data, dtype=dtype, offset=i + 1).reshape(height, width)
+
+
+def _check_size(width: int, height: int, where) -> None:
+    """The frame-size rule of every file: each side at least 1, at most MAX_PIXELS pixels."""
+    for key, v in (("width", width), ("height", height)):
+        if v < 1:
+            raise SchemaError(f"{where}.{key}: must be at least 1, got {v}")
+    if width * height > MAX_PIXELS:
+        raise SchemaError(f"{where}.width: {width}x{height} frame exceeds {MAX_PIXELS} pixels")
 
 
 def _sample_type(lo, hi) -> str:
@@ -198,21 +197,17 @@ def _get(obj, key, kinds, where, allow_none=False):
     return v
 
 
-def _check_version(doc, path) -> None:
-    version = _get(doc, "format_version", int, str(path))
+def _document(path, key: str) -> tuple[dict, int, int, list]:
+    """A JSON document's head: the document, its width and height, and its list ``key``,
+    once its ``format_version`` and frame size are checked."""
+    doc = _load_json(path)
+    version = _get(doc, "format_version", int, path)
     if version != FORMAT_VERSION:
         raise SchemaError(f"{path}.format_version: unsupported version {version}")
-
-
-def _frame_size(doc, path) -> tuple[int, int]:
-    width = _get(doc, "width", int, str(path))
-    height = _get(doc, "height", int, str(path))
-    for key, v in (("width", width), ("height", height)):
-        if v < 1:
-            raise SchemaError(f"{path}.{key}: must be at least 1, got {v}")
-    if width * height > MAX_PIXELS:
-        raise SchemaError(f"{path}.width: {width}x{height} frame exceeds {MAX_PIXELS} pixels")
-    return width, height
+    width = _get(doc, "width", int, path)
+    height = _get(doc, "height", int, path)
+    _check_size(width, height, path)
+    return doc, width, height, _get(doc, key, list, path)
 
 
 def _score(entry, where) -> float:
@@ -247,16 +242,11 @@ def _masks(rles: list, width, height, counts, prefix, group) -> list[Mask]:
 # ---------------------------------------------------------------- manifests
 
 def read_manifest(path) -> Manifest:
-    doc = _load_json(path)
-    _check_version(doc, path)
+    doc, width, height, raw_frames = _document(path, "frames")
     name = _get(doc, "sequence", str, str(path))
-    width, height = _frame_size(doc, path)
     ignore = _get(doc, "ignore_value", int, str(path), allow_none=True)
-    if ignore == 0:
-        raise SchemaError(f"{path}.ignore_value: 0 is the background label")
-    if ignore is not None and not 0 < ignore <= 65535:
-        raise SchemaError(f"{path}.ignore_value: {ignore} is not a PGM label (1 to 65535)")
-    raw_frames = _get(doc, "frames", list, str(path))
+    if fault := _ignore_fault(ignore):
+        raise SchemaError(f"{path}.ignore_value: {fault}")
     frames = []
     last = None
     for k, item in enumerate(raw_frames):
@@ -310,8 +300,8 @@ def write_sequence(name: str, gt: GroundTruthSequence, out_dir) -> Path:
     """Write label maps plus manifest under out_dir; returns the manifest path."""
     if not gt.eval_frames():
         raise ValueError("a sequence without frames has no manifest")
-    if gt.ignore_value is not None and not 0 < gt.ignore_value <= 65535:
-        raise ValueError(f"ignore_value {gt.ignore_value} is not a PGM label (1 to 65535)")
+    if fault := _ignore_fault(gt.ignore_value):
+        raise ValueError(f"ignore_value {fault}")
     out = Path(out_dir)
     (out / _LABELMAP_DIR).mkdir(parents=True, exist_ok=True)
     frames = []
@@ -332,10 +322,7 @@ def write_sequence(name: str, gt: GroundTruthSequence, out_dir) -> Path:
 # ---------------------------------------------------------------- detections
 
 def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
-    doc = _load_json(path)
-    _check_version(doc, path)
-    width, height = _frame_size(doc, path)
-    items = _get(doc, "frames", list, str(path))
+    _, width, height, items = _document(path, "frames")
     counts, frames, scores, kinds, rles = {}, [], [], [], []
     last = -math.inf
     # one test passes each valid frame and entry; a failing one is checked field by field
@@ -368,14 +355,7 @@ def read_detections(path) -> tuple[int, int, dict[int, list[Detection]]]:
     return width, height, {idx: list(islice(dets, n)) for idx, n in counts.items()}
 
 
-# The writers' fixed layouts: a detection or a tracks file entry is an object at
-# depth 4 of its document, each "%s" one of its values in sorted key order, and
-# its runs lie at depth 6
 _NEWLINE = ["\n" + "  " * depth for depth in range(7)]
-_DETECTION = _object({"kind": "%s", "rle": _array(["%s"], _NEWLINE[5]), "score": "%s"},
-                     _NEWLINE[4])
-_TRACK_ENTRY = _object({"index": "%s", "rle": _array(["%s"], _NEWLINE[5]), "score": "%s"},
-                       _NEWLINE[4])
 
 
 def _run_texts(masks) -> list[str]:
@@ -385,30 +365,39 @@ def _run_texts(masks) -> list[str]:
             for runs in _run_lists(masks)]
 
 
-def write_detections(path, width: int, height: int, dets_by_frame) -> None:
-    order = sorted(dets_by_frame)
-    runs = iter(_run_texts([d.mask for idx in order for d in dets_by_frame[idx]]))
-    frames = _array([
+def _write_groups(path, width: int, height: int, name: str, group_key: str, list_key: str,
+                  entry_key: str, groups) -> None:
+    """Write a detections or tracks file in its fixed layout: list ``name`` holds an object
+    per ``(value, entries)`` of ``groups``, ``value`` under ``group_key`` and an entry per
+    ``(value, detection)`` under ``list_key``, ``value`` under ``entry_key``."""
+    # an entry is an object at depth 4, each "%s" one of its values in sorted key order,
+    # and its runs lie at depth 6
+    entry = _object({entry_key: "%s", "rle": _array(["%s"], _NEWLINE[5]), "score": "%s"},
+                    _NEWLINE[4])
+    runs = iter(_run_texts([d.mask for _, entries in groups for _, d in entries]))
+    items = _array([
         _object({
-            "detections": _array([_DETECTION % (_scalar(d.kind), next(runs),
-                                                _scalar(d.score))
-                                  for d in dets_by_frame[idx]], _NEWLINE[3]),
-            "index": _scalar(idx),
+            list_key: _array([entry % (_scalar(v), next(runs), _scalar(d.score))
+                              for v, d in entries], _NEWLINE[3]),
+            group_key: _scalar(value),
         }, _NEWLINE[2])
-        for idx in order
+        for value, entries in groups
     ], _NEWLINE[1])
-    _write_json(_object({"format_version": _scalar(FORMAT_VERSION), "frames": frames,
+    _write_json(_object({"format_version": _scalar(FORMAT_VERSION), name: items,
                          "height": _scalar(height), "width": _scalar(width)}, "\n"),
                 path)
+
+
+def write_detections(path, width: int, height: int, dets_by_frame) -> None:
+    _write_groups(path, width, height, "frames", "index", "detections", "kind",
+                  [(idx, [(d.kind, d) for d in dets_by_frame[idx]])
+                   for idx in sorted(dets_by_frame)])
 
 
 # ---------------------------------------------------------------- tracks
 
 def read_tracks(path) -> tuple[int, int, list[Track]]:
-    doc = _load_json(path)
-    _check_version(doc, path)
-    width, height = _frame_size(doc, path)
-    items = _get(doc, "tracks", list, str(path))
+    _, width, height, items = _document(path, "tracks")
     counts, frames, scores, rles = {}, [], [], []
     # one test passes each valid track and entry; a failing one is checked field by field
     for k, item in enumerate(items):
@@ -446,20 +435,8 @@ def write_tracks(path, width: int, height: int, tracks) -> None:
     ids = [t.id for t in tracks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate track ids")
-    runs = iter(_run_texts([d.mask for t in tracks for d in t.entries]))
-    items = _array([
-        _object({
-            "frames": _array([_TRACK_ENTRY % (_scalar(d.frame), next(runs),
-                                              _scalar(d.score))
-                              for d in t.entries], _NEWLINE[3]),
-            "id": _scalar(t.id),
-        }, _NEWLINE[2])
-        for t in tracks
-    ], _NEWLINE[1])
-    _write_json(_object({"format_version": _scalar(FORMAT_VERSION),
-                         "height": _scalar(height), "tracks": items,
-                         "width": _scalar(width)}, "\n"),
-                path)
+    _write_groups(path, width, height, "tracks", "id", "frames", "index",
+                  [(t.id, [(d.frame, d) for d in t.entries]) for t in tracks])
 
 
 # ---------------------------------------------------------------- reports

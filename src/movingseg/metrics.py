@@ -48,6 +48,16 @@ from .mask import iou as mask_iou  # noqa: F401
 from .tracker import Track, _detection, _track
 
 
+def _ignore_fault(value) -> str | None:
+    """What is wrong with ``value`` as an ignore value: None when it is None or a PGM
+    label other than background, an int from 1 to 65535."""
+    if value == 0:
+        return "0 is the background label"
+    if value is not None and not (type(value) is int and 0 < value <= 65535):
+        return f"{value!r} is not a PGM label (1 to 65535)"
+    return None
+
+
 class GroundTruthSequence:
     """Per-frame instance label maps with an optional ignore value.
 
@@ -65,12 +75,8 @@ class GroundTruthSequence:
                  ignore_value: int | None = None):
         _frame_pixels(width, height)   # ints only: 3.7 and "3" are refused, not rounded
         width, height = int(width), int(height)   # a numpy int becomes the int it holds
-        if ignore_value == 0:
-            raise ValueError("ignore_value 0 is the background label")
-        if ignore_value is not None and not (isinstance(ignore_value, int)
-                                             and not isinstance(ignore_value, bool)
-                                             and 0 < ignore_value <= 65535):
-            raise ValueError(f"ignore_value {ignore_value!r} is not a PGM label (1 to 65535)")
+        if fault := _ignore_fault(ignore_value):
+            raise ValueError(f"ignore_value {fault}")
         runs = {}
         for idx, arr in labeled_frames.items():
             if not _is_int(idx):

@@ -21,7 +21,7 @@ import numpy as np
 from .mask import (Mask, _cut_bounds, _frame_pixels, _is_int, _label_runs, _mask, _meet,
                    _translate_cuts, mask_from_cuts)
 from .metrics import GroundTruthSequence
-from .tracker import Detection, Track, _detection, _require_finite
+from .tracker import Detection, Track, _detection, _require
 
 
 class PlacementError(ValueError):
@@ -40,7 +40,8 @@ class NoiseConfig:
     fn_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "score_mean", "score_spread", "fp_rate", "fn_rate")
+        _require(self, math.isfinite, "finite", "score_mean", "score_spread", "fp_rate", "fn_rate")
+        _require(self, _is_int, "an integer", "jitter_px")
         # rng.integers' bounds and _translate_cuts' row and column sums stay in int64
         if not 0 <= self.jitter_px <= 2**62:
             raise ValueError(f"jitter_px must lie in [0, 2**62], got {self.jitter_px}")
@@ -60,6 +61,9 @@ class OcclusionEvent:
     start_frame: int
     duration: int
 
+    def __post_init__(self) -> None:
+        _require(self, _is_int, "an integer", "object_index", "start_frame", "duration")
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -78,9 +82,8 @@ class SynthConfig:
         # the seed is a SeedSequence key
         for name, least in (("seed", 0), ("frames", 1), ("width", 1), ("height", 1),
                             ("objects", 1)):
+            _require(self, _is_int, "an integer", name)   # 2.5, "32" and True are not rounded
             value = getattr(self, name)
-            if not _is_int(value):   # 2.5, "32" and True are not rounded
-                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         _frame_pixels(self.width, self.height)   # the readers' frame-size rule
@@ -88,10 +91,12 @@ class SynthConfig:
             raise ValueError(f"objects must be at most 65535, got {self.objects}")
         if self.shape not in ("rectangle", "ellipse"):
             raise ValueError(f"unknown shape {self.shape!r}")
-        _require_finite(self, "velocity")
+        _require(self, math.isfinite, "finite", "velocity")
         lo, hi = self.velocity
         if lo < 0 or hi < lo:
             raise ValueError(f"bad velocity range {self.velocity}")
+        if self.object_size is not None:
+            _require(self, _is_int, "an integer", "object_size")
         s_lo, s_hi = self._size_range()
         if s_lo < _MIN_OBJECT or s_hi < s_lo:
             raise ValueError(f"bad object_size range {self.object_size}")
@@ -230,6 +235,8 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int
     false-positive gate, and per-frame placement; raising fp_rate therefore
     only adds detections without disturbing the rest.
     """
+    if not _is_int(seed) or seed < 0:   # SynthConfig's seed rule
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng_obj = _rng(seed, 1)
     rng_fp = _rng(seed, 2)
     w, h = gt.width, gt.height

@@ -25,12 +25,13 @@ from .assign import solve_max_assignment
 from .mask import Mask, _is_int, iou, iou_matrix  # noqa: F401
 
 
-def _require_finite(config, *names: str) -> None:
-    """Raise a ValueError naming the first of the fields ``names`` that holds nan or inf."""
+def _require(config, test, kind: str, *names: str) -> None:
+    """Raise a ValueError naming the first of the fields ``names`` whose value, or an item
+    of its tuple, fails ``test``; ``kind`` says what each must be."""
     for name in names:
         value = getattr(config, name)
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not all(map(test, value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,9 @@ class TrackerConfig:
     static_overlap_iou: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_finite(self, "alpha_high", "alpha_low", "min_match_iou", "static_overlap_iou")
+        _require(self, math.isfinite, "finite", "alpha_high", "alpha_low", "min_match_iou",
+                 "static_overlap_iou")
+        _require(self, _is_int, "an integer", "t_inactive")   # 2.5 and True are not rounded
         if not (self.alpha_low <= self.alpha_high):
             raise ValueError(
                 f"alpha_low ({self.alpha_low}) must not exceed alpha_high ({self.alpha_high})"

@@ -83,6 +83,25 @@ class TestExitCodes:
     def test_unknown_flag(self, tmp_path):
         assert main(synth_args(tmp_path / "o") + ["--bogus"]) == 1
 
+    @pytest.mark.parametrize("command,flag,prefix", [("synth", ["--fp-rate", "0.3"], "--fp-rat"),
+                                                     ("evaluate", ["--metric", "davis"], "--met"),
+                                                     ("track", ["--bidirectional"], "--bidir")])
+    def test_flag_prefix_usage_error(self, tmp_path, capsys, command, flag, prefix):
+        # argparse's default read a prefix as the flag it begins, so a misspelling was taken
+        seq, out = tmp_path / "s", tmp_path / "out"
+        assert main(synth_args(seq)) == 0
+        argv = {"synth": synth_args(out),
+                "track": ["track", "--detections", str(seq / "detections.json"),
+                          "--out", str(out)],
+                "evaluate": ["evaluate", "--gt", str(seq / "manifest.json"),
+                             "--pred", str(seq / "gt_tracks.json"), "--out", str(out)]}[command]
+        capsys.readouterr()
+        assert main([*argv, prefix, *flag[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+        assert main([*argv, *flag]) == 0
+
     def test_zero_frames_usage_error(self, tmp_path):
         assert main(["synth", "--frames", "0", "--out", str(tmp_path)]) == 1
 
@@ -803,6 +822,14 @@ def test_readme_quick_start_runs(tmp_path):
         done = subprocess.run([sys.executable, "-m", *argv], env=_env(), cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (argv, done.stderr)
+
+
+def test_fp_penalty_demo_refuses_a_malformed_size():
+    # the demo split --size itself, and ended "160x120x5" in a traceback
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fp_penalty_demo.py"),
+                           "--size", "160x120x5"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "argument --size: expects WxH, got '160x120x5'" in done.stderr
 
 
 def test_fp_penalty_demo_shows_the_contrast():

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from movingseg import mask as mask_module
 from movingseg import metrics
 from movingseg.mask import MAX_PIXELS, Mask, mask_from_cuts, rle_encode
 from movingseg.metrics import GroundTruthSequence, MetricReport
-from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
+from movingseg.synth import NoiseConfig, OcclusionEvent, SynthConfig, corrupt, generate
 from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
 
 W, H = 16, 8
@@ -102,6 +103,120 @@ class TestLabelmapPgm:
         path.write_bytes(b"P5\n" + header + b"\n" + bytes(4))
         with pytest.raises(fileio.SchemaError,
                            match=re.escape(f"{path}: non-numeric PGM header field")):
+            fileio.read_labelmap(path)
+
+
+def _reference_read_labelmap(data: bytes, path):
+    """The PGM reader as it first tokenized its header, byte by byte: the map it read, or
+    the message it refused ``data`` with."""
+    tokens = []
+    i, n = 0, len(data)
+    whitespace = (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
+    while len(tokens) < 4 and i < n:
+        c = data[i]
+        if c in whitespace:
+            i += 1
+            continue
+        if c == 0x23:  # '#' comment runs to end of line
+            while i < n and data[i] not in (0x0A, 0x0D):
+                i += 1
+            continue
+        j = i
+        while j < n and data[j] not in whitespace and data[j] != 0x23:
+            j += 1
+        tokens.append(data[i:j])
+        i = j
+    if len(tokens) < 4:
+        return f"{path}: truncated PGM header"
+    if tokens[0] != b"P5":
+        return f"{path}: not a binary PGM (P5) file"
+    if not all(t.isdigit() for t in tokens[1:4]):
+        return f"{path}: non-numeric PGM header field"
+    width, height, maxval = map(int, tokens[1:4])
+    if width <= 0 or height <= 0:
+        return f"{path}: non-positive PGM dimensions {width}x{height}"
+    if width * height > MAX_PIXELS:
+        return f"{path}.width: {width}x{height} frame exceeds {MAX_PIXELS} pixels"
+    if maxval not in (255, 65535):
+        return f"{path}: unsupported maxval {maxval} (need 255 or 65535)"
+    if i >= n or data[i] not in whitespace:
+        return f"{path}: missing whitespace after maxval"
+    size = len(data) - (i + 1)
+    expected = width * height * (1 if maxval == 255 else 2)
+    if size != expected:
+        return f"{path}: payload is {size} bytes, expected {expected}"
+    dtype = ">u1" if maxval == 255 else ">u2"
+    return np.frombuffer(data, dtype=dtype, offset=i + 1).reshape(height, width)
+
+
+_HEADER_TOKENS = st.sampled_from([b"P5", b"P2", b"0", b"1", b"2", b"3", b"255", b"65535",
+                                  b"99999", b"256", b"+2", b"2x", b"\x1c", b"\x85", b"\xa0"])
+_COMMENT_TEXT = st.binary(max_size=6).map(lambda text: b"#" + text.translate(None, b"\n\r"))
+# whitespace bytes, and comments that end at a line break; a comment that runs to the
+# end of the file is drawn as the file's tail
+_HEADER_GAPS = st.one_of(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+                         st.builds(bytes.__add__, _COMMENT_TEXT, st.sampled_from([b"\n", b"\r"])))
+_VALID_HEADER = st.tuples(st.just(b"P5"), st.sampled_from([b"1", b"2", b"3"]),
+                          st.sampled_from([b"1", b"2", b"3"]),
+                          st.sampled_from([b"255", b"65535"])).map(list)
+
+
+def _read_or_message(path):
+    try:
+        return fileio.read_labelmap(path)
+    except fileio.SchemaError as e:
+        return str(e)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_header_pattern_reads_what_the_byte_loop_read(data):
+    tokens = data.draw(st.one_of(st.lists(_HEADER_TOKENS, min_size=3, max_size=5),
+                                 _VALID_HEADER))
+    # two tokens with no gap between them are one token, which the token list already draws
+    gaps = [b"".join(data.draw(st.lists(_HEADER_GAPS, min_size=int(0 < k < len(tokens)),
+                                        max_size=3)))
+            for k in range(len(tokens) + 1)]
+    content = (b"".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
+               + data.draw(st.one_of(st.binary(max_size=12), _COMMENT_TEXT)))
+    with tempfile.TemporaryDirectory() as tmp:   # hypothesis reruns outlive tmp_path
+        path = Path(tmp) / "t.pgm"
+        for _ in range(2):   # a payload of the wrong size is tried again at the right size
+            path.write_bytes(content)
+            want, got = _reference_read_labelmap(content, path), _read_or_message(path)
+            if isinstance(want, np.ndarray):
+                assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                break
+            # the one changed message: a side of 0 is named as in JSON documents
+            if m := re.fullmatch(r".*: non-positive PGM dimensions (\d+)x(\d+)", want):
+                key, v = ("width", m[1]) if int(m[1]) < 1 else ("height", m[2])
+                want = f"{path}.{key}: must be at least 1, got {v}"
+            assert got == want
+            m = re.fullmatch(r".*: payload is (\d+) bytes, expected (\d+)", want)
+            if m is None or int(m[2]) > 1000:
+                break
+            have, need = int(m[1]), int(m[2])
+            content = content + bytes(need - have) if need > have else content[:need - have]
+
+
+def test_a_run_of_hashes_is_refused_in_linear_time(tmp_path):
+    # were a comment free to end before its line does, the pattern would try each of the
+    # 2**29 ways to split the run into comments before refusing the header
+    path = tmp_path / "t.pgm"
+    path.write_bytes(b"P5 " + b"#" * 30)
+    start = time.perf_counter()
+    with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}: truncated PGM header")):
+        fileio.read_labelmap(path)
+    assert time.perf_counter() - start < 1
+
+
+def test_pgm_side_of_zero_is_named_as_in_json_documents(tmp_path):
+    path = tmp_path / "t.pgm"
+    for header, message in ((b"P5 0 2 255\n", ".width: must be at least 1, got 0"),
+                            (b"P5 2 0 255\n", ".height: must be at least 1, got 0")):
+        path.write_bytes(header)
+        with pytest.raises(fileio.SchemaError, match=re.escape(f"{path}{message}")):
             fileio.read_labelmap(path)
 
 
@@ -462,6 +577,15 @@ _INT_FIELDS = {
        for name in ("seed", "frames", "width", "height", "objects")},
     "Detection-frame": (2, lambda v: Detection(v, 0.5, _M)),
     "Track-id": (2, lambda v: Track(v, (Detection(0, 0.5, _M),))),
+    # before, an event of 0.5 occluded nothing and one of duration 1.5 failed in generate
+    "OcclusionEvent-object_index": (1, lambda v: OcclusionEvent(v, 1, 2)),
+    "OcclusionEvent-start_frame": (1, lambda v: OcclusionEvent(1, v, 2)),
+    "OcclusionEvent-duration": (1, lambda v: OcclusionEvent(1, 1, v)),
+    "SynthConfig-object_size": (5, lambda v: SynthConfig(0, 1, 32, 32, object_size=(v, v))),
+    "NoiseConfig-jitter_px": (2, lambda v: NoiseConfig(jitter_px=v)),
+    "TrackerConfig-t_inactive": (10, lambda v: TrackerConfig(t_inactive=v)),
+    "corrupt-seed": (2, lambda v: corrupt(GroundTruthSequence(2, 2, {0: np.ones((2, 2), int)}),
+                                          NoiseConfig(), v)),
 }
 
 
@@ -690,7 +814,8 @@ class TestManifest:
     def test_writer_refuses_an_ignore_label_it_could_not_read_back(self, tmp_path, ignore):
         gt = GroundTruthSequence(2, 2, {0: np.array([[0, 1], [1, 1]])})
         gt = GroundTruthSequence._from_runs(2, 2, gt._runs, ignore_value=ignore)
-        with pytest.raises(ValueError, match=f"ignore_value {ignore}"):
+        fault = "is not a PGM label (1 to 65535)" if ignore else "is the background label"
+        with pytest.raises(ValueError, match=re.escape(f"ignore_value {ignore} {fault}")):
             fileio.write_sequence("s", gt, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
