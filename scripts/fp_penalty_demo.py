@@ -2,9 +2,11 @@
 """Show how the two F-measures react to spurious detections.
 
 Generates one synthetic sequence, corrupts it at increasing false-positive
-rates, tracks each variant, and prints both measures side by side: the
-matched-only measure stays flat while the false-positive-penalizing measure
-and the object-count error degrade.
+rates, tracks each variant, and prints both measures side by side.  The
+matched-only measure ignores unmatched predictions, so it stays flat as long as
+the spurious tracks stay unmatched, as they do at the defaults, while the
+false-positive-penalizing measure and the object-count error degrade.  On small
+frames a spurious track can win an object's match, and then both measures fall.
 """
 
 import argparse

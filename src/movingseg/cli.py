@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import io as fileio
-from .metrics import MetricReport, evaluate
+from .metrics import METRICS, MetricReport, evaluate
 from .synth import NoiseConfig, OcclusionEvent, SynthConfig, corrupt, generate
 from .tracker import (TrackerConfig, _detection, bidirectional_track, merge_moving_static,
                       track_sequence)
@@ -104,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("--gt", action="append", required=True, metavar="MANIFEST")
     p.add_argument("--pred", action="append", required=True, metavar="TRACKS")
-    p.add_argument("--metric", required=True,
-                   choices=("proposed", "official", "delta-obj", "map", "davis"))
+    p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--out", type=str, required=True, metavar="REPORT")
     p.add_argument("--csv", type=str, default=None, metavar="FILE")
     p.add_argument("--map-mode", choices=("box", "mask"), default="mask")

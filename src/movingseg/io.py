@@ -313,7 +313,8 @@ def write_sequence(name: str, gt: GroundTruthSequence, out_dir) -> Path:
         write_labelmap(np.repeat(labels, np.diff(bounds)).reshape(gt.height, gt.width),
                        out / rel)
         frames.append((idx, rel))
-    manifest = Manifest(name, gt.width, gt.height, gt.ignore_value, tuple(frames))
+    ignore = None if gt.ignore_value is None else int(gt.ignore_value)   # JSON has no np.int64
+    manifest = Manifest(name, gt.width, gt.height, ignore, tuple(frames))
     manifest_path = out / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path

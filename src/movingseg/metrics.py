@@ -53,7 +53,7 @@ def _ignore_fault(value) -> str | None:
     label other than background, an int from 1 to 65535."""
     if value == 0:
         return "0 is the background label"
-    if value is not None and not (type(value) is int and 0 < value <= 65535):
+    if value is not None and not (_is_int(value) and 0 < value <= 65535):
         return f"{value!r} is not a PGM label (1 to 65535)"
     return None
 
@@ -92,7 +92,7 @@ class GroundTruthSequence:
             if values.min() < 0 or values.max() > 65535:   # the labels a PGM map holds
                 raise ValueError(f"frame {idx} labels must lie in [0, 65535], "
                                  f"got {values.min()} to {values.max()}")
-        self._set(width, height, runs, ignore_value)
+        self._set(width, height, runs, None if ignore_value is None else int(ignore_value))
 
     @classmethod
     def _from_runs(cls, width: int, height: int,
@@ -550,30 +550,15 @@ def binarize_detections(dets_by_frame, threshold: float = 0.7, *,
     return {f: _from_cuts(width, height, local[a:b]) for f, a, b in zip(frames, edges, edges[1:])}
 
 
-@dataclass(frozen=True)
-class _Options:
-    """``evaluate``'s options, with the defaults of the CLI flags of the same names."""
+# Each metric is a per-sequence score, (gt, tracks) -> payload, and a combine,
+# [(name, payload)] -> MetricReport, that sets the values; ``evaluate`` binds each
+# to the options it reads and sets the flags, the same for every metric.
 
-    map_mode: str = "mask"              # map: "box" or "mask" IoU
-    binarize_threshold: float = 0.7     # davis: keep masks scoring strictly above it
-    boundary_tolerance: float = 0.8     # davis: percent of the image diagonal
-
-    def __post_init__(self) -> None:
-        if self.map_mode not in ("box", "mask"):
-            raise ValueError(f"map_mode must be 'box' or 'mask', got {self.map_mode!r}")
-        if not math.isfinite(self.binarize_threshold):
-            raise ValueError(f"binarize_threshold must be finite, got {self.binarize_threshold!r}")
-        if not (math.isfinite(self.boundary_tolerance) and self.boundary_tolerance >= 0):
-            raise ValueError("boundary_tolerance must be finite and >= 0, "
-                             f"got {self.boundary_tolerance!r}")
+METRICS = ("proposed", "official", "delta-obj", "map", "davis")
 
 
-# Each metric is a per-sequence score, (gt, tracks, options) -> payload, and a
-# combine, ([(name, (n_objects, n_tracks, payload))], options) -> MetricReport,
-# that sets the values; the flags are the report's, the same for every metric.
-
-def _pool_tallies(items, options, official):
-    tallies = [tally for _, (_, _, tally) in items]
+def _pool_tallies(items, official):
+    tallies = [tally for _, tally in items]
     n_over = sum(t.n_over_075 for t in tallies) if official else None
     g_pool = sum(t.gt_pixels for t in tallies)
     if not g_pool:   # no ground-truth object, so no ratio
@@ -583,10 +568,9 @@ def _pool_tallies(items, options, official):
     return MetricReport(precision=precision, recall=recall, f_measure=f, n_over_075=n_over)
 
 
-def _count_error(items, options):
-    """The mean over sequences of |predicted object count - ground-truth count|."""
-    return MetricReport(delta_obj=sum(abs(n_pred - n_gt) for _, (n_gt, n_pred, _) in items)
-                        / len(items))
+def _count_error(gt, tracks):
+    """|predicted object count - ground-truth count|, as a one-value score."""
+    return (abs(len(tracks) - len(gt.region_ids())),)
 
 
 def _detections_by_frame(gt, tracks):
@@ -599,60 +583,43 @@ def _detections_by_frame(gt, tracks):
     return by_frame
 
 
-def _ap_matches(gt, tracks, options):
+def _ap_matches(gt, tracks, map_mode):
     gt_frames = {f: gt.instance_masks(f) for f in gt.eval_frames()}
-    return (_greedy_matches(gt_frames, _detections_by_frame(gt, tracks), 0.5, options.map_mode),
+    return (_greedy_matches(gt_frames, _detections_by_frame(gt, tracks), 0.5, map_mode),
             sum(map(len, gt_frames.values())))
 
 
-def _pooled_ap(items, options):
+def _pooled_ap(items, map_mode):
     # (name, frame) keys order the detections of one score as frame keys do within a sequence
-    matches = sorted((neg_score, name, *rest) for name, (_, _, (ms, _)) in items
+    matches = sorted((neg_score, name, *rest) for name, (ms, _) in items
                      for neg_score, *rest in ms)
-    ap = _interpolated_ap([tp for *_, tp in matches], sum(n for _, (_, _, (_, n)) in items))
-    return MetricReport(**{"ap_" + options.map_mode: ap})
+    ap = _interpolated_ap([tp for *_, tp in matches], sum(n for _, (_, n) in items))
+    return MetricReport(**{"ap_" + map_mode: ap})
 
 
-_DAVIS_FIELDS = ("j_mean", "j_recall", "j_decay", "f_boundary")
-
-
-def _davis_scores(gt, tracks, options):
+def _davis_scores(gt, tracks, binarize_threshold, boundary_tolerance):
     gtb = {f: gt.foreground(f) for f in gt.eval_frames()}
-    prb = binarize_detections(_detections_by_frame(gt, tracks), options.binarize_threshold,
+    prb = binarize_detections(_detections_by_frame(gt, tracks), binarize_threshold,
                               width=gt.width, height=gt.height)
-    tol = default_boundary_tolerance(gt.width, gt.height, options.boundary_tolerance)
+    tol = default_boundary_tolerance(gt.width, gt.height, boundary_tolerance)
     return (*davis_j(gtb, prb), boundary_f(gtb, prb, tolerance_px=tol))
 
 
-def _mean_davis(items, options):
-    return MetricReport(**{field: sum(p[k] for _, (_, _, p) in items) / len(items)
-                           for k, field in enumerate(_DAVIS_FIELDS)})
+def _means(items, fields):
+    """The mean over sequences of each value of a score, as the report's ``fields``."""
+    return MetricReport(**{field: sum(p[k] for _, p in items) / len(items)
+                           for k, field in enumerate(fields)})
 
 
-_METRICS = {
-    "proposed": (lambda gt, tracks, options: sequence_tally(gt, tracks, official=False),
-                 partial(_pool_tallies, official=False)),
-    "official": (lambda gt, tracks, options: sequence_tally(gt, tracks, official=True),
-                 partial(_pool_tallies, official=True)),
-    "delta-obj": (lambda gt, tracks, options: None, _count_error),
-    "map": (_ap_matches, _pooled_ap),
-    "davis": (_davis_scores, _mean_davis),
-}
-
-
-def _metric(name: str):
-    if name not in _METRICS:
-        raise ValueError(f"unknown metric {name!r}, expected one of {sorted(_METRICS)}")
-    return _METRICS[name]
-
-
-def evaluate(metric: str, sequences, **options) -> MetricReport:
+def evaluate(metric: str, sequences, *, map_mode: str = "mask",
+             binarize_threshold: float = 0.7, boundary_tolerance: float = 0.8) -> MetricReport:
     """Score ``metric`` over (name, ground truth, tracks) triples; names must be unique.
 
-    ``metric`` is one of ``proposed``, ``official``, ``delta-obj``, ``map`` and
-    ``davis``; the options are ``map_mode`` ("mask"), ``binarize_threshold``
-    (0.7) and ``boundary_tolerance`` (0.8, percent of the image diagonal), as
-    the CLI's flags of the same names.  Tracks are ``tracker.Track``s; an entry,
+    ``metric`` is one of ``METRICS``: ``proposed``, ``official``, ``delta-obj``,
+    ``map`` and ``davis``.  The options are the CLI's flags of the same names:
+    map's ``map_mode``, "box" or "mask" IoU; davis's ``binarize_threshold``,
+    which a mask must score strictly above, and its ``boundary_tolerance``, a
+    percent of the image diagonal.  Tracks are ``tracker.Track``s; an entry,
     on any frame, whose mask is not the sequence's size is a ValueError naming
     its track.
     ``sequences`` is any iterable, read once: each sequence is scored as it
@@ -664,29 +631,46 @@ def evaluate(metric: str, sequences, **options) -> MetricReport:
     of its sequences has a ground-truth object and ``no_predictions`` when none
     has a track.
     """
-    score, combine = _metric(metric)
-    opts = _Options(**options)
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRICS)}")
+    if map_mode not in ("box", "mask"):
+        raise ValueError(f"map_mode must be 'box' or 'mask', got {map_mode!r}")
+    if not math.isfinite(binarize_threshold):
+        raise ValueError(f"binarize_threshold must be finite, got {binarize_threshold!r}")
+    if not (math.isfinite(boundary_tolerance) and boundary_tolerance >= 0):
+        raise ValueError(f"boundary_tolerance must be finite and >= 0, got {boundary_tolerance!r}")
+    # (score, combine) in METRICS order, looked up now, so that a kernel replaced on
+    # this module after import, as a tracer or a test does, is the one called
+    score, combine = (
+        (partial(sequence_tally, official=False), partial(_pool_tallies, official=False)),
+        (partial(sequence_tally, official=True), partial(_pool_tallies, official=True)),
+        (_count_error, partial(_means, fields=("delta_obj",))),
+        (partial(_ap_matches, map_mode=map_mode), partial(_pooled_ap, map_mode=map_mode)),
+        (partial(_davis_scores, binarize_threshold=binarize_threshold,
+                 boundary_tolerance=boundary_tolerance),
+         partial(_means, fields=("j_mean", "j_recall", "j_decay", "f_boundary"))),
+    )[METRICS.index(metric)]
 
     def scored(triple):
         name, gt, tracks = triple
         _check_size(gt, tracks)
-        return name, (len(gt.region_ids()), len(tracks), score(gt, tracks, opts))
+        return name, len(gt.region_ids()), len(tracks), score(gt, tracks)
 
     # map lets go of each triple once it is scored; a for loop would keep it bound
     # while the next one loads
     scores = list(map(scored, sequences))
     if not scores:
         raise ValueError("no sequences")
-    names = [name for name, _ in scores]
+    names = [name for name, *_ in scores]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate sequence names: {sorted(names)}")
 
-    def report(items):
-        rep = combine(items, opts)
-        rep.flags = (("degenerate",) * (not any(n_gt for _, (n_gt, _, _) in items))
-                     + ("no_predictions",) * (not any(n for _, (_, n, _) in items)))
+    def report(rows):
+        rep = combine([(name, payload) for name, _, _, payload in rows])
+        rep.flags = (("degenerate",) * (not any(n_gt for _, n_gt, _, _ in rows))
+                     + ("no_predictions",) * (not any(n for _, _, n, _ in rows)))
         return rep
 
     rep = report(scores)
-    rep.per_sequence = {name: report([(name, result)]) for name, result in scores}
+    rep.per_sequence = {row[0]: report([row]) for row in scores}
     return rep

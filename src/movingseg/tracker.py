@@ -144,18 +144,14 @@ def _matches(masks: Sequence[Mask], dets: Sequence[Detection],
             if benefit[i, j] > cfg.min_match_iou]
 
 
-def _frame_of(frame_dets: Sequence[Detection], frame: int | None) -> int:
-    """The one frame all of ``frame_dets`` come from, which must equal ``frame`` if given."""
+def _frame_of(frame_dets: Sequence[Detection]) -> int:
+    """The one frame all of ``frame_dets`` come from."""
     frames = {d.frame for d in frame_dets}
     if len(frames) > 1:
         raise ValueError(f"detections span several frames: {sorted(frames)}")
-    if frame is None:
-        if not frames:
-            raise ValueError("cannot infer frame from an empty detection list")
-        return frames.pop()
-    if frames and frames != {frame}:
-        raise ValueError(f"detections are for frame {frames.pop()}, expected {frame}")
-    return frame
+    if not frames:
+        raise ValueError("cannot infer frame from an empty detection list")
+    return frames.pop()
 
 
 def _advance(ids: list[int], entries: list[list[Detection]], frame: int,
@@ -180,13 +176,13 @@ def _advance(ids: list[int], entries: list[list[Detection]], frame: int,
 
 
 def step(tracks: Sequence[Track], frame_dets: Sequence[Detection],
-         cfg: TrackerConfig, frame: int | None = None) -> list[Track]:
+         cfg: TrackerConfig) -> list[Track]:
     """Advance one frame: associate, extend, and open tracks.
 
     All detections must come from a single frame strictly after every track's
     last entry.  New ids continue from the largest existing id.
     """
-    frame = _frame_of(frame_dets, frame)
+    frame = _frame_of(frame_dets)
     for t in tracks:
         if t.last_active_frame >= frame:
             raise ValueError(
@@ -205,7 +201,9 @@ def track_sequence(dets_by_frame: Mapping[int, Sequence[Detection]],
     for frame in sorted(dets_by_frame):
         kept = gate(dets_by_frame[frame], cfg)
         if kept:
-            _advance(ids, entries, _frame_of(kept, frame), kept, cfg)
+            if (found := _frame_of(kept)) != frame:
+                raise ValueError(f"detections are for frame {found}, expected {frame}")
+            _advance(ids, entries, frame, kept, cfg)
     return [_track(i, tuple(es)) for i, es in zip(ids, entries)]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -23,7 +24,7 @@ from movingseg import cli
 from movingseg import io as fileio
 from movingseg.cli import main
 from movingseg.mask import MAX_PIXELS
-from movingseg.metrics import GroundTruthSequence
+from movingseg.metrics import METRICS, GroundTruthSequence
 from movingseg.tracker import Track
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,6 +103,19 @@ class TestExitCodes:
         assert not out.exists()
         assert main([*argv, *flag]) == 0
 
+    def test_unknown_metric_usage_error(self, tmp_path, capsys):
+        # the parser's choices are the metric table's names, so it refuses what evaluate would
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        metric = next(a for a in sub.choices["evaluate"]._actions if a.dest == "metric")
+        assert metric.choices == METRICS
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--gt", "m.json", "--pred", "t.json", "--metric", "recall",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "'recall'" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_zero_frames_usage_error(self, tmp_path):
         assert main(["synth", "--frames", "0", "--out", str(tmp_path)]) == 1
 
@@ -176,7 +190,7 @@ class TestExitCodes:
         assert f"{bad}.ignore_value: 70000" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("metric", ["proposed", "official", "delta-obj", "map", "davis"])
+    @pytest.mark.parametrize("metric", METRICS)
     def test_manifest_without_frames_data_error(self, tmp_path, capsys, metric):
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps({"format_version": 1, "sequence": "s", "width": 4,
@@ -251,7 +265,7 @@ class TestExitCodes:
         assert main(base + ["--fail-on-degenerate"]) == 3
 
 
-    @pytest.mark.parametrize("metric", ["proposed", "official", "delta-obj", "map", "davis"])
+    @pytest.mark.parametrize("metric", METRICS)
     def test_empty_track_file_flags_no_predictions(self, tmp_path, metric):
         labels = {f: rect_labels(32, 24, [(1, 4 + f, 6, 8, 8)]) for f in range(3)}
         pairs = []
@@ -554,7 +568,7 @@ class TestEvaluateCommand:
             return name, gt
 
         monkeypatch.setattr(fileio, "load_sequence", load_alone)
-        for metric in ("proposed", "official", "delta-obj", "map", "davis"):
+        for metric in METRICS:
             loaded.clear()
             assert main(["evaluate", *pairs, "--metric", metric,
                          "--out", str(tmp_path / f"{metric}.json")]) == 0
@@ -832,18 +846,31 @@ def test_fp_penalty_demo_refuses_a_malformed_size():
     assert "argument --size: expects WxH, got '160x120x5'" in done.stderr
 
 
-def test_fp_penalty_demo_shows_the_contrast():
-    """The demo's claim: as the false-positive rate rises, the matched-only F stays the
-    same while the penalizing F falls and the track count and object-count error rise."""
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fp_penalty_demo.py")],
+def _fp_penalty_demo_rows(*argv):
+    """The demo's table, one column per tuple: fp_rate, official F and N, proposed F,
+    tracks and delta_obj."""
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fp_penalty_demo.py"), *argv],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()[1:]
     assert header.split() == ["fp_rate", "official", "F", "official", "N", "proposed", "F",
                               "tracks", "delta_obj"]
-    rate, official, _, proposed, tracks, delta = zip(*(map(float, r.split()) for r in rows))
+    return tuple(zip(*(map(float, r.split()) for r in rows)))
+
+
+def test_fp_penalty_demo_shows_the_contrast():
+    """The demo's claim: as the false-positive rate rises, the matched-only F stays the
+    same while spurious tracks stay unmatched, as at the defaults, and the penalizing F
+    falls and the track count and object-count error rise."""
+    rate, official, _, proposed, tracks, delta = _fp_penalty_demo_rows()
     assert len(rate) >= 3 and list(rate) == sorted(set(rate))
     assert len(set(official)) == 1
     assert all(a > b for a, b in zip(proposed, proposed[1:]))
     for rising in (tracks, delta):
         assert all(a < b for a, b in zip(rising, rising[1:]))
+    assert all(p <= o for p, o in zip(proposed, official))
+    # on small frames spurious tracks win matches and the matched-only F falls too; with
+    # no ignore label both measures share one matching, so the penalizing F is never above
+    _, official, _, proposed, _, _ = _fp_penalty_demo_rows("--size", "40x30", "--frames", "5")
+    assert min(official) < max(official)
+    assert all(p <= o for p, o in zip(proposed, official))

@@ -819,6 +819,14 @@ class TestManifest:
             fileio.write_sequence("s", gt, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_writer_writes_a_numpy_int_ignore_label_as_the_int_it_holds(self, tmp_path):
+        # the check takes it, so the manifest must hold it as an int, or the write would
+        # fail after the label maps
+        gt = GroundTruthSequence(2, 2, {0: np.array([[0, 1], [5, 5]])})
+        gt = GroundTruthSequence._from_runs(2, 2, gt._runs, ignore_value=np.int64(5))
+        _, back = fileio.load_sequence(fileio.write_sequence("s", gt, tmp_path))
+        assert back.ignore_value == 5 and back.region_ids() == [1]
+
     def test_writer_refuses_a_sequence_without_frames(self, tmp_path):
         # the loader refuses a manifest that lists no frame, so none is written
         with pytest.raises(ValueError, match="without frames"):

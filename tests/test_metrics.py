@@ -1,4 +1,5 @@
 import re
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from dense_reference import average_precision_dense, brute_force_assignment, interval_grid
 from helpers import det, rect_labels, rect_mask, region, single_frame_gt
+from movingseg import io as fileio
 from movingseg import mask as mask_module
 from movingseg.mask import DimensionMismatchError, MalformedMaskError, Mask, rle_encode
-from movingseg.metrics import (GroundTruthSequence, SequenceTally, _f_matrix, _prf, _track_cuts,
-                               average_precision, binarize_detections, boundary_f, davis_j,
-                               default_boundary_tolerance, evaluate, sequence_tally)
+from movingseg.metrics import (METRICS, GroundTruthSequence, SequenceTally, _f_matrix, _prf,
+                               _track_cuts, average_precision, binarize_detections, boundary_f,
+                               davis_j, default_boundary_tolerance, evaluate, sequence_tally)
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import Detection, Track, TrackerConfig, track_sequence
 
@@ -86,13 +88,25 @@ def test_background_as_ignore_label_rejected(ignore):
     assert prf("official", gt, [region(1, 4, 4, {0: (0, 0, 2, 4)})])[0] == 0.5
 
 
-@pytest.mark.parametrize("ignore", [-1, 65536, 70000, True, 2.5])
+@pytest.mark.parametrize("ignore", [-1, 65536, 70000, True, 2.5, 5.0, np.float64(5),
+                                    np.int64(65536), np.bool_(True)])
 def test_ignore_label_outside_pgm_range_rejected(ignore):
     # True would ignore label 1; the others no PGM map holds, so they would ignore nothing
     labels = rect_labels(4, 4, [(1, 0, 0, 2, 2)])
     message = f"ignore_value {ignore!r} is not a PGM label (1 to 65535)"
     with pytest.raises(ValueError, match=re.escape(message)):
         GroundTruthSequence(4, 4, {0: labels}, ignore_value=ignore)
+
+
+@pytest.mark.parametrize("ignore", [np.int64(5), np.uint16(5), np.int32(65535)])
+def test_numpy_int_ignore_label_accepted_as_the_int_it_holds(tmp_path, ignore):
+    # as a frame size or a frame index is; kept as a Python int, so the manifest can hold it
+    labels = rect_labels(4, 4, [(1, 0, 0, 2, 2), (int(ignore), 2, 2, 2, 2)])
+    gt = GroundTruthSequence(4, 4, {0: labels}, ignore_value=ignore)
+    assert type(gt.ignore_value) is int and gt.ignore_value == ignore
+    assert gt.region_ids() == [1]
+    _, back = fileio.load_sequence(fileio.write_sequence("s", gt, tmp_path))
+    assert back.ignore_value == ignore and back.region_ids() == [1]
 
 
 def test_largest_pgm_label_accepted_as_ignore_label():
@@ -346,8 +360,12 @@ class TestDatasetAggregation:
 
 
 def test_evaluate_rejects_unknown_metric_and_no_sequences():
-    with pytest.raises(ValueError, match="unknown metric 'recall'"):
+    message = ("unknown metric 'recall', expected one of "
+               "['davis', 'delta-obj', 'map', 'official', 'proposed']")
+    with pytest.raises(ValueError, match=re.escape(message)):
         evaluate("recall", [("s", single_frame_gt(W, H, []), [])])
+    with pytest.raises(TypeError, match="bogus"):   # the options are keywords of evaluate's own
+        evaluate("proposed", [("s", single_frame_gt(W, H, []), [])], bogus=1)
     with pytest.raises(ValueError, match="no sequences"):
         evaluate("proposed", [])
 
@@ -393,6 +411,30 @@ def test_evaluate_rejects_bad_options_before_scoring(option, value):
     tally.assert_not_called()
 
 
+_KERNELS = {"sequence_tally": sequence_tally, "binarize_detections": binarize_detections,
+            "davis_j": davis_j, "boundary_f": boundary_f}
+
+
+@pytest.mark.parametrize("metric,called", [
+    ("proposed", {"sequence_tally"}), ("official", {"sequence_tally"}),
+    ("delta-obj", set()), ("map", set()),
+    ("davis", {"binarize_detections", "davis_j", "boundary_f"}),
+])
+def test_evaluate_calls_each_kernel_through_the_module(metric, called):
+    """``evaluate`` looks its kernels up on ``metrics`` when it is called, once per
+    sequence, so one replaced after import, as a tracer replaces it to time it, is the
+    one called."""
+    gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
+    sequences = [(name, gt, [region(1, W, H, {0: (0, 0, 10, 5)})]) for name in "abc"]
+    expected = evaluate(metric, sequences)
+    with ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch(f"movingseg.metrics.{name}", wraps=fn))
+                 for name, fn in _KERNELS.items()}
+        assert evaluate(metric, sequences) == expected
+    assert {name: spy.call_count for name, spy in spies.items()} == {
+        name: 3 * (name in called) for name in _KERNELS}
+
+
 @pytest.mark.parametrize("odd,message", [
     (region(7, W + 1, H, {0: (0, 0, 4, 4)}), "track 7 is 41x20 on frame 0"),
     # the entry of another size lies on a frame that is not evaluated: every entry counts
@@ -404,7 +446,7 @@ def test_tally_rejects_a_track_of_another_frame_size(odd, message):
     ``sequence_tally``."""
     gt = single_frame_gt(W, H, [(1, 0, 0, 10, 10)])
     match = f"^{message}, sequence is 40x20$"
-    for metric in ("proposed", "official", "delta-obj", "map", "davis"):
+    for metric in METRICS:
         with mock.patch("movingseg.metrics.sequence_tally") as tally:
             with pytest.raises(ValueError, match=match):
                 evaluate(metric, [("s", gt, [region(1, W, H, {0: (0, 0, 10, 10)}), odd])])

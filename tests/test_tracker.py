@@ -94,12 +94,23 @@ class TestStep:
             step([t], [det(5, 0.95, W, H, 4, 4, 8, 8)], CFG)
 
     def test_mixed_frames_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("detections span several frames: [0, 1]")):
             step([], [det(0, 0.95, W, H, 0, 0, 4, 4),
                       det(1, 0.95, W, H, 0, 0, 4, 4)], CFG)
 
+    def test_frame_comes_from_the_detections_alone(self):
+        # the frame is the detections' own: there is no frame argument to check it against
+        with pytest.raises(TypeError):
+            step([], [det(0, 0.95, W, H, 0, 0, 4, 4)], CFG, frame=0)
+        with pytest.raises(ValueError, match="cannot infer frame from an empty detection list"):
+            step([], [], CFG)
+
 
 class TestTrackSequence:
+    def test_detections_under_another_frame_key_rejected(self):
+        with pytest.raises(ValueError, match="^detections are for frame 1, expected 0$"):
+            track_sequence({0: [det(1, 0.95, W, H, 0, 0, 4, 4)]}, CFG)
+
     def test_single_object_single_track(self):
         tracks = track_sequence(moving_object(range(30)), CFG)
         assert len(tracks) == 1
