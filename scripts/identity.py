@@ -9,7 +9,9 @@ file under DIR.
 The pipeline is two 96x72 sequences (rectangles with an occlusion and
 fp/fn noise, ellipses), one sequence with labels above 255, a static
 stream from ``corrupt``, forward tracking at two ``--t-inactive`` values and
-bidirectional tracking with the static stream, every metric
+bidirectional tracking with the static stream, both again on a detections file
+that holds the static stream as kind ``static`` before each frame's moving
+detections, every metric
 and its options with CSVs (davis at the default tolerance, at 3 %, at 0, where
 no window reaches past the pixel's own row and column, and at 150 %, where
 every window covers the whole frame), one ``--fail-on-degenerate`` run on an empty
@@ -26,6 +28,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -63,6 +66,12 @@ def _commands():
                                    "a/detections.json", "--out", "a/tracks-t1.json"]
     yield "track-a-bidir", ["track", "--bidirectional", "--detections", "a/detections.json",
                             "--static", "a/static-dets.json", "--out", "a/bidir.json"]
+    # a's detections and the static stream in one file, each frame's static ones first
+    yield "track-a-mixed", ["track", "--detections", "a/mixed-dets.json",
+                            "--out", "a/mixed-tracks.json"]
+    yield "track-a-mixed-bidir", ["track", "--bidirectional", "--detections",
+                                  "a/mixed-dets.json", "--static", "a/static-dets.json",
+                                  "--out", "a/mixed-bidir.json"]
     pairs = [arg for name, _ in _SEQUENCES
              for arg in ("--gt", f"{name}/manifest.json", "--pred", f"{name}/tracks.json")]
     for run in _METRICS:
@@ -90,6 +99,12 @@ def _prepare(name: str) -> None:
                             fn_rate=0.3)
         fileio.write_detections("a/static-dets.json", gt.width, gt.height,
                                 corrupt(gt, noise, seed=20))
+    elif name == "track-a-mixed":
+        width, height, moving = fileio.read_detections("a/detections.json")
+        _, _, static = fileio.read_detections("a/static-dets.json")
+        fileio.write_detections("a/mixed-dets.json", width, height, {
+            f: [*(replace(d, kind="static") for d in static.get(f, ())), *moving.get(f, ())]
+            for f in sorted({*moving, *static})})
     elif name == "evaluate-degenerate":
         fileio.write_tracks("b/empty-tracks.json", 96, 72, [])
     elif name == "evaluate-bad-score":

@@ -151,8 +151,6 @@ def cmd_track(args) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     width, height, dets = fileio.read_detections(args.detections)
-    moving = {f: [d for d in ds if d.kind == "moving"] for f, ds in dets.items()}
-    static = {f: [d for d in ds if d.kind == "static"] for f, ds in dets.items()}
     if args.static:
         s_width, s_height, s_dets = fileio.read_detections(args.static)
         if (s_width, s_height) != (width, height):
@@ -161,12 +159,11 @@ def cmd_track(args) -> int:
                 f"{args.detections} ({width}x{height})"
             )
         for f, ds in s_dets.items():
-            forced = [_detection(d.frame, d.score, d.mask, "static") for d in ds]
-            static.setdefault(f, []).extend(forced)
+            dets.setdefault(f, []).extend(_detection(f, d.score, d.mask, "static") for d in ds)
     if args.bidirectional:
-        tracks = bidirectional_track(moving, static, cfg)
+        tracks = bidirectional_track(dets, cfg)
     else:
-        tracks = track_sequence(merge_moving_static(moving, static, cfg), cfg)
+        tracks = track_sequence(merge_moving_static(dets, cfg), cfg)
     fileio.write_tracks(args.out, width, height, tracks)
     print(f"wrote {len(tracks)} tracks -> {args.out}")
     return EXIT_OK

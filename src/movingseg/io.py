@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mask import (MAX_PIXELS, MalformedMaskError, Mask, _label_runs, _run_lists,
-                   _split_runs)
+from .mask import (MAX_PIXELS, MalformedMaskError, Mask, _frame_pixels, _label_runs,
+                   _run_lists, _split_runs)
 from .metrics import REPORT_FIELDS, GroundTruthSequence, MetricReport, _ignore_fault
 from .tracker import Detection, Track, _detection, _track
 
@@ -367,15 +367,27 @@ def _run_texts(masks) -> list[str]:
 
 
 def _write_groups(path, width: int, height: int, name: str, group_key: str, list_key: str,
-                  entry_key: str, groups) -> None:
+                  entry_key: str, groups, where: str) -> None:
     """Write a detections or tracks file in its fixed layout: list ``name`` holds an object
     per ``(value, entries)`` of ``groups``, ``value`` under ``group_key`` and an entry per
-    ``(value, detection)`` under ``list_key``, ``value`` under ``entry_key``."""
+    ``(value, detection)`` under ``list_key``, ``value`` under ``entry_key``.
+
+    The frame size is the readers' (a numpy int is written as the int it holds), and a
+    mask of another size is a ValueError, named by ``where`` formatted with its group's and
+    its entry's values; nothing is written then."""
+    _frame_pixels(width, height)
+    width, height = int(width), int(height)
+    masks = [d.mask for _, entries in groups for _, d in entries]
+    if {(m.width, m.height) for m in masks} - {(width, height)}:
+        value, v, m = next((value, v, d.mask) for value, entries in groups for v, d in entries
+                           if (d.mask.width, d.mask.height) != (width, height))
+        raise ValueError(f"{where.format(value, v)} is {m.width}x{m.height}, "
+                         f"file is {width}x{height}")
     # an entry is an object at depth 4, each "%s" one of its values in sorted key order,
     # and its runs lie at depth 6
     entry = _object({entry_key: "%s", "rle": _array(["%s"], _NEWLINE[5]), "score": "%s"},
                     _NEWLINE[4])
-    runs = iter(_run_texts([d.mask for _, entries in groups for _, d in entries]))
+    runs = iter(_run_texts(masks))
     items = _array([
         _object({
             list_key: _array([entry % (_scalar(v), next(runs), _scalar(d.score))
@@ -390,9 +402,12 @@ def _write_groups(path, width: int, height: int, name: str, group_key: str, list
 
 
 def write_detections(path, width: int, height: int, dets_by_frame) -> None:
-    _write_groups(path, width, height, "frames", "index", "detections", "kind",
-                  [(idx, [(d.kind, d) for d in dets_by_frame[idx]])
-                   for idx in sorted(dets_by_frame)])
+    groups = [(idx, [(d.kind, d) for d in dets_by_frame[idx]]) for idx in sorted(dets_by_frame)]
+    for idx, entries in groups:   # the file keeps a detection's frame as its group's index
+        if stray := [d.frame for _, d in entries if d.frame != idx]:
+            raise ValueError(f"detections are for frame {stray[0]}, expected {idx}")
+    _write_groups(path, width, height, "frames", "index", "detections", "kind", groups,
+                  "a detection on frame {0}")
 
 
 # ---------------------------------------------------------------- tracks
@@ -437,7 +452,8 @@ def write_tracks(path, width: int, height: int, tracks) -> None:
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate track ids")
     _write_groups(path, width, height, "tracks", "id", "frames", "index",
-                  [(t.id, [(d.frame, d) for d in t.entries]) for t in tracks])
+                  [(t.id, [(d.frame, d) for d in t.entries]) for t in tracks],
+                  "track {0} on frame {1}")
 
 
 # ---------------------------------------------------------------- reports

@@ -207,29 +207,28 @@ def track_sequence(dets_by_frame: Mapping[int, Sequence[Detection]],
     return [_track(i, tuple(es)) for i, es in zip(ids, entries)]
 
 
-def merge_moving_static(moving: Mapping[int, Sequence[Detection]],
-                        static: Mapping[int, Sequence[Detection]],
+def merge_moving_static(dets_by_frame: Mapping[int, Sequence[Detection]],
                         cfg: TrackerConfig | None = None) -> dict[int, list[Detection]]:
-    """Gate both streams, then drop static detections overlapping a moving one.
+    """Gate each frame, then drop its static detections overlapping a moving one.
 
-    Only moving detections that pass the gate can suppress a static one.
-    Downstream, surviving static detections may extend tracks but never open
-    them.
+    A detection's ``kind`` alone says whether it is moving or static.  Each frame
+    holds its moving detections, then the static ones kept, each kind in its own
+    order.  Only moving detections that pass the gate can suppress a static one.
+    Downstream, surviving static detections may extend tracks but never open them.
     """
     cfg = cfg or TrackerConfig()
     merged: dict[int, list[Detection]] = {}
-    for frame in sorted(set(moving) | set(static)):
-        movers = gate(moving.get(frame, ()), cfg)
-        statics = gate(static.get(frame, ()), cfg)
+    for frame in sorted(dets_by_frame):
+        kept = gate(dets_by_frame[frame], cfg)
+        movers = [d for d in kept if d.kind == "moving"]
+        statics = [d for d in kept if d.kind == "static"]
         overlap = iou_matrix([s.mask for s in statics], [m.mask for m in movers])
-        keep = [s for s, row in zip(statics, overlap)
-                if (row <= cfg.static_overlap_iou).all()]
-        merged[frame] = movers + keep
+        merged[frame] = movers + [s for s, row in zip(statics, overlap)
+                                  if (row <= cfg.static_overlap_iou).all()]
     return merged
 
 
-def bidirectional_track(moving: Mapping[int, Sequence[Detection]],
-                        static: Mapping[int, Sequence[Detection]],
+def bidirectional_track(dets_by_frame: Mapping[int, Sequence[Detection]],
                         cfg: TrackerConfig) -> list[Track]:
     """Forward tracking, then a backward pass that only extends existing tracks.
 
@@ -238,7 +237,7 @@ def bidirectional_track(moving: Mapping[int, Sequence[Detection]],
     accretes leftover (typically static) detections.  Forward ids are kept and
     no new identities appear.
     """
-    merged = merge_moving_static(moving, static, cfg)
+    merged = merge_moving_static(dets_by_frame, cfg)
     forward = track_sequence(merged, cfg)
     used = {id(d) for t in forward for d in t.entries}
     heads = [t.entries[0] for t in forward]   # each track's earliest entry so far

@@ -267,20 +267,22 @@ def track_sequence_reference(dets_by_frame, cfg) -> list[tuple[int, tuple]]:
     return [(tid, entries) for tid, entries, _ in tracks]
 
 
-def bidirectional_reference(moving, static, cfg) -> list[tuple[int, tuple]]:
-    """The forward pass over the merged streams, then the backward pass: (id, entries).
+def bidirectional_reference(dets_by_frame, cfg) -> list[tuple[int, tuple]]:
+    """The forward pass over the merged stream, then the backward pass: (id, entries).
 
-    Merging gates both streams and drops each static detection whose grid IoU
-    with some gated moving one exceeds ``static_overlap_iou``.  Walking frames
+    Merging gates each frame, puts its moving detections first, and keeps after
+    them each static detection whose grid IoU with every gated moving one is at
+    most ``static_overlap_iou``; each kind keeps its order.  Walking frames
     in reverse, a track joins the matching below its first frame, seeded with
     its first mask, and stays while the frames it has missed below its earliest
     entry number at most ``t_inactive``; it takes unused detections only.
     """
     merged = {}
-    for frame in sorted(set(moving) | set(static)):
-        movers = [d for d in moving.get(frame, ()) if d.score >= cfg.alpha_low]
+    for frame in sorted(dets_by_frame):
+        kept = [d for d in dets_by_frame[frame] if d.score >= cfg.alpha_low]
+        movers = [d for d in kept if d.kind == "moving"]
         merged[frame] = movers + [
-            s for s in static.get(frame, ()) if s.score >= cfg.alpha_low and all(
+            s for s in kept if s.kind == "static" and all(
                 grid_iou(rle_decode(s.mask), rle_decode(m.mask)) <= cfg.static_overlap_iou
                 for m in movers)]
     forward = track_sequence_reference(merged, cfg)

@@ -46,3 +46,9 @@ def region(rid, width, height, frame_rects):
 def det(frame, score, width, height, x, y, w, h, kind="moving"):
     return Detection(frame, score, rect_mask(width, height, x, y, w, h), kind)
 
+
+def mixed(moving, static):
+    """A moving and a static stream as the tracker's one stream, each frame's moving
+    detections first."""
+    return {f: [*moving.get(f, ()), *static.get(f, ())] for f in sorted({*moving, *static})}
+

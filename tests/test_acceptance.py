@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dense_reference import brute_force_assignment
-from helpers import det, rect_labels, rect_mask, region, single_frame_gt
+from helpers import det, mixed, rect_labels, rect_mask, region, single_frame_gt
 from movingseg import io as fileio
 from movingseg.assign import solve_max_assignment
 from movingseg.cli import main
@@ -150,9 +150,9 @@ def test_criterion_5_bidirectional():
     static = {f: [det(f, 0.85, width, height, 10, 10, 12, 12, kind="static")]
               for f in range(10)}
     cfg = TrackerConfig()
-    bi = bidirectional_track(moving, static, cfg)
+    bi = bidirectional_track(mixed(moving, static), cfg)
     from movingseg.tracker import merge_moving_static
-    fwd = track_sequence(merge_moving_static(moving, static, cfg), cfg)
+    fwd = track_sequence(merge_moving_static(mixed(moving, static), cfg), cfg)
     ok = (len(bi) == 1 and bi[0].first_frame == 0 and bi[0].last_active_frame == 29
           and len(bi[0].entries) == 30 and fwd[0].first_frame == 10)
     assert _verdict(5, ok,

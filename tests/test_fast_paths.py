@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dense_reference import (_box_iou, average_precision_dense, boundary_f_edt, boundary_map,
                              grid_box, grid_iou, grid_runs, interval_grid, translate_dense)
+from helpers import mixed
 from movingseg import mask as mask_module
 from movingseg.mask import (DimensionMismatchError, Mask, _boundaries, _boxes, _overlaps, _sweep,
                             _tagged_overlaps, _translate_cuts, intersect_cuts, iou, iou_matrix,
@@ -337,8 +338,9 @@ class TestBoxSkip:
         def run():
             gated_moving = {f: gate(ds, cfg) for f, ds in moving.items()}
             gated_static = {f: gate(ds, cfg) for f, ds in static.items()}
-            merged = merge_moving_static(gated_moving, gated_static, cfg)
-            return merged, track_sequence(merged, cfg), bidirectional_track(moving, static, cfg)
+            merged = merge_moving_static(mixed(gated_moving, gated_static), cfg)
+            stream = mixed(moving, static)
+            return merged, track_sequence(merged, cfg), bidirectional_track(stream, cfg)
 
         skipped = run()
         with mock.patch.object(mask_module, "_meet", _all_meet):
@@ -502,7 +504,7 @@ class TestIouMatrix:
         masks = {id(d.mask) for stream in (moving, static) for ds in stream.values() for d in ds}
         with mock.patch.object(mask_module, "_cut_bounds",
                                wraps=mask_module._cut_bounds) as bounds:
-            bidirectional_track(moving, static, TrackerConfig())
+            bidirectional_track(mixed(moving, static), TrackerConfig())
         assert sum(len(c.args[0]) for c in bounds.call_args_list) <= len(masks)
 
     def test_hand_cases(self):

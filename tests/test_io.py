@@ -523,6 +523,51 @@ def test_fixed_layouts_reject_numpy_ints(tmp_path):
     assert (tmp_path / "int64.json").read_bytes() == (tmp_path / "int.json").read_bytes()
 
 
+# each file writer, with an empty and a one-detection argument of W x H masks
+_WRITERS = [(fileio.write_detections, {}, {0: [det(0, 0.5, W, H, 1, 1, 3, 3)]}),
+            (fileio.write_tracks, [], [Track(1, (det(0, 0.5, W, H, 1, 1, 3, 3),))])]
+
+
+@pytest.mark.parametrize("size", [(0, 0), (W, 0), (2.5, 3), (True, 4), (4, np.float64(4)),
+                                  (MAX_PIXELS, 2)],
+                         ids=["zero", "zero-height", "float", "bool", "numpy-float", "huge"])
+def test_writers_refuse_a_frame_size_their_readers_refuse(tmp_path, size):
+    path = tmp_path / "out.json"
+    for write, empty, _ in _WRITERS:
+        with pytest.raises(ValueError):
+            write(path, *size, empty)
+        assert not path.exists()
+
+
+def test_writers_write_numpy_int_sizes_as_the_ints_they_hold(tmp_path):
+    for write, _, one in _WRITERS:
+        write(tmp_path / "int.json", W, H, one)
+        write(tmp_path / "int64.json", np.int64(W), np.int32(H), one)
+        assert (tmp_path / "int64.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+
+
+def test_writers_refuse_a_mask_of_another_size(tmp_path):
+    # a 5x5 mask under a 4x4 file would give a file whose reader refuses its runs
+    small, big = det(0, 0.5, 4, 4, 0, 0, 2, 2), det(2, 0.5, 5, 5, 0, 0, 2, 2)
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=r"^track 7 on frame 2 is 5x5, file is 4x4$"):
+        fileio.write_tracks(path, 4, 4, [Track(3, (small,)), Track(7, (small, big))])
+    with pytest.raises(ValueError, match=r"^a detection on frame 2 is 5x5, file is 4x4$"):
+        fileio.write_detections(path, 4, 4, {0: [small], 2: [big]})
+    assert not path.exists()
+
+
+def test_write_detections_refuses_a_detection_under_another_frame_key(tmp_path):
+    # the file would name the key's frame, and the reader would move the detection there
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=r"^detections are for frame 0, expected 1$"):
+        fileio.write_detections(path, 5, 5, {1: [det(0, 1.0, 5, 5, 0, 0, 2, 2)]})
+    with pytest.raises(ValueError, match=r"^detections are for frame 3, expected 2$"):
+        fileio.write_detections(path, 5, 5, {2: [det(2, 1.0, 5, 5, 0, 0, 2, 2),
+                                                 det(3, 1.0, 5, 5, 1, 1, 2, 2)]})
+    assert not path.exists()
+
+
 @given(st.lists(st.tuples(
     # the frames and scores a caller may pass: ints, floats, bools and numpy scalars
     st.one_of(st.integers(-3, 40), st.integers(-3, 40).map(np.int64), st.booleans(),

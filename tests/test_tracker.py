@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import bidirectional_reference, track_sequence_reference
-from helpers import det, rect_mask
+from helpers import det, mixed, rect_mask
 from movingseg.metrics import evaluate
 from movingseg.synth import NoiseConfig, SynthConfig, corrupt, generate
 from movingseg.tracker import (Detection, Track, TrackerConfig, bidirectional_track,
@@ -173,28 +173,43 @@ class TestMergeMovingStatic:
     def test_identical_static_removed(self):
         moving = {0: [det(0, 0.95, W, H, 4, 4, 8, 8)]}
         static = {0: [det(0, 0.8, W, H, 4, 4, 8, 8, kind="static")]}
-        merged = merge_moving_static(moving, static, CFG)
+        merged = merge_moving_static(mixed(moving, static), CFG)
         assert [d.kind for d in merged[0]] == ["moving"]
 
     def test_disjoint_static_kept(self):
         moving = {0: [det(0, 0.95, W, H, 4, 4, 8, 8)]}
         static = {0: [det(0, 0.8, W, H, 40, 30, 8, 8, kind="static")]}
-        merged = merge_moving_static(moving, static, CFG)
+        merged = merge_moving_static(mixed(moving, static), CFG)
         assert [d.kind for d in merged[0]] == ["moving", "static"]
 
     def test_threshold_rule(self):
         # IoU 8x8 vs 8x8 shifted by 1 col: 56/72 = 0.78 > 0.5 -> removed
         moving = {0: [det(0, 0.95, W, H, 4, 4, 8, 8)]}
         static = {0: [det(0, 0.8, W, H, 5, 4, 8, 8, kind="static")]}
-        assert [d.kind for d in merge_moving_static(moving, static, CFG)[0]] == ["moving"]
+        assert [d.kind for d in merge_moving_static(mixed(moving, static), CFG)[0]] == ["moving"]
         lax = TrackerConfig(static_overlap_iou=0.9)
-        assert len(merge_moving_static(moving, static, lax)[0]) == 2
+        assert len(merge_moving_static(mixed(moving, static), lax)[0]) == 2
 
     def test_gated_moving_does_not_suppress_static(self):
         # the moving detection scores below alpha_low, so the gate drops it first
         moving = {0: [det(0, 0.5, W, H, 4, 4, 8, 8)]}
         static = {0: [det(0, 0.8, W, H, 4, 4, 8, 8, kind="static")]}
-        assert [d.kind for d in merge_moving_static(moving, static, CFG)[0]] == ["static"]
+        assert [d.kind for d in merge_moving_static(mixed(moving, static), CFG)[0]] == ["static"]
+
+    def test_moving_suppresses_static_wherever_it_sits(self):
+        # the kind decides, not the place in the frame's list
+        mover = det(0, 0.95, W, H, 4, 4, 8, 8)
+        over = det(0, 0.8, W, H, 5, 4, 8, 8, kind="static")
+        apart = det(0, 0.8, W, H, 40, 30, 8, 8, kind="static")
+        for frame in ([over, mover, apart], [apart, over, mover], [over, apart, mover]):
+            assert merge_moving_static({0: frame}, CFG)[0] == [mover, apart]
+
+    def test_static_opens_no_track(self):
+        # a static detection above alpha_high, alone on its frame, opens no track
+        static = {0: [det(0, 0.95, W, H, 4, 4, 8, 8, kind="static")]}
+        assert merge_moving_static(static, CFG) == static
+        assert track_sequence(merge_moving_static(static, CFG), CFG) == []
+        assert bidirectional_track(static, CFG) == []
 
 
 class TestBidirectional:
@@ -208,7 +223,7 @@ class TestBidirectional:
     def test_backward_extension(self):
         moving, static = self._static_then_moving()
         cfg = TrackerConfig()
-        tracks = bidirectional_track(moving, static, cfg)
+        tracks = bidirectional_track(mixed(moving, static), cfg)
         assert len(tracks) == 1
         assert tracks[0].first_frame == 0
         assert tracks[0].last_active_frame == 29
@@ -219,16 +234,16 @@ class TestBidirectional:
     def test_forward_only_starts_late(self):
         moving, static = self._static_then_moving()
         cfg = TrackerConfig()
-        merged = merge_moving_static(
+        merged = merge_moving_static(mixed(
             {f: gate(d, cfg) for f, d in moving.items()},
-            {f: gate(d, cfg) for f, d in static.items()}, cfg)
+            {f: gate(d, cfg) for f, d in static.items()}), cfg)
         tracks = track_sequence(merged, cfg)
         assert tracks[0].first_frame == 10
 
     def test_no_static_identical_to_forward(self):
         moving, _ = self._static_then_moving()
         cfg = TrackerConfig()
-        bi = bidirectional_track(moving, {}, cfg)
+        bi = bidirectional_track(moving, cfg)
         fw = track_sequence(moving, cfg)
         assert [(t.id, t.entries) for t in bi] == [(t.id, t.entries) for t in fw]
 
@@ -237,7 +252,7 @@ class TestBidirectional:
         static = {f: [det(f, 0.85, W, H, 40, 30, 6, 6, kind="static")]
                   for f in range(20)}
         cfg = TrackerConfig()
-        tracks = bidirectional_track(moving, static, cfg)
+        tracks = bidirectional_track(mixed(moving, static), cfg)
         assert len(tracks) == 1
         assert tracks[0].first_frame == 0
         assert all(d.kind == "moving" for d in tracks[0].entries)
@@ -247,7 +262,7 @@ class TestBidirectional:
         static = {f: [det(f, 0.85, W, H, 10, 10, 10, 10, kind="static")]
                   for f in range(0, 5)}   # gap 5..19 exceeds t_inactive=3
         cfg = TrackerConfig(t_inactive=3)
-        tracks = bidirectional_track(moving, static, cfg)
+        tracks = bidirectional_track(mixed(moving, static), cfg)
         assert len(tracks) == 1
         assert tracks[0].first_frame == 20
 
@@ -298,11 +313,6 @@ def _streams(draw):
     return moving, static, cfg
 
 
-def _mixed(moving, static):
-    """Both streams as one, each frame's moving detections first."""
-    return {f: [*moving.get(f, ()), *static.get(f, ())] for f in sorted({*moving, *static})}
-
-
 def _by_identity(tracks):
     return [(tid, [id(d) for d in entries]) for tid, entries in tracks]
 
@@ -313,24 +323,47 @@ def test_tracker_matches_dense_reference(streams):
     """Both passes pick the same detections, by identity, under the same ids as the
     whole-state fold over decoded grids and exhaustive matchings."""
     moving, static, cfg = streams
-    mixed = _mixed(moving, static)
-    assert _by_identity((t.id, t.entries) for t in track_sequence(mixed, cfg)) == \
-        _by_identity(track_sequence_reference(mixed, cfg))
-    assert _by_identity((t.id, t.entries) for t in bidirectional_track(moving, static, cfg)) == \
-        _by_identity(bidirectional_reference(moving, static, cfg))
+    stream = mixed(moving, static)
+    assert _by_identity((t.id, t.entries) for t in track_sequence(stream, cfg)) == \
+        _by_identity(track_sequence_reference(stream, cfg))
+    assert _by_identity((t.id, t.entries) for t in bidirectional_track(stream, cfg)) == \
+        _by_identity(bidirectional_reference(stream, cfg))
+
+
+@given(_streams(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_kind_decides_not_position(streams, data):
+    """Interleaving each frame's moving and static detections at random, each kind in its
+    own order, changes neither the merge nor either pass: the same detections, by
+    identity, as for the stream with each frame's moving detections first."""
+    moving, static, cfg = streams
+    stream, shuffled = mixed(moving, static), {}
+    for f in stream:
+        movers, statics = moving.get(f, []), static.get(f, [])
+        order = data.draw(st.permutations([True] * len(movers) + [False] * len(statics)))
+        movers, statics = iter(movers), iter(statics)
+        shuffled[f] = [next(movers) if is_moving else next(statics) for is_moving in order]
+
+    def passes(dets):
+        merged = merge_moving_static(dets, cfg)
+        return ({f: [id(d) for d in ds] for f, ds in merged.items()},
+                _by_identity((t.id, t.entries) for t in track_sequence(merged, cfg)),
+                _by_identity((t.id, t.entries) for t in bidirectional_track(dets, cfg)))
+
+    assert passes(shuffled) == passes(stream)
 
 
 @given(_streams())
 @settings(max_examples=60, deadline=None)
 def test_step_fold_equals_track_sequence(streams):
     moving, static, cfg = streams
-    mixed, tracks = _mixed(moving, static), []
-    for frame in sorted(mixed):
-        kept = gate(mixed[frame], cfg)
+    stream, tracks = mixed(moving, static), []
+    for frame in sorted(stream):
+        kept = gate(stream[frame], cfg)
         if kept:
             tracks = step(tracks, kept, cfg)
     assert _by_identity((t.id, t.entries) for t in tracks) == \
-        _by_identity((t.id, t.entries) for t in track_sequence(mixed, cfg))
+        _by_identity((t.id, t.entries) for t in track_sequence(stream, cfg))
 
 
 def test_synthetic_identity_agreement():
